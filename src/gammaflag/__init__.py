@@ -34,7 +34,7 @@ from .rootdata import (
     root_system,
 )
 from .schubert import ChowRing, SchubertClass, SubspaceBasis
-from .weyl import WeylElement, WeylGroup, weyl_group
+from .weyl import WeylGroup, weyl_group
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,6 @@ __all__ = [
     "CharacterLattice", "FiniteAbelianGroup", "FundamentalGroup",
     "RootSystem", "build_root_system", "root_system",
     "ChowRing", "SchubertClass", "SubspaceBasis",
-    "WeylElement", "WeylGroup", "weyl_group",
+    "WeylGroup", "weyl_group",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .rootdata import FiniteAbelianGroup, FundamentalGroup, Weight
 
-__all__ = ["BrauerModel", "CommonIndexReport", "common_index", "vp"]
+__all__ = ["BrauerModel", "CommonIndexReport", "common_index", "is_prime", "vp"]
 
 
 def vp(n: int, p: int) -> int:
@@ -32,6 +32,11 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality by trial division up to isqrt(n)."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)

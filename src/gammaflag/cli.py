@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .brauer import BrauerModel, CommonIndexReport
+from .brauer import BrauerModel, is_prime
 from .formal_bundles import (
     binomial_gamma_expansion,
     check_gamma1_product_chern,
@@ -35,6 +35,22 @@ _FORMATS = ("json", "tsv", "pretty")
 _CONFIG_KEYS = {
     "type", "lattice", "prime", "brauer", "index", "degree",
     "max_degree", "format", "kac",
+}
+
+# Inclusive (least, largest) value of every integer input.  The oracle caps
+# keep a run to seconds (firsteq costs ~12x per step of max_i, binomial
+# ~max_mult**4, gammatoc grows steeply with max_bundles); 120 = l(w_0) of
+# E8, the longest supported type; p and index caps keep arithmetic cheap.
+_INT_BOUNDS = {
+    "prime": (2, 1000),
+    "index": (1, 10**9),
+    "degree": (1, 120),
+    "max_degree": (1, 120),
+    "max_length": (0, 120),
+    "max_i": (1, 6),
+    "max_n": (1, 10),
+    "max_bundles": (1, 6),
+    "max_mult": (1, 24),
 }
 
 # Frozen classification values for the E6 adjoint family at p = 3, keyed by
@@ -75,7 +91,7 @@ class ScenarioConfig:
 @dataclass
 class Report:
     payload: dict
-    rows: list[tuple[str, ...]]
+    rows: list[tuple]   # raw values; _cell formats each one
     lines: list[str]
     failed: bool = False
 
@@ -83,10 +99,15 @@ class Report:
 # -- config ingestion --------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % q for q in range(2, int(n ** 0.5) + 1))
+def _check_int(name: str, value, bounds: str | None = None) -> int:
+    """``value`` as an integer within the bounds of ``_INT_BOUNDS[bounds]``
+    (default: those of ``name``)."""
+    lo, hi = _INT_BOUNDS[bounds or name]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an integer")
+    if not lo <= value <= hi:
+        raise UsageError(f"{name} must be between {lo} and {hi}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -98,6 +119,8 @@ def _read_config_file(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"config {path}: line {e.lineno}: {e.msg}")
+    except ValueError as e:  # an integer literal past the digit limit
+        raise UsageError(f"config {path}: {e}")
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: top level must be a JSON object")
     for key in data:
@@ -112,14 +135,8 @@ def _check_index_map(brauer) -> dict[str, int]:
     ind = brauer["ind"]
     if not isinstance(ind, dict) or not ind:
         raise UsageError('config field "brauer.ind" must be a non-empty object')
-    out = {}
-    for label, value in ind.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise UsageError(
-                f'brauer.ind[{label!r}] must be a positive integer'
-            )
-        out[str(label)] = value
-    return out
+    return {str(label): _check_int(f"brauer.ind[{label!r}]", value, "index")
+            for label, value in ind.items()}
 
 
 def _check_kac(kac) -> dict:
@@ -147,10 +164,15 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
     if fmt not in _FORMATS:
         raise UsageError(f"unknown format {fmt!r}: expected one of {_FORMATS}")
 
-    prime = pick("prime", "prime", 3)
-    if not isinstance(prime, int) or isinstance(prime, bool):
-        raise UsageError("p must be an integer")
-    if not _is_prime(prime):
+    # every integer input; the oracle ones never come from a config file
+    ints = {name: pick(name, name, None) for name in _INT_BOUNDS}
+    for name, value in ints.items():
+        if value is not None:
+            _check_int(name, value)
+    if ints["prime"] is None:
+        ints["prime"] = 3
+    prime = ints["prime"]
+    if not is_prime(prime):
         raise UsageError("p must be prime")
 
     dynkin = pick("dynkin", "type", "E6")
@@ -169,27 +191,18 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
     elif not isinstance(lattice, str):
         raise UsageError('config field "lattice" must be a string or a list')
 
-    uniform_index = pick("index", "index", None)
-    if uniform_index is not None and (
-            not isinstance(uniform_index, int) or uniform_index < 1):
-        raise UsageError("index must be a positive integer")
-
     index_map = None
     if "brauer" in data:
         index_map = _check_index_map(data["brauer"])
-    if index_map is not None and uniform_index is not None:
+    if index_map is not None and ints["index"] is not None:
         raise UsageError("give either a uniform index or a brauer map, not both")
 
     kac = _check_kac(data["kac"]) if "kac" in data else None
 
-    degree = pick("degree", "degree", None)
-    max_degree = pick("max_degree", "max_degree", None)
-    for label, value in (("degree", degree), ("max_degree", max_degree)):
-        if value is not None and (not isinstance(value, int) or value < 1):
-            raise UsageError(f"{label} must be a positive integer")
     # ideal comparisons happen in degrees <= p, where (m-1)! is a unit
     if args.command in ("restriction-image", "verify-theorem"):
-        cap = degree if args.command == "restriction-image" else max_degree
+        cap = ints["degree" if args.command == "restriction-image"
+                   else "max_degree"]
         if cap is not None and cap > prime:
             raise UsageError(
                 f"degree cap {cap} exceeds p = {prime}; ideal comparisons "
@@ -200,89 +213,52 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
         command=args.command,
         dynkin=dynkin,
         lattice=lattice,
-        prime=prime,
         index_map=index_map,
-        uniform_index=uniform_index,
-        degree=degree,
-        max_degree=max_degree,
+        uniform_index=ints.pop("index"),
         kac=kac,
         fmt=fmt,
         no_banner=bool(getattr(args, "no_banner", False)),
         count_by_length=bool(getattr(args, "count_by_length", False)),
-        max_length=getattr(args, "max_length", None),
         show_basis=bool(getattr(args, "basis", False)),
         show_products=bool(getattr(args, "products", False)),
         oracle_kind=getattr(args, "verify", None),
-        max_i=getattr(args, "max_i", None),
-        max_n=getattr(args, "max_n", None),
-        max_bundles=getattr(args, "max_bundles", None),
-        max_mult=getattr(args, "max_mult", None),
+        **ints,  # prime, degree, max_degree, max_length, max_i, ...
     )
 
 
 # -- shared builders ---------------------------------------------------------
 
 
-def _get_root_system(cfg: ScenarioConfig) -> RootSystem:
-    try:
-        return root_system(cfg.dynkin)
-    except ValueError as e:
-        raise UsageError(str(e))
-
-
-def _get_lattice(cfg: ScenarioConfig, rs: RootSystem) -> CharacterLattice:
-    try:
-        return CharacterLattice(rs, cfg.lattice)
-    except ValueError as e:
-        raise UsageError(str(e))
-
-
-def _get_model(cfg: ScenarioConfig, rs: RootSystem) -> BrauerModel:
+def _model(cfg: ScenarioConfig, rs: RootSystem) -> BrauerModel:
     fg = rs.fundamental_group()
-    try:
-        if cfg.index_map is not None:
-            model = BrauerModel.from_labels(fg, cfg.index_map, cfg.prime)
-        elif cfg.uniform_index is not None:
-            model = BrauerModel.uniform(fg, cfg.uniform_index, cfg.prime)
-        else:
-            model = BrauerModel.split(fg, cfg.prime)
-        return model.require_valid()
-    except ValueError as e:
-        raise UsageError(str(e))
-
-
-def _full_weyl(rs: RootSystem):
-    try:
-        return weyl_group(rs)
-    except ValueError as e:
-        raise UsageError(str(e))
+    if cfg.index_map is not None:
+        model = BrauerModel.from_labels(fg, cfg.index_map, cfg.prime)
+    elif cfg.uniform_index is not None:
+        model = BrauerModel.uniform(fg, cfg.uniform_index, cfg.prime)
+    else:
+        model = BrauerModel.split(fg, cfg.prime)
+    return model.require_valid()
 
 
 def _engine(cfg: ScenarioConfig, degree_cap: int) -> RestrictionImage:
-    rs = _get_root_system(cfg)
-    group = _full_weyl(rs)
+    rs = root_system(cfg.dynkin)
+    group = weyl_group(rs)
     chow = ChowRing(group, degree_cap=degree_cap)
-    lattice = _get_lattice(cfg, rs)
-    model = _get_model(cfg, rs)
-    return RestrictionImage(chow, SteinbergTable(group), model, lattice)
+    lattice = CharacterLattice(rs, cfg.lattice)
+    return RestrictionImage(chow, SteinbergTable(group), _model(cfg, rs),
+                            lattice)
 
 
-def _common_index_payload(report: CommonIndexReport) -> dict:
-    return {
-        "defined": report.defined,
-        "value": report.value,
-        "valuation": report.valuation,
-        "generators": list(report.generators),
-        "witness": list(report.witness) if report.witness is not None else None,
-    }
+def _sigma(word) -> str:
+    return f"sigma[{','.join(map(str, word))}]"
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_rootinfo(cfg: ScenarioConfig) -> Report:
-    rs = _get_root_system(cfg)
-    lattice = _get_lattice(cfg, rs)
+    rs = root_system(cfg.dynkin)
+    lattice = CharacterLattice(rs, cfg.lattice)
     fg = rs.fundamental_group()
     g = fg.group
     omega_labels = {
@@ -291,29 +267,29 @@ def _cmd_rootinfo(cfg: ScenarioConfig) -> Report:
     payload = {
         "type": rs.name,
         "rank": rs.rank,
-        "cartan": [list(row) for row in rs.cartan],
+        "cartan": rs.cartan,
         "positive_roots": len(rs.positive_roots),
-        "degrees": list(rs.degrees),
+        "degrees": rs.degrees,
         "weyl_order": rs.weyl_order,
         "fundamental_group": {
-            "factors": list(g.factors),
+            "factors": g.factors,
             "elements": [g.label(e) for e in g.elements()],
         },
         "omega_classes": omega_labels,
         "lattice": {
             "kind": lattice.kind,
             "index_in_weight_lattice": lattice.index_in_weight_lattice,
-            "quotient_factors": list(lattice.quotient.factors),
+            "quotient_factors": lattice.quotient.factors,
         },
     }
     rows = [
         ("type", rs.name),
-        ("rank", str(rs.rank)),
-        ("positive_roots", str(len(rs.positive_roots))),
-        ("weyl_order", str(rs.weyl_order)),
-        ("fundamental_group", ",".join(str(f) for f in g.factors) or "1"),
+        ("rank", rs.rank),
+        ("positive_roots", len(rs.positive_roots)),
+        ("weyl_order", rs.weyl_order),
+        ("fundamental_group", g.factors or 1),
         ("lattice_kind", lattice.kind),
-        ("lattice_index", str(lattice.index_in_weight_lattice)),
+        ("lattice_index", lattice.index_in_weight_lattice),
     ]
     deg = "*".join(str(d) for d in rs.degrees)
     lines = [
@@ -335,11 +311,8 @@ def _cmd_rootinfo(cfg: ScenarioConfig) -> Report:
 
 
 def _cmd_weyl(cfg: ScenarioConfig) -> Report:
-    rs = _get_root_system(cfg)
-    try:
-        group = weyl_group(rs, max_length=cfg.max_length)
-    except ValueError as e:
-        raise UsageError(str(e))
+    rs = root_system(cfg.dynkin)
+    group = weyl_group(rs, max_length=cfg.max_length)
     counts = sorted(group.count_by_length().items())
     payload = {
         "type": rs.name,
@@ -349,8 +322,8 @@ def _cmd_weyl(cfg: ScenarioConfig) -> Report:
     }
     rows = [
         ("type", rs.name),
-        ("elements", str(len(group))),
-        ("complete", str(group.is_full).lower()),
+        ("elements", len(group)),
+        ("complete", group.is_full),
     ]
     lines = [f"type {rs.name}: {len(group)} elements"
              + ("" if group.is_full else f" (truncated at length {cfg.max_length})")]
@@ -358,8 +331,8 @@ def _cmd_weyl(cfg: ScenarioConfig) -> Report:
         payload["order"] = len(group)
         lines.append(f"order {len(group)}  (degree product {rs.weyl_order})")
     if cfg.count_by_length:
-        payload["count_by_length"] = [[l, c] for l, c in counts]
-        rows = [("length", "count")] + [(str(l), str(c)) for l, c in counts]
+        payload["count_by_length"] = counts
+        rows = [("length", "count"), *counts]
         lines.append("length  count")
         lines.extend(f"{l:6d}  {c}" for l, c in counts)
     return Report(payload, rows, lines)
@@ -367,38 +340,30 @@ def _cmd_weyl(cfg: ScenarioConfig) -> Report:
 
 def _cmd_chow(cfg: ScenarioConfig) -> Report:
     degree = cfg.degree if cfg.degree is not None else 3
-    rs = _get_root_system(cfg)
-    try:
-        group = weyl_group(rs, max_length=degree)
-        chow = ChowRing(group, degree_cap=degree)
-    except ValueError as e:
-        raise UsageError(str(e))
-    dims = [[m, chow.basis_dim(m)] for m in range(0, chow.degree_cap + 1)]
+    rs = root_system(cfg.dynkin)
+    group = weyl_group(rs, max_length=degree)
+    chow = ChowRing(group, degree_cap=degree)
+    dims = [(m, chow.basis_dim(m)) for m in range(0, chow.degree_cap + 1)]
     payload = {
         "type": rs.name,
         "degree": chow.degree_cap,
         "dims": dims,
     }
-    rows = [("degree", "dim")] + [(str(m), str(d)) for m, d in dims]
+    rows = [("degree", "dim"), *dims]
     lines = [f"type {rs.name}, degrees 0..{chow.degree_cap}"]
     lines.extend(f"dim CH^{m} = {d}" for m, d in dims)
     top = chow.degree_cap
-
-    def word_of(k: int) -> list[int]:
-        return list(group.words[k])
+    words = group.words
 
     if cfg.show_basis:
         payload["basis"] = [
-            {"index": k, "word": word_of(k)} for k in chow.basis(top)
+            {"index": k, "word": words[k]} for k in chow.basis(top)
         ]
         lines.append(f"basis of CH^{top}:")
-        lines.extend(
-            f"  sigma[{','.join(str(i) for i in group.words[k])}]"
-            for k in chow.basis(top)
-        )
+        lines.extend(f"  {_sigma(words[k])}" for k in chow.basis(top))
     if cfg.show_products:
         products = []
-        plines = []
+        lines.append(f"divisor products into CH^{top}:")
         for i in range(1, rs.rank + 1):
             for k in chow.basis(top - 1):
                 res = chow.chevalley(
@@ -406,53 +371,43 @@ def _cmd_chow(cfg: ScenarioConfig) -> Report:
                 terms = sorted(res.terms.items())
                 products.append({
                     "h": i,
-                    "word": word_of(k),
-                    "result": [[c, word_of(j)] for j, c in terms],
+                    "word": words[k],
+                    "result": [(c, words[j]) for j, c in terms],
                 })
-                lhs = f"h_{i} * sigma[{','.join(str(x) for x in group.words[k])}]"
                 rhs = " + ".join(
-                    f"{c}*sigma[{','.join(str(x) for x in group.words[j])}]"
-                    for j, c in terms) or "0"
-                plines.append(f"  {lhs} = {rhs}")
+                    f"{c}*{_sigma(words[j])}" for j, c in terms) or "0"
+                lines.append(f"  h_{i} * {_sigma(words[k])} = {rhs}")
         payload["products"] = products
-        lines.append(f"divisor products into CH^{top}:")
-        lines.extend(plines)
     return Report(payload, rows, lines)
 
 
 def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
-    rs = _get_root_system(cfg)
-    group = _full_weyl(rs)
+    group = weyl_group(root_system(cfg.dynkin))
     table = SteinbergTable(group)
     g = table.fg.group
-    entries = []
-    for k in range(len(table)):
-        entries.append({
-            "index": k,
-            "word": list(group.words[k]),
-            "rho": list(table.rho(k)),
-            "class": g.label(table.brauer_class(k)),
-        })
-    distinct = len({table.rho(k) for k in range(len(table))}) == len(table)
+    labels = [g.label(c) for c in table.classes]
+    words, rhos = group.words, table.rhos
+    distinct = len(set(rhos)) == len(table)
     payload = {
-        "type": rs.name,
+        "type": group.rs.name,
         "order": len(table),
         "distinct": distinct,
-        "entries": entries,
+        "entries": [
+            {"index": k, "word": words[k], "rho": rhos[k], "class": labels[k]}
+            for k in range(len(table))
+        ],
     }
     rows = [("word", "rho", "class")]
     rows.extend(
-        (",".join(str(i) for i in e["word"]) or "-",
-         " ".join(str(x) for x in e["rho"]),
-         e["class"])
-        for e in entries
+        (words[k], " ".join(map(str, rhos[k])), labels[k])
+        for k in range(len(table))
     )
-    lines = [f"type {rs.name}: {len(table)} elements, "
+    lines = [f"type {group.rs.name}: {len(table)} elements, "
              + ("all weights distinct" if distinct else "WEIGHT COLLISION")]
     lines.extend(
-        f"  sigma[{','.join(str(i) for i in e['word'])}]"
-        f"  rho=({', '.join(str(x) for x in e['rho'])})  class {e['class']}"
-        for e in entries
+        f"  {_sigma(words[k])}  rho=({', '.join(map(str, rhos[k]))})"
+        f"  class {labels[k]}"
+        for k in range(len(table))
     )
     return Report(payload, rows, lines, failed=not distinct)
 
@@ -460,66 +415,45 @@ def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
 def _cmd_restriction_image(cfg: ScenarioConfig) -> Report:
     degree = cfg.degree if cfg.degree is not None else 1
     engine = _engine(cfg, degree_cap=degree)
-    try:
-        piece = engine.image(degree)
-        ideal = engine.ideal(degree)
-    except ValueError as e:
-        raise UsageError(str(e))
+    piece = engine.image(degree)
+    ideal = engine.ideal(degree)
     ambient = engine.chow.basis_dim(degree)
+    name, kind = engine.chow.rs.name, engine.lattice.kind
     payload = {
-        "type": engine.chow.rs.name,
-        "lattice": engine.lattice.kind,
+        "type": name,
+        "lattice": kind,
         "prime": engine.p,
         "degree": degree,
         "ambient_dim": ambient,
         "image_dim": piece.subspace.dim,
         "ideal_dim": ideal.dim,
-        "image_basis": [list(r) for r in piece.subspace.rows()],
-        "ideal_basis": [list(r) for r in ideal.rows()],
-        "pivots": [
-            {"scalar": s, "weights": [list(w) for w in ws]}
-            for s, ws in piece.pivots
-        ],
+        "image_basis": piece.subspace.rows(),
+        "ideal_basis": ideal.rows(),
+        "pivots": [{"scalar": s, "weights": ws} for s, ws in piece.pivots],
     }
     rows = [("degree", "ambient", "image_dim", "ideal_dim"),
-            (str(degree), str(ambient), str(piece.subspace.dim),
-             str(ideal.dim))]
+            (degree, ambient, piece.subspace.dim, ideal.dim)]
     lines = [
-        f"type {payload['type']} lattice {payload['lattice']} p={engine.p}",
+        f"type {name} lattice {kind} p={engine.p}",
         f"degree {degree}: ambient dim {ambient}, "
         f"image dim {piece.subspace.dim}, ideal dim {ideal.dim}",
     ]
     if piece.subspace.dim:
         lines.append("image basis rows (mod p):")
-        lines.extend("  " + " ".join(str(x) for x in r)
+        lines.extend("  " + " ".join(map(str, r))
                      for r in piece.subspace.rows())
     return Report(payload, rows, lines)
 
 
 def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
-    rs = _get_root_system(cfg)
-    lattice = _get_lattice(cfg, rs)
-    model = _get_model(cfg, rs)
+    rs = root_system(cfg.dynkin)
+    lattice = CharacterLattice(rs, cfg.lattice)
+    model = _model(cfg, rs)
     user_data = None
     if cfg.kac is not None:
         user_data = {f"{rs.name}:{lattice.kind}:{cfg.prime}": cfg.kac}
-    try:
-        pres = kac_presentation(rs, lattice, cfg.prime, user_data)
-        report, constraints = j1_constraints(model, lattice, pres)
-    except (LookupError, ValueError) as e:
-        raise UsageError(str(e))
-    degree_one = [
-        {
-            "position": c.position,
-            "omega_index": c.omega_index,
-            "k": c.k,
-            "upper_sharp": c.upper_sharp,
-            "upper_coarse": c.upper_coarse,
-            "admissible": list(c.admissible),
-            "notes": list(c.notes),
-        }
-        for c in constraints
-    ]
+    pres = kac_presentation(rs, lattice, cfg.prime, user_data)
+    report, constraints = j1_constraints(model, lattice, pres)
     s = pres.degree_one_count()
     higher = [
         {"position": s + j + 1, "degree": d, "k": k,
@@ -527,58 +461,47 @@ def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
         for j, (d, k) in enumerate(
             zip(pres.degrees[s:], pres.exponents[s:]))
     ]
-    payload = {
-        "type": rs.name,
-        "lattice": lattice.kind,
-        "prime": cfg.prime,
-        "presentation": {"degrees": list(pres.degrees),
-                         "exponents": list(pres.exponents)},
-        "common_index": _common_index_payload(report),
-        "degree_one": degree_one,
-        "higher": higher,
-    }
-    failed = False
     crosscheck = None
     if (rs.name, lattice.kind, cfg.prime) == ("E6", "adjoint", 3):
         expected = (_E6_REFERENCE_J1.get(report.value)
                     if report.defined else None)
         if expected is not None:
-            got = constraints[0].admissible
             crosscheck = {
                 "applied": True,
-                "expected": list(expected),
-                "matches": got == expected,
+                "expected": expected,
+                "matches": constraints[0].admissible == expected,
             }
-            failed = got != expected
-    payload["crosscheck"] = crosscheck
+    payload = {
+        "type": rs.name,
+        "lattice": lattice.kind,
+        "prime": cfg.prime,
+        "presentation": asdict(pres),
+        "common_index": asdict(report),
+        "degree_one": [asdict(c) for c in constraints],
+        "higher": higher,
+        "crosscheck": crosscheck,
+    }
 
     rows = [("position", "omega", "k", "admissible")]
-    rows.extend(
-        (str(c["position"]), str(c["omega_index"]), str(c["k"]),
-         ",".join(str(a) for a in c["admissible"]))
-        for c in degree_one
-    )
-    rows.extend(
-        (str(h["position"]), "-", str(h["k"]),
-         ",".join(str(a) for a in h["admissible_range"]))
-        for h in higher
-    )
-    ci = payload["common_index"]
+    rows.extend((c.position, c.omega_index, c.k, c.admissible)
+                for c in constraints)
+    rows.extend((h["position"], None, h["k"], h["admissible_range"])
+                for h in higher)
     lines = [
         f"type {rs.name} lattice {lattice.kind} p={cfg.prime}",
         f"presentation degrees {list(pres.degrees)} "
         f"exponents {list(pres.exponents)}",
         "common index: "
-        + (f"{ci['value']} (valuation {ci['valuation']}, witness "
-           f"{ci['witness']})" if ci["defined"] else "undefined (no "
+        + (f"{report.value} (valuation {report.valuation}, witness "
+           f"{list(report.witness)})" if report.defined else "undefined (no "
            "degree-1 generators; constraints are vacuous)"),
     ]
-    for c in degree_one:
+    for c in constraints:
         lines.append(
-            f"j_{c['position']} (omega_{c['omega_index']}, k={c['k']}): "
-            f"admissible {set(c['admissible'])}"
+            f"j_{c.position} (omega_{c.omega_index}, k={c.k}): "
+            f"admissible {set(c.admissible)}"
         )
-        lines.extend(f"    {note}" for note in c["notes"])
+        lines.extend(f"    {note}" for note in c.notes)
     for h in higher:
         lines.append(
             f"j_{h['position']} (degree {h['degree']}, k={h['k']}): "
@@ -590,6 +513,7 @@ def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
             + ("match" if crosscheck["matches"] else
                f"MISMATCH (expected {set(crosscheck['expected'])})")
         )
+    failed = crosscheck is not None and not crosscheck["matches"]
     return Report(payload, rows, lines, failed=failed)
 
 
@@ -597,45 +521,35 @@ def _cmd_verify_theorem(cfg: ScenarioConfig) -> Report:
     cap = cfg.max_degree if cfg.max_degree is not None else cfg.prime
     engine = _engine(cfg, degree_cap=min(cap, cfg.prime))
     report = ideal_equality_report(engine, max_degree=cap)
-    degrees = [
-        {"m": d.m, "applicable": d.applicable, "dim_char": d.dim_char,
-         "dim_twisted": d.dim_twisted, "equal": d.equal}
-        for d in report.degrees
-    ]
+    name, kind = engine.chow.rs.name, engine.lattice.kind
     payload = {
-        "type": engine.chow.rs.name,
-        "lattice": engine.lattice.kind,
+        "type": name,
+        "lattice": kind,
         "prime": report.prime,
-        "common_index": _common_index_payload(report.common),
-        "degrees": degrees,
+        "common_index": asdict(report.common),
+        "degrees": [asdict(d) for d in report.degrees],
         "vacuous": report.vacuous,
         "verified": report.verified,
-        "failures": list(report.failures()),
+        "failures": report.failures(),
     }
     rows = [("m", "applicable", "dim_char", "dim_twisted", "equal")]
-    rows.extend(
-        (str(d["m"]), str(d["applicable"]).lower(),
-         "-" if d["dim_char"] is None else str(d["dim_char"]),
-         "-" if d["dim_twisted"] is None else str(d["dim_twisted"]),
-         "-" if d["equal"] is None else str(d["equal"]).lower())
-        for d in degrees
-    )
-    ci = payload["common_index"]
+    rows.extend((d.m, d.applicable, d.dim_char, d.dim_twisted, d.equal)
+                for d in report.degrees)
+    ci = report.common
     lines = [
-        f"type {payload['type']} lattice {payload['lattice']} "
-        f"p={report.prime}",
+        f"type {name} lattice {kind} p={report.prime}",
         "common index: "
-        + (f"{ci['value']} (valuation {ci['valuation']})"
-           if ci["defined"] else "undefined"),
+        + (f"{ci.value} (valuation {ci.valuation})"
+           if ci.defined else "undefined"),
     ]
-    for d in degrees:
-        if not d["applicable"]:
-            lines.append(f"m={d['m']}: not applicable (valuation too small)")
+    for d in report.degrees:
+        if not d.applicable:
+            lines.append(f"m={d.m}: not applicable (valuation too small)")
         else:
-            verdict = "equal" if d["equal"] else "NOT EQUAL"
+            verdict = "equal" if d.equal else "NOT EQUAL"
             lines.append(
-                f"m={d['m']}: dim I = {d['dim_char']}, "
-                f"dim I_xi = {d['dim_twisted']} -> {verdict}"
+                f"m={d.m}: dim I = {d.dim_char}, "
+                f"dim I_xi = {d.dim_twisted} -> {verdict}"
             )
     if report.vacuous:
         lines.append("verdict: vacuous (no applicable degree)")
@@ -674,7 +588,7 @@ def _cmd_oracle(cfg: ScenarioConfig) -> Report:
                 out = check_gamma1_product_chern(i, n)
                 cases.append({"i": i, "n": n, "ok": out.ok,
                               "label": out.label})
-                rows.append((f"i={i},n={n}", str(out.ok).lower()))
+                rows.append((f"i={i},n={n}", out.ok))
                 lines.append(f"  i={i} n={n}: "
                              + ("pass" if out.ok else f"FAIL {out.detail}"))
     elif kind == "gammatoc":
@@ -689,9 +603,9 @@ def _cmd_oracle(cfg: ScenarioConfig) -> Report:
             ]
             out = check_gamma_chern_scaling(n, lines_in, i)
             name = "+".join(str(m) for m in mults)
-            cases.append({"multiplicities": list(mults), "i": i,
+            cases.append({"multiplicities": mults, "i": i,
                           "ok": out.ok, "label": out.label})
-            rows.append((f"mults={name},i={i}", str(out.ok).lower()))
+            rows.append((f"mults={name},i={i}", out.ok))
             lines.append(f"  mults ({name}) i={i}: "
                          + ("pass" if out.ok else f"FAIL {out.detail}"))
     elif kind == "binomial":
@@ -706,7 +620,7 @@ def _cmd_oracle(cfg: ScenarioConfig) -> Report:
                 coeffs = None
             cases.append({"multiplicity": mult, "ok": ok,
                           "binomials": coeffs})
-            rows.append((f"mult={mult}", str(ok).lower()))
+            rows.append((f"mult={mult}", ok))
             lines.append(f"  mult={mult}: "
                          + (f"pass [{detail}]" if ok else f"FAIL {detail}"))
     else:
@@ -734,23 +648,36 @@ _COMMANDS = {
 # -- rendering and entry points ----------------------------------------------
 
 
+def _cell(value) -> str:
+    """TSV cell: None -> "-", bool -> true/false, sequence -> a,b or "-"."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(str, value)) or "-"
+    return str(value)
+
+
 def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
     if fmt == "tsv":
-        return "".join("\t".join(row) + "\n" for row in report.rows)
+        return "".join("\t".join(map(_cell, row)) + "\n"
+                       for row in report.rows)
     return "".join(line + "\n" for line in report.lines)
 
 
 def run(cfg: ScenarioConfig, out=None) -> int:
-    """Execute one scenario; report to ``out`` (default stdout)."""
+    """Execute one scenario; report to ``out`` (default stdout).  This is
+    the one place library ValueError/LookupError become usage errors."""
     out = sys.stdout if out is None else out
     if not cfg.no_banner:
         print(f"gammaflag {__version__}", file=sys.stderr)
     try:
         report = _COMMANDS[cfg.command](cfg)
-    except UsageError:
-        raise
     except (ValueError, LookupError) as e:
         raise UsageError(str(e))
     out.write(_render(report, cfg.fmt))
@@ -767,6 +694,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def int_option(sp, flag: str, metavar: str, help_text: str) -> None:
+        lo, hi = _INT_BOUNDS[flag[2:].replace("-", "_")]
+        sp.add_argument(flag, type=int, metavar=metavar,
+                        help=f"{help_text}; {lo} to {hi}")
+
     def add(name: str, help_text: str, *, model: bool = False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="FILE",
@@ -775,16 +707,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Dynkin type, e.g. E6 (default E6)")
         sp.add_argument("--lattice", metavar="KIND",
                         help="adjoint (default) or simply_connected")
-        sp.add_argument("--prime", type=int, metavar="P",
-                        help="prime modulus (default 3)")
+        int_option(sp, "--prime", "P", "prime modulus (default 3)")
         sp.add_argument("--format", choices=_FORMATS,
                         help="output format (default pretty)")
         sp.add_argument("--no-banner", action="store_true",
                         help="suppress the version banner on stderr")
         if model:
-            sp.add_argument("--index", type=int, metavar="N",
-                            help="uniform index for every non-identity class "
-                            "(default: split, index 1 everywhere)")
+            int_option(sp, "--index", "N", "uniform index for every "
+                       "non-identity class (default: split, index 1 "
+                       "everywhere)")
         return sp
 
     add("rootinfo", "Cartan data, fundamental group, lattice summary")
@@ -792,12 +723,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("weyl", "enumerate the Weyl group")
     sp.add_argument("--count-by-length", action="store_true",
                     help="emit the length -> count table")
-    sp.add_argument("--max-length", type=int, metavar="L",
-                    help="truncate the enumeration at this length")
+    int_option(sp, "--max-length", "L",
+               "truncate the enumeration at this length")
 
     sp = add("chow", "Schubert basis and divisor products")
-    sp.add_argument("--degree", type=int, metavar="M",
-                    help="top degree (default 3)")
+    int_option(sp, "--degree", "M", "top degree (default 3)")
     sp.add_argument("--basis", action="store_true",
                     help="list the Schubert basis of the top degree")
     sp.add_argument("--products", action="store_true",
@@ -807,29 +737,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("restriction-image", "mod-p image and ideal of the "
              "restriction map in one degree", model=True)
-    sp.add_argument("--degree", type=int, metavar="M",
-                    help="degree to compute (default 1)")
+    int_option(sp, "--degree", "M", "degree to compute (default 1)")
 
     add("jconstrain", "admissible degree-1 exponents from index data",
         model=True)
 
     sp = add("verify-theorem", "compare split and twisted ideals degree "
              "by degree", model=True)
-    sp.add_argument("--max-degree", type=int, metavar="M",
-                    help="highest degree to compare (default p)")
+    int_option(sp, "--max-degree", "M",
+               "highest degree to compare (default p)")
 
     sp = add("oracle", "formal identities on line-bundle sums")
     sp.add_argument("--verify", required=True,
                     choices=("firsteq", "gammatoc", "binomial"),
                     help="which identity family to run")
-    sp.add_argument("--max-i", type=int, metavar="I",
-                    help="largest chern degree")
-    sp.add_argument("--max-n", type=int, metavar="N",
-                    help="largest number of variables (firsteq)")
-    sp.add_argument("--max-bundles", type=int, metavar="B",
-                    help="largest total line-bundle count (gammatoc)")
-    sp.add_argument("--max-mult", type=int, metavar="M",
-                    help="largest multiplicity (gammatoc, binomial)")
+    int_option(sp, "--max-i", "I", "largest chern degree")
+    int_option(sp, "--max-n", "N", "largest number of variables (firsteq)")
+    int_option(sp, "--max-bundles", "B",
+               "largest total line-bundle count (gammatoc)")
+    int_option(sp, "--max-mult", "M",
+               "largest multiplicity (gammatoc, binomial)")
     return parser
 
 

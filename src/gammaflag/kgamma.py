@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .brauer import BrauerModel
+from .brauer import BrauerModel, is_prime
 from .rootdata import CharacterLattice, Weight
 from .schubert import ChowRing, SubspaceBasis
 from .weyl import WeylGroup
@@ -84,10 +84,6 @@ class SteinbergTable:
     def rho(self, k: int) -> Weight:
         return self.rhos[k]
 
-    def c1_coords(self, k: int) -> Weight:
-        """Coordinates of c_1(g_w) on the Schubert divisors h_1..h_n."""
-        return self.rhos[k]
-
     def brauer_class(self, k: int) -> tuple[int, ...]:
         return self.classes[k]
 
@@ -132,7 +128,7 @@ class RestrictionImage:
         if lattice.rs != chow.rs:
             raise ValueError("lattice belongs to a different root system")
         p = model.p
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.chow = chow
         self.steinberg = steinberg

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .rootdata import PositiveRoot, RootSystem, Weight
 
-__all__ = ["WeylGroup", "WeylElement", "weyl_group", "DEFAULT_SIZE_GUARD"]
+__all__ = ["WeylGroup", "weyl_group", "DEFAULT_SIZE_GUARD"]
 
 DEFAULT_SIZE_GUARD = 10**6
 
@@ -122,12 +122,6 @@ class WeylGroup:
             return range(0)
         return range(off[m], off[m + 1])
 
-    def element(self, k: int) -> "WeylElement":
-        return WeylElement(self, k)
-
-    def identity(self) -> "WeylElement":
-        return WeylElement(self, 0)
-
     def index_of_word(self, word) -> int:
         k = 0
         for i in word:
@@ -144,9 +138,6 @@ class WeylGroup:
                 f"(max_length={self.max_length})"
             )
         return t
-
-    def index_of_matrix(self, flat: tuple[int, ...]) -> int | None:
-        return self._index.get(flat)
 
     # -- group structure ---------------------------------------------------
 
@@ -189,14 +180,6 @@ class WeylGroup:
                 out.append(i)
         return frozenset(out)
 
-    def descent_set_by_roots(self, k: int) -> frozenset[int]:
-        """Definitional descent set: i with w(alpha_i) a negative root."""
-        rs = self.rs
-        return frozenset(
-            i for i in range(1, rs.rank + 1)
-            if rs.root_sign(self.act(k, rs.simple_root(i))) < 0
-        )
-
     def _alpha_sign(self, k: int, i: int) -> int:
         return self.rs.root_sign(self.act(k, self.rs.simple_root(i)))
 
@@ -230,56 +213,6 @@ class WeylGroup:
                     if d[c]:
                         flat[base + c] -= vr * d[c]
         return self._index.get(tuple(flat))
-
-
-class WeylElement:
-    """Lightweight handle onto one enumerated element."""
-
-    __slots__ = ("group", "index")
-
-    def __init__(self, group: WeylGroup, index: int):
-        self.group = group
-        self.index = index
-
-    @property
-    def length(self) -> int:
-        return self.group.lengths[self.index]
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        return self.group.words[self.index]
-
-    @property
-    def matrix(self) -> tuple[int, ...]:
-        return self.group.mats[self.index]
-
-    def act(self, w: Weight) -> Weight:
-        return self.group.act(self.index, w)
-
-    def descent_set(self) -> frozenset[int]:
-        return self.group.descent_set(self.index)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.group is not other.group:
-            raise ValueError("elements from different groups")
-        return WeylElement(self.group, self.group.multiply(self.index, other.index))
-
-    def inverse(self) -> "WeylElement":
-        return WeylElement(self.group, self.group.inverse(self.index))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.group is other.group
-            and self.index == other.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.index))
-
-    def __repr__(self) -> str:
-        w = self.word
-        return "W[e]" if not w else "W[" + "*".join(f"s{i}" for i in w) + "]"
 
 
 @lru_cache(maxsize=None)

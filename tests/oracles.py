@@ -317,6 +317,15 @@ def inversion_count(group: WeylGroup, k: int) -> int:
     )
 
 
+def descent_set_by_roots(group: WeylGroup, k: int) -> frozenset[int]:
+    """Definitional descent set: i with w(alpha_i) a negative root."""
+    rs = group.rs
+    return frozenset(
+        i for i in range(1, rs.rank + 1)
+        if rs.root_sign(group.act(k, rs.simple_root(i))) < 0
+    )
+
+
 # -- restriction image without any of the library's shortcuts -----------------
 
 

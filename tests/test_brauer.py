@@ -12,6 +12,7 @@ from gammaflag import (
     root_system,
     vp,
 )
+from gammaflag.brauer import is_prime
 
 
 def fg(name):
@@ -34,6 +35,19 @@ def test_vp_strips_exactly_the_p_part(e, p, rest):
     while rest % p == 0:
         rest //= p
     assert vp(rest * p**e, p) == e
+
+
+def test_is_prime_matches_a_sieve():
+    n = 2000
+    sieve = [False, False] + [True] * (n - 1)
+    for q in range(2, n + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(sieve[q * q::q])
+    assert [k for k in range(n + 1) if is_prime(k)] == [
+        k for k in range(n + 1) if sieve[k]]
+    assert is_prime(10**9 + 7)
+    assert not is_prime(1000003 ** 2)
+    assert not is_prime(-7)
 
 
 def test_vp_rejects_bad_input():

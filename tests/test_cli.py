@@ -259,6 +259,57 @@ def test_uniform_index_conflicts_with_brauer_map(tmp_path, capsys):
         needle="not both")
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("weyl", "--type", "A2", "--max-length", "-1"),
+     "max_length must be between 0 and 120"),
+    (("oracle", "--verify", "firsteq", "--max-i", "-3"),
+     "max_i must be between 1 and 6"),
+    (("oracle", "--verify", "firsteq", "--max-i", "7"),
+     "max_i must be between 1 and 6"),
+    (("oracle", "--verify", "gammatoc", "--max-bundles", "-1"),
+     "max_bundles must be between 1 and 6"),
+    (("oracle", "--verify", "binomial", "--max-mult", "100000"),
+     "max_mult must be between 1 and 24"),
+    (("chow", "--type", "A2", "--prime", str(10**30 + 57)),
+     "prime must be between 2 and 1000"),
+    (("chow", "--type", "A2", "--prime", "7" * 400),
+     "prime must be between 2 and 1000"),
+])
+def test_integer_inputs_are_bounded(capsys, argv, needle):
+    expect_usage_error(capsys, *argv, "--no-banner", needle=needle)
+
+
+@pytest.mark.parametrize("data, needle", [
+    ({"prime": True}, "prime must be an integer"),
+    ({"index": True}, "index must be an integer"),
+    ({"degree": "2"}, "degree must be an integer"),
+    ({"brauer": {"ind": {"0": 1, "1": 3, "2": 10**10}}},
+     "brauer.ind['2'] must be between 1 and 1000000000"),
+])
+def test_config_integers_are_checked(tmp_path, capsys, data, needle):
+    cfg = tmp_path / "ints.json"
+    cfg.write_text(json.dumps({"type": "A2", **data}))
+    expect_usage_error(
+        capsys, "restriction-image", "--config", str(cfg), "--no-banner",
+        needle=needle)
+
+
+def test_oversized_integer_in_config(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"prime": ' + "7" * 5000 + "}")
+    expect_usage_error(
+        capsys, "chow", "--config", str(cfg), "--no-banner",
+        needle="Exceeds the limit")
+
+
+def test_help_states_the_caps(capsys):
+    with pytest.raises(SystemExit):
+        main(["oracle", "--help"])
+    out = capsys.readouterr().out
+    assert "largest chern degree; 1 to 6" in out
+    assert "prime modulus (default 3); 2 to 1000" in out
+
+
 def test_missing_presentation_is_a_usage_error(capsys):
     expect_usage_error(
         capsys, "jconstrain", "--type", "A1", "--prime", "2",

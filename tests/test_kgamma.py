@@ -49,7 +49,6 @@ def test_a2_table_frozen():
         k = g.index_of_word(word)
         assert table.rho(k) == rho
         assert table.brauer_class(k) == cls
-        assert table.c1_coords(k) == rho
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gammaflag import root_system, weyl_group
-from oracles import inversion_count, poincare_counts
+from oracles import descent_set_by_roots, inversion_count, poincare_counts
 
 FROZEN_ORDERS = {"A2": 6, "B2": 8, "G2": 12, "A3": 24, "E6": 51840}
 
@@ -86,7 +86,7 @@ def test_action_is_a_homomorphism(name, w, data):
 def test_descent_definitions_agree(name):
     g = weyl_group(root_system(name))
     for k in range(g.order):
-        assert g.descent_set(k) == g.descent_set_by_roots(k)
+        assert g.descent_set(k) == descent_set_by_roots(g, k)
     assert g.descent_set(0) == frozenset()
     full = weyl_group(root_system(name))
     longest = full.order - 1
@@ -110,15 +110,6 @@ def test_reflection_indices_are_involutions():
         assert g.multiply(k, k) == 0
         assert g.act(k, root.omega_coords) == tuple(
             -x for x in root.omega_coords)
-
-
-def test_element_wrapper_round_trip():
-    g = weyl_group(root_system("A2"))
-    e = g.element(3)
-    assert e.word == (1, 2)
-    assert e.length == 2
-    assert (e * e.inverse()) == g.identity()
-    assert e.act((1, 0)) == g.act(3, (1, 0))
 
 
 def test_full_enumeration_guard():

@@ -100,8 +100,8 @@ class Report:
 
 
 def _check_int(name: str, value, bounds: str | None = None) -> int:
-    """``value`` as an integer within the bounds of ``_INT_BOUNDS[bounds]``
-    (default: those of ``name``)."""
+    """Reject a non-integer (bools included) or a value outside
+    ``_INT_BOUNDS[bounds or name]``; ``name`` is what the message calls it."""
     lo, hi = _INT_BOUNDS[bounds or name]
     if not isinstance(value, int) or isinstance(value, bool):
         raise UsageError(f"{name} must be an integer")
@@ -142,11 +142,13 @@ def _check_index_map(brauer) -> dict[str, int]:
 def _check_kac(kac) -> dict:
     if (not isinstance(kac, dict) or set(kac) != {"degrees", "exponents"}
             or not all(isinstance(kac[k], list) and kac[k]
-                       and all(isinstance(x, int) for x in kac[k])
                        for k in ("degrees", "exponents"))):
         raise UsageError(
             'config field "kac" must be {"degrees": [ints], "exponents": [ints]}'
         )
+    for key, values in kac.items():
+        for j, x in enumerate(values):
+            _check_int(f"kac.{key}[{j}]", x, "degree")
     return kac
 
 

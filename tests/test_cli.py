@@ -285,6 +285,10 @@ def test_integer_inputs_are_bounded(capsys, argv, needle):
     ({"degree": "2"}, "degree must be an integer"),
     ({"brauer": {"ind": {"0": 1, "1": 3, "2": 10**10}}},
      "brauer.ind['2'] must be between 1 and 1000000000"),
+    ({"kac": {"degrees": [1], "exponents": [True]}},
+     "kac.exponents[0] must be an integer"),
+    ({"kac": {"degrees": [1], "exponents": [10**9]}},
+     "kac.exponents[0] must be between 1 and 120"),
 ])
 def test_config_integers_are_checked(tmp_path, capsys, data, needle):
     cfg = tmp_path / "ints.json"

@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -90,9 +92,13 @@ class ScenarioConfig:
 
 @dataclass
 class Report:
+    """One command's output in every format; _render reads one of them
+    once, so any field may be a generator (in the payload, one that
+    stands for a JSON array)."""
+
     payload: dict
-    rows: list[tuple]   # raw values; _cell formats each one
-    lines: list[str]
+    rows: Iterable[tuple]   # raw values; _cell formats each one
+    lines: Iterable[str]
     failed: bool = False
 
 
@@ -387,29 +393,33 @@ def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
     group = weyl_group(root_system(cfg.dynkin))
     table = SteinbergTable(group)
     g = table.fg.group
-    labels = [g.label(c) for c in table.classes]
-    words, rhos = group.words, table.rhos
+    label = {c: g.label(c) for c in set(table.classes)}
+    words, rhos, classes = group.words, table.rhos, table.classes
     distinct = len(set(rhos)) == len(table)
+    elements = range(len(table))
+    # per-element entries, rows and lines are generators: _render consumes
+    # the one its format needs and the other two are never built
     payload = {
         "type": group.rs.name,
         "order": len(table),
         "distinct": distinct,
-        "entries": [
-            {"index": k, "word": words[k], "rho": rhos[k], "class": labels[k]}
-            for k in range(len(table))
-        ],
+        "entries": (
+            {"index": k, "word": words[k], "rho": rhos[k],
+             "class": label[classes[k]]}
+            for k in elements
+        ),
     }
-    rows = [("word", "rho", "class")]
-    rows.extend(
-        (words[k], " ".join(map(str, rhos[k])), labels[k])
-        for k in range(len(table))
+    rows = itertools.chain(
+        [("word", "rho", "class")],
+        ((words[k], " ".join(map(str, rhos[k])), label[classes[k]])
+         for k in elements),
     )
-    lines = [f"type {group.rs.name}: {len(table)} elements, "
-             + ("all weights distinct" if distinct else "WEIGHT COLLISION")]
-    lines.extend(
-        f"  {_sigma(words[k])}  rho=({', '.join(map(str, rhos[k]))})"
-        f"  class {labels[k]}"
-        for k in range(len(table))
+    lines = itertools.chain(
+        [f"type {group.rs.name}: {len(table)} elements, "
+         + ("all weights distinct" if distinct else "WEIGHT COLLISION")],
+        (f"  {_sigma(words[k])}  rho=({', '.join(map(str, rhos[k]))})"
+         f"  class {label[classes[k]]}"
+         for k in elements),
     )
     return Report(payload, rows, lines, failed=not distinct)
 
@@ -665,7 +675,8 @@ def _cell(value) -> str:
 
 def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(report.payload, indent=2, sort_keys=True,
+                          default=list) + "\n"
     if fmt == "tsv":
         return "".join("\t".join(map(_cell, row)) + "\n"
                        for row in report.rows)

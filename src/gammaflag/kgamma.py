@@ -19,8 +19,20 @@ generator's contribution are multilinear or binomial in exactly that
 data, so by Lucas' theorem the key i_w mod p^2 (equivalently, the reduced
 binomials up to degree p) loses nothing.  Multi-part generators are
 streamed as (single part) x (pivot generator of the lower-degree image),
-an exact span identity that keeps the enumeration bounded even for
-|W| = 51840.
+an exact span identity.
+
+Before any Chevalley product, the parts of each size j are filtered in
+Sym^j(F_p^n) = F_p[h_1..h_n]_j, where h_i = c_1(L(omega_i)): a part is
+the polynomial binom(i_w, j) * (rho_w . h)^j, and one pass in key order
+keeps only the parts that grow the span of those before them.  A dropped
+part is an F_p-combination of earlier kept ones; since F_p[h] -> CH* mod p
+is a ring homomorphism, so is its product with any lower pivot, and its
+generators could never have grown the image.  Feed order is unchanged,
+so pivots and RREF rows are exactly those of the unfiltered stream.  At
+j = p the Frobenius kills every mixed multinomial coefficient mod p; that
+is right, because the Chow products are taken mod p as well.  The pass,
+the image and the ideal all stop once their subspace is the whole
+ambient space.
 """
 
 from __future__ import annotations
@@ -38,8 +50,6 @@ __all__ = [
     "SteinbergTable",
     "RestrictionImage",
     "ImagePiece",
-    "gamma_generator_multisets",
-    "gamma_generator_count",
 ]
 
 
@@ -92,16 +102,6 @@ class SteinbergTable:
         return model.index_of(self.classes[k])
 
 
-def gamma_generator_multisets(group: WeylGroup, m: int):
-    """Multisets of Weyl elements of size m: the split-side degree-m
-    generator stream (each factor contributing one c_1(g_w))."""
-    return itertools.combinations_with_replacement(range(len(group)), m)
-
-
-def gamma_generator_count(group: WeylGroup, m: int) -> int:
-    return math.comb(len(group) + m - 1, m)
-
-
 @dataclass(frozen=True)
 class ImagePiece:
     """One computed degree: the subspace plus the raw generators whose
@@ -137,6 +137,7 @@ class RestrictionImage:
         self.p = p
         self.max_degree = min(chow.degree_cap, p)
         self._keys = self._dedup_keys()
+        self._kept: dict[int, list[tuple[Weight, int]]] = {}
         self._images: dict[int, ImagePiece] = {}
         self._ideals: dict[int, SubspaceBasis] = {}
 
@@ -155,6 +156,37 @@ class RestrictionImage:
             if any(binoms):
                 seen.setdefault((rho_p, binoms), None)
         return [key for key in seen]
+
+    def _parts(self, j: int) -> list[tuple[Weight, int]]:
+        """Parts (rho_p, binom(i_w, j) mod p), in key order, whose
+        polynomial b * (rho_p . h)^j grows the span they have in
+        Sym^j(F_p^n); the pass stops once that span is all of Sym^j."""
+        got = self._kept.get(j)
+        if got is not None:
+            return got
+        p = self.p
+        # coordinates against the monomials h^alpha, |alpha| = j, whose
+        # multinomial coefficient is a unit mod p: the others (every mixed
+        # one at j = p) are zero for every part
+        monos = []
+        for mono in itertools.combinations_with_replacement(
+                range(self.chow.rs.rank), j):
+            c = math.factorial(j)
+            for i in set(mono):
+                c //= math.factorial(mono.count(i))
+            if c % p:
+                monos.append((c % p, mono))
+        span = SubspaceBasis(p, len(monos))
+        kept = []
+        for rho_p, binoms in _until_full(span, self._keys):
+            b = binoms[j - 1]
+            if b and span.insert([
+                b * c * math.prod(rho_p[i] for i in mono) % p
+                for c, mono in monos
+            ]):
+                kept.append((rho_p, b))
+        self._kept[j] = kept
+        return kept
 
     # -- restriction image, one degree at a time --------------------------
 
@@ -176,32 +208,29 @@ class RestrictionImage:
         sub = SubspaceBasis(p, chow.basis_dim(m))
         pivots: list[tuple[int, tuple[Weight, ...]]] = []
 
-        def feed(scalar: int, weights: tuple[Weight, ...]) -> None:
+        lower = {j: self.image(m - j).pivots for j in range(1, m)}
+
+        def generators():
+            # one part of size m
+            for rho_p, b in self._parts(m):
+                yield b, (rho_p,) * m
+            # a part of size j times a generator of the degree-(m-j) image
+            for j, lower_pivots in lower.items():
+                for rho_p, b in self._parts(j):
+                    part = (rho_p,) * j
+                    for scalar, wts in lower_pivots:
+                        yield b * scalar, tuple(sorted(wts + part))
+
+        for scalar, weights in _until_full(sub, generators()):
             scalar %= p
             if not scalar:
-                return
+                continue
             cls = chow.monomial(weights, p)
             if cls.is_zero():
-                return
+                continue
             vec = tuple(x * scalar % p for x in chow.vector(cls, p))
             if sub.insert(vec):
                 pivots.append((scalar, weights))
-
-        # one part of size m
-        for rho_p, binoms in self._keys:
-            b = binoms[m - 1]
-            if b:
-                feed(b, (rho_p,) * m)
-        # a part of size j times a generator of the degree-(m-j) image
-        for j in range(1, m):
-            lower = self.image(m - j)
-            for rho_p, binoms in self._keys:
-                b = binoms[j - 1]
-                if not b:
-                    continue
-                part = (rho_p,) * j
-                for scalar, wts in lower.pivots:
-                    feed(b * scalar, tuple(sorted(wts + part)))
 
         piece = ImagePiece(m, sub, tuple(pivots))
         self._images[m] = piece
@@ -221,19 +250,31 @@ class RestrictionImage:
         p = self.p
         chow = self.chow
         sub = SubspaceBasis(p, chow.basis_dim(m))
-        for row in self.image(m).subspace.rows():
-            sub.insert(row)
-        for j in range(1, m):
-            piece = self.image(j)
-            for u in chow.basis(m - j):
-                su = chow.single(u)
-                for scalar, wts in piece.pivots:
-                    cls = chow.extend_by_weights(su, wts, p)
-                    if cls.is_zero():
-                        continue
-                    vec = tuple(
-                        x * scalar % p for x in chow.vector(cls, p)
-                    )
-                    sub.insert(vec)
+        top = self.image(m)  # computes every lower image as well
+
+        def vectors():
+            yield from top.subspace.rows()
+            for j in range(1, m):
+                piece = self.image(j)
+                for u in chow.basis(m - j):
+                    su = chow.single(u)
+                    for scalar, wts in piece.pivots:
+                        cls = chow.extend_by_weights(su, wts, p)
+                        if not cls.is_zero():
+                            yield tuple(
+                                x * scalar % p for x in chow.vector(cls, p)
+                            )
+
+        for vec in _until_full(sub, vectors()):
+            sub.insert(vec)
         self._ideals[m] = sub
         return sub
+
+
+def _until_full(sub: SubspaceBasis, items):
+    """Yield items until sub is the whole ambient space: past that point
+    no insertion can grow it."""
+    for item in items:
+        if sub.dim == sub.ambient:
+            return
+        yield item

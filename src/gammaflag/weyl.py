@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .rootdata import PositiveRoot, RootSystem, Weight
 
-__all__ = ["WeylGroup", "weyl_group", "DEFAULT_SIZE_GUARD"]
+__all__ = ["WeylGroup", "weyl_group", "length_counts", "DEFAULT_SIZE_GUARD"]
 
 DEFAULT_SIZE_GUARD = 10**6
 
@@ -22,21 +22,30 @@ DEFAULT_SIZE_GUARD = 10**6
 class WeylGroup:
     """Enumerated Weyl group (full, or truncated at a maximum length).
 
-    The full enumeration refuses to run when the group order (known from
-    the degrees of the invariants) exceeds ``size_guard``; E7 and E8 trip
-    the default guard.  A truncated enumeration contains every element of
-    length <= max_length and supports everything except operations that
-    need the whole group.
+    The enumeration refuses to run when the number of elements it would
+    visit (known beforehand from the degrees of the invariants) exceeds
+    ``size_guard``; the full E7 and E8 trip the default guard.  A
+    truncated enumeration contains every element of length <= max_length
+    and supports everything except operations that need the whole group.
     """
 
     def __init__(self, rs: RootSystem, max_length: int | None = None,
                  size_guard: int = DEFAULT_SIZE_GUARD):
-        if max_length is None and rs.weyl_order > size_guard:
-            raise ValueError(
-                f"refusing full enumeration of W({rs.name}): order "
-                f"{rs.weyl_order} exceeds the size guard {size_guard}; "
-                "pass max_length to enumerate a bounded slice"
-            )
+        if max_length is None:
+            if rs.weyl_order > size_guard:
+                raise ValueError(
+                    f"refusing full enumeration of W({rs.name}): order "
+                    f"{rs.weyl_order} exceeds the size guard {size_guard}; "
+                    "pass max_length to enumerate a bounded slice"
+                )
+        else:
+            size = sum(length_counts(rs.degrees)[:max_length + 1])
+            if size > size_guard:
+                raise ValueError(
+                    f"refusing enumeration of W({rs.name}) up to length "
+                    f"{max_length}: {size} elements exceed the size guard "
+                    f"{size_guard}"
+                )
         self.rs = rs
         self.max_length = max_length
         n = rs.rank
@@ -69,11 +78,6 @@ class WeylGroup:
                     key = tuple(lst)
                     t = index.get(key)
                     if t is None:
-                        if len(mats) >= size_guard:
-                            raise ValueError(
-                                f"enumeration of W({rs.name}) exceeded the "
-                                f"size guard {size_guard}"
-                            )
                         t = len(mats)
                         index[key] = t
                         mats.append(key)
@@ -213,6 +217,19 @@ class WeylGroup:
                     if d[c]:
                         flat[base + c] -= vr * d[c]
         return self._index.get(tuple(flat))
+
+
+def length_counts(degrees) -> list[int]:
+    """Elements of each length: the coefficients of the Poincare
+    polynomial prod_i (1 + q + ... + q^(d_i - 1))."""
+    poly = [1]
+    for d in degrees:
+        nxt = [0] * (len(poly) + d - 1)
+        for i, c in enumerate(poly):
+            for j in range(d):
+                nxt[i + j] += c
+        poly = nxt
+    return poly
 
 
 @lru_cache(maxsize=None)

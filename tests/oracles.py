@@ -296,18 +296,6 @@ def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 # -- Weyl group cross-checks ---------------------------------------------------
 
 
-def poincare_counts(degrees) -> list[int]:
-    """Coefficients of prod_i (1 + q + ... + q^(d_i - 1))."""
-    poly = [1]
-    for d in degrees:
-        nxt = [0] * (len(poly) + d - 1)
-        for i, c in enumerate(poly):
-            for j in range(d):
-                nxt[i + j] += c
-        poly = nxt
-    return poly
-
-
 def inversion_count(group: WeylGroup, k: int) -> int:
     """Positive roots sent to negative ones; the definition of length."""
     rs = group.rs
@@ -368,3 +356,65 @@ def restriction_span_bruteforce(chow: ChowRing, steinberg, model,
 
     rec(0, m, 1, [])
     return span
+
+
+def restriction_image_unfiltered(engine, top: int):
+    """Image pieces and ideals in degrees 1..top, fed as the engine fed
+    them before generators were filtered in Sym^j: every deduplicated
+    Steinberg key, in element order, and no early exit on a full subspace.
+
+    Returns ({m: (image subspace, pivots)}, {m: ideal subspace}).
+    """
+    chow, steinberg, model, p = (
+        engine.chow, engine.steinberg, engine.model, engine.p)
+    seen = {}
+    for k in range(len(steinberg)):
+        i_w = model.index_of(steinberg.brauer_class(k))
+        binoms = tuple(math.comb(i_w, j) % p
+                       for j in range(1, engine.max_degree + 1))
+        if any(binoms):
+            seen.setdefault(
+                (tuple(x % p for x in steinberg.rho(k)), binoms), None)
+    keys = list(seen)
+
+    images = {}
+    for m in range(1, top + 1):
+        sub = SubspaceBasis(p, chow.basis_dim(m))
+        pivots = []
+
+        def feed(scalar: int, weights: tuple) -> None:
+            scalar %= p
+            if not scalar:
+                return
+            cls = chow.monomial(weights, p)
+            if cls.is_zero():
+                return
+            vec = tuple(x * scalar % p for x in chow.vector(cls, p))
+            if sub.insert(vec):
+                pivots.append((scalar, weights))
+
+        for rho_p, binoms in keys:
+            if binoms[m - 1]:
+                feed(binoms[m - 1], (rho_p,) * m)
+        for j in range(1, m):
+            for rho_p, binoms in keys:
+                if binoms[j - 1]:
+                    part = (rho_p,) * j
+                    for scalar, wts in images[m - j][1]:
+                        feed(binoms[j - 1] * scalar,
+                             tuple(sorted(wts + part)))
+        images[m] = (sub, tuple(pivots))
+
+    ideals = {}
+    for m in range(1, top + 1):
+        sub = SubspaceBasis(p, chow.basis_dim(m))
+        for row in images[m][0].rows():
+            sub.insert(row)
+        for j in range(1, m):
+            for u in chow.basis(m - j):
+                for scalar, wts in images[j][1]:
+                    cls = chow.extend_by_weights(chow.single(u), wts, p)
+                    sub.insert(tuple(x * scalar % p
+                                     for x in chow.vector(cls, p)))
+        ideals[m] = sub
+    return images, ideals

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -212,6 +213,16 @@ def test_full_enumeration_guard_is_a_usage_error(capsys):
     expect_usage_error(
         capsys, "weyl", "--type", "E8", "--no-banner",
         needle="refusing full enumeration of W(E8)")
+
+
+def test_truncated_enumeration_guard_refuses_before_enumerating(capsys):
+    # 1,451,199 elements of length <= 20: refused from the Poincare
+    # polynomial, before the BFS allocates anything
+    started = time.perf_counter()
+    expect_usage_error(
+        capsys, "weyl", "--type", "E8", "--max-length", "20", "--no-banner",
+        needle="1451199 elements exceed the size guard 1000000")
+    assert time.perf_counter() - started < 1.0
 
 
 def test_degree_cap_beyond_p(capsys):

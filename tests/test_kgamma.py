@@ -1,6 +1,6 @@
 """Steinberg basis classes and the restriction image of twisted forms."""
 
-import math
+import itertools
 
 import pytest
 
@@ -14,7 +14,7 @@ from gammaflag import (
     weyl_group,
 )
 from kgamma_helpers import engine_for
-from oracles import restriction_span_bruteforce
+from oracles import restriction_image_unfiltered, restriction_span_bruteforce
 
 
 # -- Steinberg table -----------------------------------------------------------
@@ -114,7 +114,7 @@ def test_split_ideal_is_the_characteristic_ideal(name, p):
         assert engine.ideal(m) == engine.chow.char_ideal(sc, m, p)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("ind_exp", [0, 1, 2])
 def test_image_matches_bruteforce_span(name, p, ind_exp):
@@ -138,6 +138,60 @@ def test_image_matches_bruteforce_on_nonuniform_model():
     for m in (1, 2):
         expected = restriction_span_bruteforce(chow, table, model, m)
         assert engine.image_subspace(m) == expected
+
+
+def _index_models(fg, p):
+    """Every valid model with indices among 1, p, p^2 and 2.  Index 2
+    brings in parts of size 2 <= j < p (binom(2, 2) = 1), the only sizes
+    where mixed multinomial coordinates count: with p-power indices every
+    such binomial vanishes mod p."""
+    g = fg.group
+    labels = [g.label(e) for e in g.elements()]
+    values = sorted({1, 2, p, p * p})
+    for choice in itertools.product(values, repeat=len(labels)):
+        model = BrauerModel.from_labels(fg, dict(zip(labels, choice)), p)
+        if not model.validate():
+            yield model
+
+
+def _assert_matches_unfiltered(engine, top):
+    images, ideals = restriction_image_unfiltered(engine, top)
+    for m in range(1, top + 1):
+        sub, pivots = images[m]
+        assert engine.image(m).pivots == pivots
+        assert engine.image_subspace(m).rows() == sub.rows()
+        assert engine.ideal(m).rows() == ideals[m].rows()
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_filtered_generators_match_the_unfiltered_stream(name, p):
+    # dropping Steinberg parts dependent in Sym^j, and stopping at a full
+    # subspace, changes no pivot, image row or ideal row
+    rs = root_system(name)
+    group = weyl_group(rs)
+    chow = ChowRing(group, degree_cap=min(p, 3))
+    table = SteinbergTable(group)
+    lattice = CharacterLattice(rs, "adjoint")
+    models = list(_index_models(rs.fundamental_group(), p))
+    assert models
+    for model in models:
+        engine = RestrictionImage(chow, table, model, lattice)
+        _assert_matches_unfiltered(engine, min(p, 3))
+
+
+def test_filtered_generators_match_the_unfiltered_stream_on_e6():
+    _assert_matches_unfiltered(engine_for("E6", "adjoint", 3, 9, cap=2), 2)
+
+
+def test_e6_at_p5_fills_every_degree_through_five():
+    # 5 is not a torsion prime of E6, so CH*(G/B) mod 5 is generated by
+    # CH^1; image(1) is all of CH^1 and image(m) contains image(1)^m
+    engine = engine_for("E6", "adjoint", 5, 25)
+    for m, dim in enumerate((6, 20, 50, 105, 195), start=1):
+        assert engine.chow.basis_dim(m) == dim
+        assert engine.image_subspace(m).dim == dim
+        assert engine.ideal(m).dim == dim
 
 
 def test_image_pieces_are_cached_and_consistent():
@@ -173,18 +227,6 @@ def test_ideal_is_multiplicatively_stable():
             for i in range(1, rs.rank + 1):
                 prod = chow.chevalley(cls, rs.fundamental_weight(i), 3)
                 assert target.contains(chow.vector(prod, 3))
-
-
-def test_generator_multiset_count():
-    from gammaflag.kgamma import (
-        gamma_generator_count,
-        gamma_generator_multisets,
-    )
-    g = weyl_group(root_system("A2"))
-    for m in (1, 2, 3):
-        count = sum(1 for _ in gamma_generator_multisets(g, m))
-        assert count == gamma_generator_count(g, m)
-        assert count == math.comb(len(g) + m - 1, m)
 
 
 def test_engine_rejects_mismatched_pieces():

@@ -145,16 +145,18 @@ class RestrictionImage:
         """Distinct (c_1(g_w) mod p, binomials binom(i_w, 1..D) mod p)."""
         p = self.p
         top = self.max_degree
+        # exact binomials on the true index, reduced afterwards; one tuple
+        # per Brauer class, shared by every key of that class
+        binoms = {
+            cls: tuple(math.comb(i_w, j) % p for j in range(1, top + 1))
+            for cls, i_w in self.model.ind.items()
+        }
         seen = {}
         st = self.steinberg
-        ind = self.model.ind
-        for k in range(len(st)):
-            i_w = ind[st.classes[k]]
-            rho_p = tuple(x % p for x in st.rhos[k])
-            # exact binomials on the true index, reduced afterwards
-            binoms = tuple(math.comb(i_w, j) % p for j in range(1, top + 1))
-            if any(binoms):
-                seen.setdefault((rho_p, binoms), None)
+        for rho, cls in zip(st.rhos, st.classes):
+            b = binoms[cls]
+            if any(b):
+                seen.setdefault((tuple(x % p for x in rho), b), None)
         return [key for key in seen]
 
     def _parts(self, j: int) -> list[tuple[Weight, int]]:

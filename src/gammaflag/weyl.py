@@ -1,11 +1,21 @@
 """Weyl group enumeration and element arithmetic.
 
-Elements are identified by their integer action matrix on
-fundamental-weight coordinates, stored flat (row-major tuples).  The
-breadth-first closure under right multiplication by simple reflections
-fixes a deterministic order: by length, then by lexicographically least
-reduced word.  Right multiplication only rewrites one matrix column, so
-enumeration stays cheap even for |W| in the tens of thousands.
+An element w is keyed by the weight v = w^-1(rho), with rho = (1, ..., 1)
+in fundamental-weight coordinates; rho is regular, so distinct elements
+have distinct keys.  Every query comes from that tuple and the reduced
+word the enumeration records:
+
+- right multiplication: (w s_i)^-1(rho) = s_i(v) = v - v_i * alpha_i, and
+  more generally w s_alpha is keyed by s_alpha(v);
+- descents: v_i = <rho, w(alpha_i^vee)>, never 0, so s_i is a right
+  ascent when v_i > 0 and the right descents of w are the negative
+  coordinates of v (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4);
+- the action w(lam) applies the letters of the reduced word to lam,
+  rightmost first.
+
+The breadth-first closure under right multiplication by simple
+reflections follows ascents only and fixes a deterministic order: by
+length, then by lexicographically least reduced word.
 """
 
 from __future__ import annotations
@@ -49,68 +59,66 @@ class WeylGroup:
         self.rs = rs
         self.max_length = max_length
         n = rs.rank
-        cart = rs.cartan
         # sparse columns of the Cartan matrix: column i = alpha_i
-        cols = [[(j, cart[j][i]) for j in range(n) if cart[j][i]] for i in range(n)]
-        ident = tuple(1 if r == c else 0 for r in range(n) for c in range(n))
-
-        index: dict[tuple[int, ...], int] = {ident: 0}
-        mats = [ident]
+        self._cols = [
+            [(j, row[i]) for j, row in enumerate(rs.cartan) if row[i]]
+            for i in range(n)
+        ]
+        rho = (1,) * n
+        index: dict[Weight, int] = {rho: 0}
+        inv_rho = [rho]
         words: list[tuple[int, ...]] = [()]
         lengths = [0]
-        right: list[list[int]] = [[-1] * n]
 
+        reflect = self._reflect
         frontier = [0]
         level = 0
         while frontier and (max_length is None or level < max_length):
             nxt = []
             for k in frontier:
-                m = mats[k]
+                v = inv_rho[k]
                 for i in range(n):
-                    col = cols[i]
-                    lst = list(m)
-                    for r in range(n):
-                        base = r * n
-                        v = 0
-                        for j, cij in col:
-                            v += m[base + j] * cij
-                        lst[base + i] -= v
-                    key = tuple(lst)
-                    t = index.get(key)
-                    if t is None:
-                        t = len(mats)
-                        index[key] = t
-                        mats.append(key)
-                        words.append(words[k] + (i + 1,))
-                        lengths.append(level + 1)
-                        right.append([-1] * n)
-                        nxt.append(t)
-                    right[k][i] = t
+                    if v[i] > 0:
+                        out = list(v)
+                        reflect(i, out)
+                        key = tuple(out)
+                        if key not in index:
+                            index[key] = len(inv_rho)
+                            nxt.append(len(inv_rho))
+                            inv_rho.append(key)
+                            words.append(words[k] + (i + 1,))
+                            lengths.append(level + 1)
             frontier = nxt
             level += 1
 
         self._index = index
-        self.mats = mats
+        self.inv_rho = inv_rho
         self.words = words
         self.lengths = lengths
-        self._right = right
         # a truncated run that still reaches the known order is complete
-        self.is_full = len(mats) == rs.weyl_order
+        self.is_full = len(inv_rho) == rs.weyl_order
         # index ranges per length: elements of one length are contiguous
         offsets = [0]
-        for k in range(1, len(mats) + 1):
-            if k == len(mats) or lengths[k] != lengths[k - 1]:
+        for k in range(1, len(inv_rho) + 1):
+            if k == len(inv_rho) or lengths[k] != lengths[k - 1]:
                 offsets.append(k)
         self._offsets = offsets
+
+    def _reflect(self, i: int, out: list[int]) -> None:
+        """s_{i+1} in place: out -= out[i] * alpha_{i+1} (0-based i)."""
+        c = out[i]
+        if c:
+            for j, a in self._cols[i]:
+                out[j] -= c * a
 
     # -- basic queries ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.mats)
+        return len(self.inv_rho)
 
     @property
     def order(self) -> int:
-        return len(self.mats)
+        return len(self.inv_rho)
 
     @property
     def longest_length(self) -> int:
@@ -135,8 +143,10 @@ class WeylGroup:
 
     def right_mul(self, k: int, i: int) -> int:
         """Index of w_k * s_i."""
-        t = self._right[k][i - 1]
-        if t == -1:
+        out = list(self.inv_rho[k])
+        self._reflect(i - 1, out)
+        t = self._index.get(tuple(out))
+        if t is None:
             raise ValueError(
                 f"w*s_{i} has length beyond the enumerated bound "
                 f"(max_length={self.max_length})"
@@ -146,11 +156,11 @@ class WeylGroup:
     # -- group structure ---------------------------------------------------
 
     def act(self, k: int, w: Weight) -> Weight:
-        n = self.rs.rank
-        m = self.mats[k]
-        return tuple(
-            sum(m[r * n + j] * w[j] for j in range(n)) for r in range(n)
-        )
+        """w_k(w): the letters of the reduced word, rightmost first."""
+        out = list(w)
+        for i in reversed(self.words[k]):
+            self._reflect(i - 1, out)
+        return tuple(out)
 
     def multiply(self, a: int, b: int) -> int:
         """Index of w_a * w_b (composition, right factor acts first)."""
@@ -166,57 +176,19 @@ class WeylGroup:
         return j
 
     def descent_set(self, k: int) -> frozenset[int]:
-        """Simple indices i with w(alpha_i) a negative root.
-
-        Equivalently the i with len(w*s_i) < len(w); the BFS neighbour
-        table answers that without matrix arithmetic.  Boundary elements
-        of a truncated enumeration fall back to the root-sign test.
-        """
-        lk = self.lengths[k]
-        row = self._right[k]
-        out = []
-        for i in range(1, self.rs.rank + 1):
-            t = row[i - 1]
-            if t != -1:
-                if self.lengths[t] < lk:
-                    out.append(i)
-            elif self._alpha_sign(k, i) < 0:
-                out.append(i)
-        return frozenset(out)
-
-    def _alpha_sign(self, k: int, i: int) -> int:
-        return self.rs.root_sign(self.act(k, self.rs.simple_root(i)))
-
-    def reflection_index(self, root: PositiveRoot) -> int:
-        """Element index of the reflection s_alpha for a positive root."""
-        n = self.rs.rank
-        u, d = root.omega_coords, root.coroot_coords
-        flat = []
-        for r in range(n):
-            for c in range(n):
-                flat.append((1 if r == c else 0) - u[r] * d[c])
-        k = self._index.get(tuple(flat))
-        if k is None:
-            raise ValueError(
-                "reflection lies beyond the enumerated length bound"
-            )
-        return k
+        """Simple indices i with w(alpha_i) a negative root, equivalently
+        len(w*s_i) < len(w): the negative coordinates of w^-1(rho)."""
+        return frozenset(
+            i for i, x in enumerate(self.inv_rho[k], 1) if x < 0
+        )
 
     def right_mul_reflection(self, k: int, root: PositiveRoot) -> int | None:
         """Index of w_k * s_alpha, or None if outside the enumerated slice."""
-        n = self.rs.rank
-        m = self.mats[k]
-        u, d = root.omega_coords, root.coroot_coords
-        v = [sum(m[r * n + j] * u[j] for j in range(n)) for r in range(n)]
-        flat = list(m)
-        for r in range(n):
-            vr = v[r]
-            if vr:
-                base = r * n
-                for c in range(n):
-                    if d[c]:
-                        flat[base + c] -= vr * d[c]
-        return self._index.get(tuple(flat))
+        v = self.inv_rho[k]
+        c = sum(x * d for x, d in zip(v, root.coroot_coords))
+        return self._index.get(
+            tuple(x - c * u for x, u in zip(v, root.omega_coords))
+        )
 
 
 def length_counts(degrees) -> list[int]:

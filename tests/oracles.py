@@ -296,6 +296,67 @@ def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 # -- Weyl group cross-checks ---------------------------------------------------
 
 
+def weyl_by_matrices(rs: RootSystem, max_length: int | None = None):
+    """Breadth-first closure of W on integer action matrices.
+
+    Elements are keyed by their flat row-major matrix on fundamental-weight
+    coordinates; right multiplication by s_i rewrites column i.  Returns
+    (words, lengths, index) with index mapping each matrix to its position,
+    in the library's order: by length, then least reduced word.
+    """
+    n = rs.rank
+    cart = rs.cartan
+    ident = tuple(int(r == c) for r in range(n) for c in range(n))
+    index = {ident: 0}
+    mats = [ident]
+    words: list[tuple[int, ...]] = [()]
+    lengths = [0]
+    frontier = [0]
+    level = 0
+    while frontier and (max_length is None or level < max_length):
+        nxt = []
+        for k in frontier:
+            m = mats[k]
+            for i in range(n):
+                flat = list(m)
+                for r in range(n):
+                    flat[r * n + i] -= sum(
+                        m[r * n + j] * cart[j][i] for j in range(n))
+                key = tuple(flat)
+                if key not in index:
+                    index[key] = len(mats)
+                    nxt.append(len(mats))
+                    mats.append(key)
+                    words.append(words[k] + (i + 1,))
+                    lengths.append(level + 1)
+        frontier = nxt
+        level += 1
+    return words, lengths, index
+
+
+def mat_act(mat: tuple[int, ...], w) -> tuple[int, ...]:
+    """A flat n x n matrix applied to a weight."""
+    n = len(w)
+    return tuple(
+        sum(mat[r * n + j] * w[j] for j in range(n)) for r in range(n))
+
+
+def mat_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two flat n x n matrices."""
+    n = math.isqrt(len(a))
+    return tuple(
+        sum(a[r * n + j] * b[j * n + c] for j in range(n))
+        for r in range(n) for c in range(n))
+
+
+def reflection_matrix(root) -> tuple[int, ...]:
+    """s_alpha = 1 - alpha (x) alpha^vee on fundamental-weight coordinates."""
+    u, d = root.omega_coords, root.coroot_coords
+    n = len(u)
+    return tuple(
+        int(r == c) - u[r] * d[c] for r in range(n) for c in range(n))
+
+
 def inversion_count(group: WeylGroup, k: int) -> int:
     """Positive roots sent to negative ones; the definition of length."""
     rs = group.rs

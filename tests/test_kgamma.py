@@ -1,6 +1,7 @@
 """Steinberg basis classes and the restriction image of twisted forms."""
 
 import itertools
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from gammaflag import (
     ChowRing,
     RestrictionImage,
     SteinbergTable,
+    ideal_equality_report,
     root_system,
     weyl_group,
 )
@@ -192,6 +194,18 @@ def test_e6_at_p5_fills_every_degree_through_five():
         assert engine.chow.basis_dim(m) == dim
         assert engine.image_subspace(m).dim == dim
         assert engine.ideal(m).dim == dim
+
+
+def test_e6_at_p997_reports_within_budget():
+    # the binomials binom(i_w, 1..p) mod p are built once per Brauer class;
+    # once per Weyl element they would be 51,840 tuples of 997 here
+    budget = 20.0
+    t0 = time.perf_counter()
+    engine = engine_for("E6", "adjoint", 997, 997)
+    report = ideal_equality_report(engine, max_degree=997)
+    elapsed = time.perf_counter() - t0
+    assert report.vacuous
+    assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget}s budget"
 
 
 def test_image_pieces_are_cached_and_consistent():

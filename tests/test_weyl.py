@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from gammaflag import root_system, weyl_group
 from gammaflag.weyl import length_counts
-from oracles import descent_set_by_roots, inversion_count
+from oracles import (
+    descent_set_by_roots,
+    inversion_count,
+    mat_act,
+    mat_mul,
+    reflection_matrix,
+    weyl_by_matrices,
+)
 
 FROZEN_ORDERS = {"A2": 6, "B2": 8, "G2": 12, "A3": 24, "E6": 51840}
 
@@ -83,9 +90,13 @@ def test_action_is_a_homomorphism(name, w, data):
     assert g.act(0, w) == w
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
-def test_descent_definitions_agree(name):
-    g = weyl_group(root_system(name))
+@pytest.mark.parametrize("name,max_length", [
+    ("A2", None), ("B2", None), ("G2", None), ("A3", None),
+    ("E6", 3), ("B3", 2),
+])
+def test_descent_definitions_agree(name, max_length):
+    # truncated slices check the boundary, whose descents go past the slice
+    g = weyl_group(root_system(name), max_length=max_length)
     for k in range(g.order):
         assert g.descent_set(k) == descent_set_by_roots(g, k)
     assert g.descent_set(0) == frozenset()
@@ -107,10 +118,31 @@ def test_right_multiplication_table():
 def test_reflection_indices_are_involutions():
     g = weyl_group(root_system("B2"))
     for root in g.rs.positive_roots:
-        k = g.reflection_index(root)
+        k = g.right_mul_reflection(0, root)
         assert g.multiply(k, k) == 0
         assert g.act(k, root.omega_coords) == tuple(
             -x for x in root.omega_coords)
+
+
+@pytest.mark.parametrize("name,max_length", [
+    ("A2", None), ("B2", None), ("G2", None), ("A3", None), ("B3", None),
+    ("C3", None), ("D4", None), ("E6", 3), ("E7", 3),
+])
+def test_inverse_rho_keys_match_the_matrix_enumeration(name, max_length):
+    rs = root_system(name)
+    g = weyl_group(rs, max_length=max_length)
+    words, lengths, index = weyl_by_matrices(rs, max_length)
+    assert g.words == words
+    assert g.lengths == lengths
+    mats = sorted(index, key=index.get)
+    weights = [(1,) * rs.rank]
+    weights += [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
+    for k, mat in enumerate(mats):
+        for lam in weights:
+            assert g.act(k, lam) == mat_act(mat, lam)
+        for root in rs.positive_roots:
+            expected = index.get(mat_mul(mat, reflection_matrix(root)))
+            assert g.right_mul_reflection(k, root) == expected
 
 
 def test_full_enumeration_guard():

@@ -39,8 +39,8 @@ class CompareConfig:
 def twist_index(fg, p: int) -> int:
     # largest p-power order among fundamental-group elements; 1 = no twist
     best = 1
-    for g in fg.group.elements():
-        n = fg.group.element_order(g)
+    for g in fg.quotient.elements():
+        n = fg.quotient.element_order(g)
         best = max(best, p ** vp(n, p))
     return best
 

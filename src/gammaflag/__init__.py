@@ -28,7 +28,6 @@ from .kgamma import RestrictionImage, SteinbergTable
 from .rootdata import (
     CharacterLattice,
     FiniteAbelianGroup,
-    FundamentalGroup,
     RootSystem,
     build_root_system,
     root_system,
@@ -47,7 +46,7 @@ __all__ = [
     "deglex_less", "deglex_weight", "degree1_generators",
     "ideal_equality_report", "j1_constraints", "kac_presentation",
     "RestrictionImage", "SteinbergTable",
-    "CharacterLattice", "FiniteAbelianGroup", "FundamentalGroup",
+    "CharacterLattice", "FiniteAbelianGroup",
     "RootSystem", "build_root_system", "root_system",
     "ChowRing", "SchubertClass", "SubspaceBasis",
     "WeylGroup", "weyl_group",

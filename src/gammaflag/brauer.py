@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .rootdata import FiniteAbelianGroup, FundamentalGroup, Weight
+from .rootdata import CharacterLattice, FiniteAbelianGroup, Weight
 
 __all__ = ["BrauerModel", "CommonIndexReport", "common_index", "is_prime", "vp"]
 
@@ -91,17 +91,17 @@ class BrauerModel:
             raise ValueError("invalid index model: " + "; ".join(problems))
         return self
 
-    def check_group(self, fg: FundamentalGroup) -> None:
-        if self.group.factors != fg.group.factors:
+    def check_group(self, fg: CharacterLattice) -> None:
+        if self.group.factors != fg.quotient.factors:
             raise ValueError(
                 f"index model group {self.group.factors} does not match the "
-                f"fundamental group {fg.group.factors} of the root system"
+                f"fundamental group {fg.quotient.factors} of the root system"
             )
 
     def index_of(self, e: tuple[int, ...]) -> int:
         return self.ind[e]
 
-    def tits_index(self, fg: FundamentalGroup, w: Weight) -> int:
+    def tits_index(self, fg: CharacterLattice, w: Weight) -> int:
         """Index of the Tits algebra attached to a weight's class."""
         self.check_group(fg)
         return self.ind[fg.class_of(w)]
@@ -110,21 +110,21 @@ class BrauerModel:
         return max(vp(v, self.p) for v in self.ind.values())
 
     @classmethod
-    def uniform(cls, fg: FundamentalGroup, index: int, p: int) -> "BrauerModel":
+    def uniform(cls, fg: CharacterLattice, index: int, p: int) -> "BrauerModel":
         """Every non-identity element gets the same index (axioms hold for
         any positive value)."""
-        g = fg.group
+        g = fg.quotient
         ind = {e: (1 if e == g.identity() else index) for e in g.elements()}
         return cls(group=g, ind=ind, p=p)
 
     @classmethod
-    def split(cls, fg: FundamentalGroup, p: int) -> "BrauerModel":
+    def split(cls, fg: CharacterLattice, p: int) -> "BrauerModel":
         return cls.uniform(fg, 1, p)
 
     @classmethod
-    def from_labels(cls, fg: FundamentalGroup, labelled: dict[str, int],
+    def from_labels(cls, fg: CharacterLattice, labelled: dict[str, int],
                     p: int) -> "BrauerModel":
-        g = fg.group
+        g = fg.quotient
         ind = {g.parse_label(k): int(v) for k, v in labelled.items()}
         return cls(group=g, ind=ind, p=p)
 
@@ -144,7 +144,7 @@ class CommonIndexReport:
         return not self.defined
 
 
-def common_index(model: BrauerModel, fg: FundamentalGroup,
+def common_index(model: BrauerModel, fg: CharacterLattice,
                  generators) -> CommonIndexReport:
     """Common index over the degree-1 generators omega_{i_1}..omega_{i_s}.
 
@@ -157,7 +157,7 @@ def common_index(model: BrauerModel, fg: FundamentalGroup,
     gens = tuple(generators)
     if not gens:
         return CommonIndexReport(False, None, None, gens, None)
-    g = fg.group
+    g = fg.quotient
     classes = [fg.omega_classes[i - 1] for i in gens]
     e = g.exponent
     best: tuple[int, tuple[int, ...]] | None = None

@@ -268,7 +268,7 @@ def _cmd_rootinfo(cfg: ScenarioConfig) -> Report:
     rs = root_system(cfg.dynkin)
     lattice = CharacterLattice(rs, cfg.lattice)
     fg = rs.fundamental_group()
-    g = fg.group
+    g = fg.quotient
     omega_labels = {
         str(i): g.label(fg.omega_classes[i - 1]) for i in range(1, rs.rank + 1)
     }
@@ -392,7 +392,7 @@ def _cmd_chow(cfg: ScenarioConfig) -> Report:
 def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
     group = weyl_group(root_system(cfg.dynkin))
     table = SteinbergTable(group)
-    g = table.fg.group
+    g = table.fg.quotient
     label = {c: g.label(c) for c in set(table.classes)}
     words, rhos, classes = group.words, table.rhos, table.classes
     distinct = len(set(rhos)) == len(table)

@@ -16,7 +16,6 @@ __all__ = [
     "identity",
     "mat_mul",
     "mat_vec",
-    "transpose",
     "det",
     "snf",
     "unimodular_inverse",
@@ -25,10 +24,6 @@ __all__ = [
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(zip(*[tuple(row) for row in a]))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:

@@ -3,7 +3,12 @@
 The K-theory of a full flag variety is free on line-bundle classes
 g_w = [L(rho_w)] indexed by Weyl elements, with
 
-    rho_w = w(sum of omega_i over the descent set of w).
+    rho_w = w(lambda_D),   lambda_D = sum of omega_i over i in D(w).
+
+The descent set D(w) is the set of negative coordinates of w^-1(rho), so
+lambda_D is their 0/1 indicator.  W acts trivially on Lambda/Lambda_r,
+so the Brauer class of rho_w is the class of lambda_D, looked up once
+per distinct descent set.
 
 For a twisted form, only multiples survive restriction: the image of the
 m-th gamma-filtration quotient in CH^m mod p is spanned by
@@ -63,28 +68,16 @@ class SteinbergTable:
             )
         self.group = group
         self.rs = group.rs
-        self.fg = group.rs.fundamental_group()
-        n = self.rs.rank
-        omegas = [self.rs.fundamental_weight(i) for i in range(1, n + 1)]
+        self.fg = fg = group.rs.fundamental_group()
         rhos = []
         classes = []
-        gcls = self.fg.group
-        ocls = self.fg.omega_classes
-        for k in range(len(group)):
-            ds = group.descent_set(k)
-            if ds:
-                tot = [0] * n
-                c = gcls.identity()
-                for i in ds:
-                    w = omegas[i - 1]
-                    for j in range(n):
-                        tot[j] += w[j]
-                    c = gcls.add(c, ocls[i - 1])
-                rhos.append(group.act(k, tuple(tot)))
-                classes.append(c)
-            else:
-                rhos.append((0,) * n)
-                classes.append(gcls.identity())
+        class_of_d: dict[Weight, tuple[int, ...]] = {}
+        for k, v in enumerate(group.inv_rho):
+            lam = tuple(1 if x < 0 else 0 for x in v)
+            rhos.append(group.act(k, lam))
+            if lam not in class_of_d:
+                class_of_d[lam] = fg.class_of(lam)
+            classes.append(class_of_d[lam])
         self.rhos: list[Weight] = rhos
         self.classes: list[tuple[int, ...]] = classes
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from . import intmat
 
@@ -30,7 +30,6 @@ __all__ = [
     "RootSystem",
     "PositiveRoot",
     "FiniteAbelianGroup",
-    "FundamentalGroup",
     "CharacterLattice",
     "root_system",
     "build_root_system",
@@ -120,7 +119,7 @@ class RootSystem:
 
     __slots__ = (
         "letter", "rank", "cartan", "degrees", "weyl_order",
-        "positive_roots", "_omega_index", "_snf_cartan",
+        "positive_roots", "_omega_index",
     )
 
     def __init__(self, letter: str, rank: int):
@@ -144,7 +143,6 @@ class RootSystem:
             self, "_omega_index",
             {r.omega_coords: k for k, r in enumerate(self.positive_roots)},
         )
-        object.__setattr__(self, "_snf_cartan", intmat.snf(self.cartan))
 
     def __setattr__(self, *_):
         raise AttributeError("RootSystem is immutable")
@@ -174,9 +172,6 @@ class RootSystem:
     def simple_root(self, i: int) -> Weight:
         self._check_index(i)
         return tuple(row[i - 1] for row in self.cartan)
-
-    def zero(self) -> Weight:
-        return (0,) * self.rank
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
@@ -247,8 +242,10 @@ class RootSystem:
 
     # -- fundamental group ---------------------------------------------
 
-    def fundamental_group(self) -> "FundamentalGroup":
-        return _fundamental_group(self)
+    @cache
+    def fundamental_group(self) -> "CharacterLattice":
+        """Lambda/Lambda_r: the quotient of the adjoint lattice."""
+        return CharacterLattice(self, "adjoint")
 
 
 @dataclass(frozen=True)
@@ -332,53 +329,19 @@ class FiniteAbelianGroup:
         return frozenset(seen)
 
 
-class FundamentalGroup:
-    """The weight lattice modulo the root lattice, with its class map."""
-
-    __slots__ = ("rs", "group", "_u", "_positions", "omega_classes")
-
-    def __init__(self, rs: RootSystem):
-        d, u, _ = rs._snf_cartan
-        n = rs.rank
-        diag = [d[i][i] for i in range(n)]
-        positions = [i for i in range(n) if diag[i] != 1]
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "group",
-                           FiniteAbelianGroup(tuple(diag[i] for i in positions)))
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_positions", tuple(positions))
-        object.__setattr__(
-            self, "omega_classes",
-            tuple(self.class_of(rs.fundamental_weight(i))
-                  for i in range(1, n + 1)),
-        )
-
-    def __setattr__(self, *_):
-        raise AttributeError("FundamentalGroup is immutable")
-
-    def class_of(self, w: Weight) -> tuple[int, ...]:
-        w = self.rs.check_weight(w)
-        y = intmat.mat_vec(self._u, w)
-        facs = self.group.factors
-        return tuple(y[p] % d for p, d in zip(self._positions, facs))
-
-
-@lru_cache(maxsize=None)
-def _fundamental_group(rs: RootSystem) -> FundamentalGroup:
-    return FundamentalGroup(rs)
-
-
 class CharacterLattice:
     """An intermediate lattice T* with root lattice <= T* <= weight lattice.
 
     Selected either by the keywords "adjoint" / "simply_connected" or by a
     list of weights whose classes (together with the root lattice) generate
     T*.  The stored basis is a Z-basis of T* in fundamental-weight
-    coordinates.
+    coordinates.  ``quotient`` is Lambda/T* and ``omega_classes[i - 1]``
+    the class of omega_i in it; for the adjoint lattice that is the
+    fundamental group Lambda/Lambda_r.
     """
 
-    __slots__ = ("rs", "kind", "basis", "_d", "_u", "_rank",
-                 "_qpositions", "quotient")
+    __slots__ = ("rs", "kind", "basis", "_d", "_u", "_qpositions",
+                 "quotient", "omega_classes")
 
     def __init__(self, rs: RootSystem, spec="adjoint"):
         n = rs.rank
@@ -413,11 +376,15 @@ class CharacterLattice:
         qpos = tuple(i for i in range(n) if diag[i] != 1)
         object.__setattr__(self, "_d", tuple(diag))
         object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_rank", n)
         object.__setattr__(self, "_qpositions", qpos)
         object.__setattr__(
             self, "quotient",
             FiniteAbelianGroup(tuple(diag[i] for i in qpos)),
+        )
+        object.__setattr__(
+            self, "omega_classes",
+            tuple(self.class_of(rs.fundamental_weight(i))
+                  for i in range(1, n + 1)),
         )
 
     def __setattr__(self, *_):
@@ -454,7 +421,7 @@ class CharacterLattice:
     def subgroup_in_fundamental_group(self) -> frozenset:
         """Image of T* in Lambda/Lambda_r."""
         fg = self.rs.fundamental_group()
-        return fg.group.subgroup_generated(fg.class_of(b) for b in self.basis)
+        return fg.quotient.subgroup_generated(fg.class_of(b) for b in self.basis)
 
 
 def _lattice_basis(gens: list[Weight], n: int) -> tuple[Weight, ...]:

@@ -137,12 +137,12 @@ class WeylGroup:
     def index_of_word(self, word) -> int:
         k = 0
         for i in word:
-            self.rs._check_index(i)
             k = self.right_mul(k, i)
         return k
 
     def right_mul(self, k: int, i: int) -> int:
         """Index of w_k * s_i."""
+        self.rs._check_index(i)
         out = list(self.inv_rho[k])
         self._reflect(i - 1, out)
         t = self._index.get(tuple(out))

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from gammaflag import intmat
 from gammaflag.rootdata import RootSystem
 from gammaflag.schubert import ChowRing, SubspaceBasis
 from gammaflag.weyl import WeylGroup
@@ -277,6 +278,23 @@ def quotient_group_structure(cols) -> tuple[int, tuple[int, ...]]:
     return len(seen), tuple(orders)
 
 
+def fundamental_group_by_cartan_snf(rs: RootSystem):
+    """Lambda/Lambda_r from the Smith normal form U * C * V = D of the
+    Cartan matrix C, whose columns are the simple roots.
+
+    Returns (factors, class_of): the invariant factors d_i != 1, and the
+    map sending a weight w to (U w)_i mod d_i at those positions.
+    """
+    d, u, _ = intmat.snf(rs.cartan)
+    positions = [i for i in range(rs.rank) if d[i][i] != 1]
+
+    def class_of(w) -> tuple[int, ...]:
+        y = intmat.mat_vec(u, w)
+        return tuple(y[i] % d[i][i] for i in positions)
+
+    return tuple(d[i][i] for i in positions), class_of
+
+
 def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(mat)
     a = [row[:] + [Fraction(int(i == r)) for i in range(n)]
@@ -373,6 +391,32 @@ def descent_set_by_roots(group: WeylGroup, k: int) -> frozenset[int]:
         i for i in range(1, rs.rank + 1)
         if rs.root_sign(group.act(k, rs.simple_root(i))) < 0
     )
+
+
+def steinberg_by_descent_sets(group: WeylGroup):
+    """rho_w and the Brauer class of every element, from the definitions:
+    D(w) from the signs of w(alpha_i), the sum of omega_i over D carried
+    through the reduced word by simple reflections (rightmost letter
+    first), and the class as the sum of the omega_i classes in the
+    SNF-of-Cartan chart.  Returns (rhos, classes) in element order."""
+    rs = group.rs
+    n = rs.rank
+    factors, class_of = fundamental_group_by_cartan_snf(rs)
+    omegas = [rs.fundamental_weight(i) for i in range(1, n + 1)]
+    omega_classes = [class_of(w) for w in omegas]
+    rhos, classes = [], []
+    for k, word in enumerate(group.words):
+        lam = (0,) * n
+        cls = (0,) * len(factors)
+        for i in descent_set_by_roots(group, k):
+            lam = tuple(x + y for x, y in zip(lam, omegas[i - 1]))
+            cls = tuple((x + y) % d for x, y, d
+                        in zip(cls, omega_classes[i - 1], factors))
+        for i in reversed(word):
+            lam = rs.reflect(i, lam)
+        rhos.append(lam)
+        classes.append(cls)
+    return rhos, classes
 
 
 # -- restriction image without any of the library's shortcuts -----------------

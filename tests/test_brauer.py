@@ -73,7 +73,7 @@ def test_split_model_is_all_ones():
 
 
 def test_validate_names_missing_elements():
-    g = fg("A2").group
+    g = fg("A2").quotient
     model = BrauerModel(group=g, ind={g.identity(): 1}, p=3)
     problems = model.validate()
     assert len(problems) == 1
@@ -82,13 +82,13 @@ def test_validate_names_missing_elements():
 
 
 def test_validate_catches_wrong_identity_index():
-    g = fg("A2").group
+    g = fg("A2").quotient
     model = BrauerModel(group=g, ind={(0,): 3, (1,): 3, (2,): 3}, p=3)
     assert any("ind(identity) = 3" in s for s in model.validate())
 
 
 def test_validate_catches_inverse_asymmetry():
-    g = fg("A2").group
+    g = fg("A2").quotient
     model = BrauerModel(group=g, ind={(0,): 1, (1,): 3, (2,): 9}, p=3)
     assert any("!=" in s for s in model.validate())
 
@@ -96,14 +96,14 @@ def test_validate_catches_inverse_asymmetry():
 def test_validate_catches_subadditivity_failure():
     # Z/4: ind(2) = 9 does not divide ind(1) * ind(1) = 9? it does;
     # use ind(2) = 27 > 3 * 3
-    g = fg("A3").group
+    g = fg("A3").quotient
     model = BrauerModel(
         group=g, ind={(0,): 1, (1,): 3, (2,): 27, (3,): 3}, p=3)
     assert any("does not divide" in s for s in model.validate())
 
 
 def test_validate_catches_nonpositive_and_foreign_entries():
-    g = fg("A2").group
+    g = fg("A2").quotient
     model = BrauerModel(group=g, ind={(0,): 1, (1,): 0, (2,): 1}, p=3)
     assert any("positive" in s for s in model.validate())
     model2 = BrauerModel(
@@ -112,7 +112,7 @@ def test_validate_catches_nonpositive_and_foreign_entries():
 
 
 def test_require_valid_raises_with_details():
-    g = fg("A2").group
+    g = fg("A2").quotient
     model = BrauerModel(group=g, ind={(0,): 2, (1,): 2, (2,): 2}, p=2)
     with pytest.raises(ValueError) as exc:
         model.require_valid()
@@ -179,5 +179,5 @@ def test_common_index_witness_attains_least_valuation():
     model = BrauerModel.uniform(f, 3, 3)
     report = common_index(model, f, (1,))
     assert report.witness is not None
-    s = f.group.scale(report.witness[0], f.omega_classes[0])
+    s = f.quotient.scale(report.witness[0], f.omega_classes[0])
     assert vp(model.ind[s], 3) == report.valuation

@@ -16,7 +16,11 @@ from gammaflag import (
     weyl_group,
 )
 from kgamma_helpers import engine_for
-from oracles import restriction_image_unfiltered, restriction_span_bruteforce
+from oracles import (
+    restriction_image_unfiltered,
+    restriction_span_bruteforce,
+    steinberg_by_descent_sets,
+)
 
 
 # -- Steinberg table -----------------------------------------------------------
@@ -60,12 +64,22 @@ def test_rhos_pairwise_distinct(name):
     assert len(set(rhos)) == len(rhos)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "A3"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "D4"])
 def test_brauer_class_is_the_class_of_rho(name):
     table = SteinbergTable(weyl_group(root_system(name)))
     fg = table.fg
     for k in range(len(table)):
         assert table.brauer_class(k) == fg.class_of(table.rho(k))
+
+
+@pytest.mark.parametrize(
+    "name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "E6"])
+def test_steinberg_table_matches_the_descent_set_oracle(name):
+    group = weyl_group(root_system(name))
+    table = SteinbergTable(group)
+    rhos, classes = steinberg_by_descent_sets(group)
+    assert table.rhos == rhos
+    assert table.classes == classes
 
 
 def test_tits_index_lookup():
@@ -147,7 +161,7 @@ def _index_models(fg, p):
     brings in parts of size 2 <= j < p (binom(2, 2) = 1), the only sizes
     where mixed multinomial coordinates count: with p-power indices every
     such binomial vanishes mod p."""
-    g = fg.group
+    g = fg.quotient
     labels = [g.label(e) for e in g.elements()]
     values = sorted({1, 2, p, p * p})
     for choice in itertools.product(values, repeat=len(labels)):

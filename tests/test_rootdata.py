@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gammaflag import CharacterLattice, FiniteAbelianGroup, root_system
-from oracles import quotient_group_structure
+from oracles import fundamental_group_by_cartan_snf, quotient_group_structure
+
+SUPPORTED_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 POSITIVE_ROOT_COUNTS = {
     "A1": 1, "A2": 3, "A3": 6, "A4": 10,
@@ -89,7 +95,7 @@ def test_rank_range_enforced():
 @pytest.mark.parametrize("name,factors",
                          sorted(FUNDAMENTAL_GROUP_FACTORS.items()))
 def test_fundamental_group_factors_frozen(name, factors):
-    assert root_system(name).fundamental_group().group.factors == factors
+    assert root_system(name).fundamental_group().quotient.factors == factors
 
 
 @pytest.mark.parametrize(
@@ -101,11 +107,22 @@ def test_fundamental_group_against_quotient_walk(name):
     # independent enumeration of the weight lattice modulo the root lattice
     rs = root_system(name)
     order, element_orders = quotient_group_structure(rs.cartan)
-    g = rs.fundamental_group().group
+    g = rs.fundamental_group().quotient
     assert order == g.order
     assert element_orders == tuple(
         sorted(g.element_order(e) for e in g.elements())
     )
+
+
+@pytest.mark.parametrize("name", SUPPORTED_TYPES)
+def test_fundamental_group_matches_the_cartan_snf(name):
+    # the adjoint lattice's quotient, in the chart of the Cartan matrix's SNF
+    rs = root_system(name)
+    fg = rs.fundamental_group()
+    factors, class_of = fundamental_group_by_cartan_snf(rs)
+    assert fg.quotient.factors == factors
+    assert fg.omega_classes == tuple(
+        class_of(rs.fundamental_weight(i)) for i in range(1, rs.rank + 1))
 
 
 def test_weyl_orders_equal_degree_products():
@@ -158,7 +175,7 @@ def test_lattice_extremes(name):
     rs = root_system(name)
     adjoint = CharacterLattice(rs, "adjoint")
     sc = CharacterLattice(rs, "simply_connected")
-    fg = rs.fundamental_group().group
+    fg = rs.fundamental_group().quotient
     assert adjoint.index_in_weight_lattice == fg.order
     assert sc.index_in_weight_lattice == 1
     for i in range(1, rs.rank + 1):

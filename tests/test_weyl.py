@@ -115,6 +115,14 @@ def test_right_multiplication_table():
             assert g.right_mul(t, i) == k
 
 
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_right_multiplication_rejects_bad_indices(i):
+    # 0 and -1 would otherwise wrap round to s_3 and s_2
+    g = weyl_group(root_system("A3"))
+    with pytest.raises(ValueError, match="out of range"):
+        g.right_mul(0, i)
+
+
 def test_reflection_indices_are_involutions():
     g = weyl_group(root_system("B2"))
     for root in g.rs.positive_roots:

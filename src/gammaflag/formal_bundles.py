@@ -3,14 +3,15 @@
 Virtual bundles are integer combinations of Laurent monomials in n line
 bundles L_1..L_n, written as exponent vectors; Chern classes land in a
 polynomial ring Z[t_1..t_n] truncated at a total degree, with t_j playing
-c_1(L_j).  Everything is exact integer arithmetic, so identities between
-gamma operations and Chern classes can be checked literally, coefficient
-by coefficient.
+c_1(L_j).  Total Chern classes come from Newton's identities on the power
+sums of the Chern roots.  All arithmetic is exact over Z, so identities are
+checked literally, coefficient by coefficient.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -123,6 +124,9 @@ class TruncatedChowPoly:
     @classmethod
     def linear(cls, n: int, cap: int, a) -> "TruncatedChowPoly":
         """sum_j a_j t_j for an exponent vector a."""
+        a = tuple(a)
+        if len(a) != n:
+            raise ValueError("exponent vector has the wrong arity")
         terms = {}
         for j, c in enumerate(a):
             if c:
@@ -151,43 +155,20 @@ class TruncatedChowPoly:
     def __mul__(self, other: "TruncatedChowPoly") -> "TruncatedChowPoly":
         self._check(other)
         cap = self.cap
+        right = [(b, y, sum(b)) for b, y in other.terms.items()]
         out: dict[tuple[int, ...], int] = {}
         for a, x in self.terms.items():
-            da = sum(a)
-            for b, y in other.terms.items():
-                if da + sum(b) > cap:
-                    continue
-                k = tuple(p + q for p, q in zip(a, b))
-                out[k] = out.get(k, 0) + x * y
+            room = cap - sum(a)
+            for b, y, db in right:
+                if db <= room:
+                    k = tuple(map(operator.add, a, b))
+                    out[k] = out.get(k, 0) + x * y
         return TruncatedChowPoly(self.n, cap, out)
 
     def scaled(self, c: int) -> "TruncatedChowPoly":
         return TruncatedChowPoly(
             self.n, self.cap, {k: c * v for k, v in self.terms.items()}
         )
-
-    def power(self, m: int) -> "TruncatedChowPoly":
-        if m < 0:
-            raise ValueError("negative power: invert first")
-        out = TruncatedChowPoly.one(self.n, self.cap)
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def inverse_of_one_plus(self) -> "TruncatedChowPoly":
-        """Inverse of self = 1 + u with u of positive degree (geometric series)."""
-        one = TruncatedChowPoly.one(self.n, self.cap)
-        u = self - one
-        if u.terms.get((0,) * self.n):
-            raise ValueError("expected constant term exactly 1")
-        out = one
-        upow = one
-        for _ in range(self.cap):
-            upow = upow * (-u)
-            if not upow.terms:
-                break
-            out = out + upow
-        return out
 
     def component(self, i: int) -> dict[tuple[int, ...], int]:
         return {k: v for k, v in self.terms.items() if sum(k) == i}
@@ -226,20 +207,44 @@ def gamma_of_sum(n: int, lines, i: int) -> FormalBundle:
 
 
 def total_chern(x: FormalBundle, cap: int) -> TruncatedChowPoly:
-    """Multiplicative total Chern class of a virtual bundle.
+    """Total Chern class of a virtual bundle, truncated above degree ``cap``.
 
-    c([L^a]) = 1 + sum_j a_j t_j; negative multiplicities go through the
-    truncated geometric-series inverse.
+    The Chern roots of x = sum_a m_a [L^a] are the linear forms a.t, with
+    multiplicity m_a, so c(x) = exp(sum_k (-1)^(k-1) p_k / k) for the power
+    sums p_k = sum_a m_a (a.t)^k.  Newton's identities
+    i c_i = sum_{k=1..i} (-1)^(k-1) p_k c_{i-k} then give the components
+    degree by degree.  The cost does not depend on the multiplicities, and
+    only homogeneous pieces are ever multiplied.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     n = x.n
-    out = TruncatedChowPoly.one(n, cap)
-    for a, m in sorted(x.terms.items()):
-        base = TruncatedChowPoly.one(n, cap) + TruncatedChowPoly.linear(n, cap, a)
-        if m < 0:
-            base = base.inverse_of_one_plus()
-            m = -m
-        out = out * base.power(m)
-    return out
+    p = [TruncatedChowPoly(n, cap)] * (cap + 1)  # p[k]: k-th power sum
+    for a, m in x.terms.items():
+        root = TruncatedChowPoly.linear(n, cap, a)
+        power = TruncatedChowPoly(n, cap, {(0,) * n: m})
+        for k in range(1, cap + 1):
+            power = power * root
+            p[k] = p[k] + power
+    return _newton(p)
+
+
+def _newton(p: list[TruncatedChowPoly]) -> TruncatedChowPoly:
+    """c_0 + ... + c_cap from power sums p[1..cap]; a division by i that
+    leaves a remainder (never for an integral bundle) raises ArithmeticError."""
+    n, cap = p[0].n, p[0].cap
+    c = [TruncatedChowPoly.one(n, cap)]
+    for i in range(1, cap + 1):
+        acc = TruncatedChowPoly(n, cap)
+        for k in range(1, i + 1):
+            acc = acc + (p[k] * c[i - k]).scaled((-1) ** (k - 1))
+        terms = {}
+        for e, v in acc.terms.items():
+            terms[e], r = divmod(v, i)
+            if r:
+                raise ArithmeticError(f"inexact Newton step {i} at {e}")
+        c.append(TruncatedChowPoly(n, cap, terms))
+    return sum(c[1:], c[0])
 
 
 def chern_component(x: FormalBundle, i: int) -> dict[tuple[int, ...], int]:
@@ -288,9 +293,7 @@ def check_gamma_chern_scaling(n: int, lines, i: int) -> CheckOutcome:
     lines = [tuple(a) for a in lines]
     g = gamma_of_sum(n, lines, i)
     lhs = chern_component(g, i)
-    x = FormalBundle.zero(n)
-    for a in lines:
-        x = x + FormalBundle.line(n, a)
+    x = sum((FormalBundle.line(n, a) for a in lines), FormalBundle.zero(n))
     sign = (-1) ** (i - 1) * math.factorial(i - 1)
     rhs = {k: sign * v for k, v in chern_component(x, i).items()}
     ok = lhs == rhs
@@ -310,23 +313,20 @@ def binomial_gamma_expansion(mult: int, cap: int | None = None) -> list[int]:
     """
     if mult < 0:
         raise ValueError("multiplicity must be >= 0")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be >= 0")
     top = mult if cap is None else min(mult, cap)
     lines = [(1,)] * mult
     g1 = gamma1(1, (1,))
+    g1_k = FormalBundle.one(1)  # gamma_1(L)^k
     out = []
     for k in range(top + 1):
         e_k = gamma_of_sum(1, lines, k)
         b = math.comb(mult, k)
-        if e_k != _power(g1, k).scaled(b):
+        if e_k != g1_k.scaled(b):
             raise AssertionError(
                 f"gamma expansion mismatch at k={k} for multiplicity {mult}"
             )
         out.append(b)
-    return out
-
-
-def _power(x: FormalBundle, k: int) -> FormalBundle:
-    out = FormalBundle.one(x.n)
-    for _ in range(k):
-        out = out * x
+        g1_k = g1_k * g1
     return out

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from gammaflag import intmat
+from gammaflag.formal_bundles import FormalBundle, TruncatedChowPoly
 from gammaflag.rootdata import RootSystem
 from gammaflag.schubert import ChowRing, SubspaceBasis
 from gammaflag.weyl import WeylGroup
@@ -523,3 +524,44 @@ def restriction_image_unfiltered(engine, top: int):
                                      for x in chow.vector(cls, p)))
         ideals[m] = sub
     return images, ideals
+
+
+# -- total Chern classes as products of one factor per line ------------------
+
+
+def truncated_power(f: TruncatedChowPoly, m: int) -> TruncatedChowPoly:
+    """f^m for m >= 0, as m truncated products."""
+    if m < 0:
+        raise ValueError("negative power: invert first")
+    out = TruncatedChowPoly.one(f.n, f.cap)
+    for _ in range(m):
+        out = out * f
+    return out
+
+
+def inverse_of_one_plus(f: TruncatedChowPoly) -> TruncatedChowPoly:
+    """Inverse of f = 1 + u, u of positive degree, by the geometric series
+    1 - u + u^2 - ... truncated at the cap."""
+    one = TruncatedChowPoly.one(f.n, f.cap)
+    u = f - one
+    if u.terms.get((0,) * f.n):
+        raise ValueError("expected constant term exactly 1")
+    out = upow = one
+    for _ in range(f.cap):
+        upow = upow * (-u)
+        out = out + upow
+    return out
+
+
+def total_chern_by_products(x: FormalBundle, cap: int) -> TruncatedChowPoly:
+    """c(x) as the product over the terms m [L^a] of x of (1 + a.t)^m, a
+    negative m going through the inverse of 1 + a.t."""
+    n = x.n
+    out = TruncatedChowPoly.one(n, cap)
+    for a, m in sorted(x.terms.items()):
+        base = TruncatedChowPoly.one(n, cap) + TruncatedChowPoly.linear(
+            n, cap, a)
+        if m < 0:
+            base, m = inverse_of_one_plus(base), -m
+        out = out * truncated_power(base, m)
+    return out

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import inverse_of_one_plus, total_chern_by_products, truncated_power
 
 from gammaflag import (
     FormalBundle,
@@ -18,6 +19,8 @@ from gammaflag import (
     gamma_of_sum,
     total_chern,
 )
+from gammaflag.cli import _gammatoc_cases
+from gammaflag.formal_bundles import _newton
 
 exponents = st.lists(st.integers(-2, 2), min_size=2, max_size=2).map(tuple)
 bundles = st.lists(
@@ -83,6 +86,67 @@ def test_chern_of_negated_line_is_geometric_series():
     assert c.component(3) == {(3,): -1}
 
 
+wide_bundles = st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+    st.integers(-4, 4), max_size=3,
+).map(lambda terms: FormalBundle(n, terms)))
+
+
+@given(wide_bundles, st.integers(0, 5))
+def test_total_chern_matches_the_product_oracle(x, cap):
+    assert total_chern(x, cap) == total_chern_by_products(x, cap)
+
+
+def oracle_command_bundles():
+    """Every bundle whose Chern classes `oracle --verify gammatoc`
+    (--max-bundles 6 --max-mult 3 --max-i 4) and `oracle --verify firsteq`
+    (--max-i 5 --max-n 6) take, with the degree they take them in."""
+    for mults, i in _gammatoc_cases(6, 3, 4):
+        n = len(mults)
+        lines = [tuple(int(k == a) for k in range(n))
+                 for a, m in enumerate(mults) for _ in range(m)]
+        yield gamma_of_sum(n, lines, i), i
+        yield sum((FormalBundle.line(n, a) for a in lines),
+                  FormalBundle.zero(n)), i
+    for i in range(1, 6):
+        for n in range(i, 7):
+            x = FormalBundle.one(n)
+            for j in range(i):
+                x = x * gamma1(n, tuple(int(k == j) for k in range(n)))
+            yield x, i
+
+
+def test_total_chern_matches_the_product_oracle_on_the_oracle_commands():
+    for x, i in oracle_command_bundles():
+        for cap in (i, i + 1):
+            assert total_chern(x, cap) == total_chern_by_products(x, cap)
+
+
+def test_inexact_newton_step_raises():
+    # p_2 = t^2 alone asks for c_2 = -t^2 / 2, which no integral bundle has
+    ring = TruncatedChowPoly(1, 2)
+    p = [ring, ring, TruncatedChowPoly(1, 2, {(2,): 1})]
+    with pytest.raises(ArithmeticError):
+        _newton(p)
+
+
+def test_negative_cap_rejected():
+    x = FormalBundle.line(2, (1, 0))
+    with pytest.raises(ValueError):
+        total_chern(x, -1)
+    with pytest.raises(ValueError):
+        chern_component(x, -2)
+    with pytest.raises(ValueError):
+        binomial_gamma_expansion(3, -1)
+
+
+def test_exponent_vector_of_the_wrong_arity_rejected():
+    with pytest.raises(ValueError, match="wrong arity"):
+        TruncatedChowPoly.linear(2, 2, (1, 2, 3))
+    with pytest.raises(ValueError, match="wrong arity"):
+        total_chern(FormalBundle(2, {(1, 2, 3): 1}), 2)
+
+
 # -- truncated polynomials ---------------------------------------------------
 
 polys = st.lists(
@@ -97,7 +161,7 @@ polys = st.lists(
 def test_inverse_of_one_plus(q):
     one = TruncatedChowPoly.one(2, 3)
     f = one + q
-    assert f * f.inverse_of_one_plus() == one
+    assert f * inverse_of_one_plus(f) == one
 
 
 @given(polys, st.integers(0, 3))
@@ -106,7 +170,7 @@ def test_power_matches_repeated_product(q, m):
     explicit = TruncatedChowPoly.one(2, 3)
     for _ in range(m):
         explicit = explicit * f
-    assert f.power(m) == explicit
+    assert truncated_power(f, m) == explicit
 
 
 def test_truncation_drops_high_degrees():

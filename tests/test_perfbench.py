@@ -14,13 +14,13 @@ ROOT = Path(__file__).resolve().parents[1]
 MARKER = "perfbench-child "
 
 
-def test_traced_child_reports_the_library_spans():
+def traced_span_names(*args: str) -> set[str]:
+    """Span names of one traced ``perfbench/child.py cli`` run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "perfbench/child.py", "cli", "--trace",
-         "verify-theorem", "--type", "A2", "--prime", "3", "--index", "9",
+        [sys.executable, "perfbench/child.py", "cli", "--trace", *args,
          "--no-banner"],
         cwd=ROOT, capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -28,5 +28,17 @@ def test_traced_child_reports_the_library_spans():
                for line in proc.stderr.splitlines()
                if line.startswith(MARKER)]
     assert len(reports) == 1, proc.stderr
-    names = {span[0] for span in reports[0]["spans"]}
+    return {span[0] for span in reports[0]["spans"]}
+
+
+def test_traced_child_reports_the_library_spans():
+    names = traced_span_names("verify-theorem", "--type", "A2", "--prime",
+                              "3", "--index", "9")
     assert {"kgamma.steinberg", "rootdata.lattice"} <= names
+
+
+def test_traced_child_reports_the_formal_bundle_spans():
+    names = traced_span_names("oracle", "--verify", "gammatoc",
+                              "--max-bundles", "2", "--max-mult", "2",
+                              "--max-i", "2")
+    assert "formal_bundles.gammatoc" in names

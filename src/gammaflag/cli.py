@@ -42,7 +42,7 @@ _CONFIG_KEYS = {
 
 # Inclusive (least, largest) value of every integer input.  The oracle caps
 # keep a run under a second (at the caps on a 2-vCPU Xeon: gammatoc 0.3 s,
-# firsteq 0.3 s, binomial 0.6 s wall); 120 = l(w_0) of E8, the longest
+# firsteq 0.3 s, binomial 0.3 s wall); 120 = l(w_0) of E8, the longest
 # supported type; p and index caps keep arithmetic cheap.
 _INT_BOUNDS = {
     "prime": (2, 1000),
@@ -672,14 +672,16 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render(report: Report, fmt: str) -> str:
+def _render(report: Report, fmt: str, out) -> None:
+    """Write the report in one format to ``out`` as it is produced."""
     if fmt == "json":
-        return json.dumps(report.payload, indent=2, sort_keys=True,
-                          default=list) + "\n"
-    if fmt == "tsv":
-        return "".join("\t".join(map(_cell, row)) + "\n"
+        json.dump(report.payload, out, indent=2, sort_keys=True, default=list)
+        out.write("\n")
+    elif fmt == "tsv":
+        out.writelines("\t".join(map(_cell, row)) + "\n"
                        for row in report.rows)
-    return "".join(line + "\n" for line in report.lines)
+    else:
+        out.writelines(line + "\n" for line in report.lines)
 
 
 def run(cfg: ScenarioConfig, out=None) -> int:
@@ -692,7 +694,7 @@ def run(cfg: ScenarioConfig, out=None) -> int:
         report = _COMMANDS[cfg.command](cfg)
     except (ValueError, LookupError) as e:
         raise UsageError(str(e))
-    out.write(_render(report, cfg.fmt))
+    _render(report, cfg.fmt, out)
     return 1 if report.failed else 0
 
 

@@ -198,12 +198,18 @@ def gamma_of_sum(n: int, lines, i: int) -> FormalBundle:
     function of their gamma_1's (zero when i exceeds the number of lines)."""
     if i < 0:
         raise ValueError("gamma degree must be >= 0")
-    items = [gamma1(n, a) for a in lines]
-    e = [FormalBundle.one(n)] + [FormalBundle.zero(n) for _ in range(i)]
-    for item in items:
-        for k in range(min(i, len(items)), 0, -1):
+    return _elementary(n, lines, i)[i]
+
+
+def _elementary(n: int, lines, top: int) -> list[FormalBundle]:
+    """e_0..e_top of the gamma_1's of the line classes, in one pass (after
+    ``count`` lines, every e_k with k > count is still zero)."""
+    e = [FormalBundle.one(n)] + [FormalBundle.zero(n) for _ in range(top)]
+    for count, a in enumerate(lines, 1):
+        item = gamma1(n, a)
+        for k in range(min(top, count), 0, -1):
             e[k] = e[k] + e[k - 1] * item
-    return e[i]
+    return e
 
 
 def total_chern(x: FormalBundle, cap: int) -> TruncatedChowPoly:
@@ -316,12 +322,10 @@ def binomial_gamma_expansion(mult: int, cap: int | None = None) -> list[int]:
     if cap is not None and cap < 0:
         raise ValueError("cap must be >= 0")
     top = mult if cap is None else min(mult, cap)
-    lines = [(1,)] * mult
     g1 = gamma1(1, (1,))
     g1_k = FormalBundle.one(1)  # gamma_1(L)^k
     out = []
-    for k in range(top + 1):
-        e_k = gamma_of_sum(1, lines, k)
+    for k, e_k in enumerate(_elementary(1, [(1,)] * mult, top)):
         b = math.comb(mult, k)
         if e_k != g1_k.scaled(b):
             raise AssertionError(

@@ -8,7 +8,9 @@ g_w = [L(rho_w)] indexed by Weyl elements, with
 The descent set D(w) is the set of negative coordinates of w^-1(rho), so
 lambda_D is their 0/1 indicator.  W acts trivially on Lambda/Lambda_r,
 so the Brauer class of rho_w is the class of lambda_D, looked up once
-per distinct descent set.
+per distinct descent set.  The packed columns w(omega_j) are carried
+down the BFS tree: for w = u s_i only column i changes, to
+u(omega_i - alpha_i), and rho_w is the sum of the columns in D(w).
 
 For a twisted form, only multiples survive restriction: the image of the
 m-th gamma-filtration quotient in CH^m mod p is spanned by
@@ -67,17 +69,36 @@ class SteinbergTable:
                 "the Steinberg basis needs the full Weyl enumeration"
             )
         self.group = group
-        self.rs = group.rs
-        self.fg = fg = group.rs.fundamental_group()
-        rhos = []
-        classes = []
-        class_of_d: dict[Weight, tuple[int, ...]] = {}
-        for k, v in enumerate(group.inv_rho):
-            lam = tuple(1 if x < 0 else 0 for x in v)
-            rhos.append(group.act(k, lam))
-            if lam not in class_of_d:
-                class_of_d[lam] = fg.class_of(lam)
-            classes.append(class_of_d[lam])
+        self.rs = rs = group.rs
+        self.fg = fg = rs.fundamental_group()
+        packer = group.packer
+        keys, parent, words = group.keys, group.parent, group.words
+        # w = u s_i: w(omega_i) = -u(omega_i) - sum_{j != i} C_ji u(omega_j)
+        update = [[(j, -row[i]) for j, row in enumerate(rs.cartan)
+                   if j != i and row[i]] for i in range(rs.rank)]
+        # packed columns w(omega_j) of the elements of one length, by index
+        cur = {-1: [packer.pack(rs.fundamental_weight(i))
+                    for i in range(1, rs.rank + 1)]}  # the identity's parent
+        by_signs = {}  # sign bits of w^-1(rho) -> (D(w), class of lambda_D)
+        rhos, classes = [], []
+        for m in range(group.longest_length + 1):
+            prev, cur = cur, {}
+            for k in group.elements_of_length(m):
+                cur[k] = cols = prev[parent[k]].copy()
+                if k:
+                    i = words[k][-1] - 1
+                    c = -cols[i]
+                    for j, a in update[i]:
+                        c += a * cols[j]
+                    cols[i] = c
+                signs = packer.sign_bits(keys[k])
+                got = by_signs.get(signs)
+                if got is None:
+                    lam = tuple(int(x < 0) for x in packer.unpack(keys[k]))
+                    got = by_signs[signs] = (
+                        [j for j, x in enumerate(lam) if x], fg.class_of(lam))
+                rhos.append(packer.unpack(sum([cols[j] for j in got[0]])))
+                classes.append(got[1])
         self.rhos: list[Weight] = rhos
         self.classes: list[tuple[int, ...]] = classes
 

@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MARKER = "perfbench-child "
 
 
-def traced_span_names(*args: str) -> set[str]:
-    """Span names of one traced ``perfbench/child.py cli`` run."""
+def traced_report(*args: str) -> dict:
+    """The report of one traced ``perfbench/child.py cli`` run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -28,7 +28,12 @@ def traced_span_names(*args: str) -> set[str]:
                for line in proc.stderr.splitlines()
                if line.startswith(MARKER)]
     assert len(reports) == 1, proc.stderr
-    return {span[0] for span in reports[0]["spans"]}
+    return reports[0]
+
+
+def traced_span_names(*args: str) -> set[str]:
+    """Span names of one traced ``perfbench/child.py cli`` run."""
+    return {span[0] for span in traced_report(*args)["spans"]}
 
 
 def test_traced_child_reports_the_library_spans():
@@ -42,3 +47,9 @@ def test_traced_child_reports_the_formal_bundle_spans():
                               "--max-bundles", "2", "--max-mult", "2",
                               "--max-i", "2")
     assert "formal_bundles.gammatoc" in names
+
+
+def test_traced_child_reports_the_weyl_enumeration():
+    report = traced_report("weyl", "--type", "A2")
+    assert "weyl.enumerate" in {span[0] for span in report["spans"]}
+    assert report["counts"]["weyl.elements"] == 6

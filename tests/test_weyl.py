@@ -1,11 +1,13 @@
 """Weyl group enumeration: orders, lengths, words, and group laws."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gammaflag import root_system, weyl_group
-from gammaflag.weyl import length_counts
+from gammaflag.weyl import Packer, WeylGroup, length_counts
 from oracles import (
     descent_set_by_roots,
     inversion_count,
@@ -134,7 +136,7 @@ def test_reflection_indices_are_involutions():
 
 @pytest.mark.parametrize("name,max_length", [
     ("A2", None), ("B2", None), ("G2", None), ("A3", None), ("B3", None),
-    ("C3", None), ("D4", None), ("E6", 3), ("E7", 3),
+    ("C3", None), ("D4", None), ("E6", 3), ("E7", 3), ("E8", 3),
 ])
 def test_inverse_rho_keys_match_the_matrix_enumeration(name, max_length):
     rs = root_system(name)
@@ -151,6 +153,48 @@ def test_inverse_rho_keys_match_the_matrix_enumeration(name, max_length):
         for root in rs.positive_roots:
             expected = index.get(mat_mul(mat, reflection_matrix(root)))
             assert g.right_mul_reflection(k, root) == expected
+
+
+FIELD = st.integers(-2**15, 2**15 - 1)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(FIELD, min_size=n, max_size=n),
+    st.lists(FIELD, min_size=n, max_size=n),
+    st.integers(-3, 3))))
+def test_packing_round_trips_and_is_linear(case):
+    a, b, k = case
+    packer = Packer(len(a))
+    assert packer.unpack(packer.pack(a)) == tuple(a)
+    assert packer.unpack(packer.pack(b)) == tuple(b)
+    assert (packer.sign_bits(packer.pack(a))
+            == packer.sign_bits(packer.pack([-int(x < 0) for x in a])))
+    for sign in (1, -1):
+        c = [x + sign * k * y for x, y in zip(a, b)]
+        if all(-2**15 <= x < 2**15 for x in c):
+            got = packer.pack(a) + sign * k * packer.pack(b)
+            assert packer.unpack(got) == tuple(c)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4",
+                                  "E6"])
+def test_parents_are_the_words_less_their_last_letter(name):
+    g = weyl_group(root_system(name))
+    assert g.parent[0] == -1
+    for k in range(1, g.order):
+        t = g.parent[k]
+        assert g.words[k] == g.words[t] + (g.words[k][-1],)
+        assert g.lengths[t] == g.lengths[k] - 1
+        assert g.inv_rho(k) == g.rs.reflect(g.words[k][-1], g.inv_rho(t))
+
+
+def test_packing_refuses_weights_past_a_field():
+    # a stand-in root system whose highest coroot height cannot be packed
+    rs = SimpleNamespace(name="X1", weyl_order=1, cartan=((2,),),
+                         positive_roots=(SimpleNamespace(
+                             coroot_coords=(2**14,)),))
+    with pytest.raises(ValueError, match="16-bit packed field"):
+        WeylGroup(rs)
 
 
 def test_full_enumeration_guard():

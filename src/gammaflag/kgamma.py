@@ -39,7 +39,8 @@ so pivots and RREF rows are exactly those of the unfiltered stream.  At
 j = p the Frobenius kills every mixed multinomial coefficient mod p; that
 is right, because the Chow products are taken mod p as well.  The pass,
 the image and the ideal all stop once their subspace is the whole
-ambient space.
+ambient space.  The Steinberg walk runs on demand, a BFS length at a time;
+it stops short of W only at full Sym^j spans or all-zero binomials.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ __all__ = [
 
 
 class SteinbergTable:
-    """rho_w, its first Chern coordinates and its Brauer class, for all w."""
+    """rho_w, its first Chern coordinates and its Brauer class, for all w:
+    walked on demand, a BFS length at a time, and kept for every engine;
+    the walk stops early only at full Sym^j spans or all-zero binomials."""
 
     def __init__(self, group: WeylGroup):
         if not group.is_full:
@@ -71,7 +74,14 @@ class SteinbergTable:
         self.group = group
         self.rs = rs = group.rs
         self.fg = fg = rs.fundamental_group()
-        packer = group.packer
+        self._rhos: list[Weight] = []
+        self._classes: list[tuple[int, ...]] = []
+        self._walk = self._lengths(group, fg, self._rhos, self._classes)
+
+    @staticmethod
+    def _lengths(group: WeylGroup, fg, rhos: list, classes: list):
+        """Append rho_w and class, a BFS length per yield; static: no cycle."""
+        rs, packer = group.rs, group.packer
         keys, parent, words = group.keys, group.parent, group.words
         # w = u s_i: w(omega_i) = -u(omega_i) - sum_{j != i} C_ji u(omega_j)
         update = [[(j, -row[i]) for j, row in enumerate(rs.cartan)
@@ -80,7 +90,6 @@ class SteinbergTable:
         cur = {-1: [packer.pack(rs.fundamental_weight(i))
                     for i in range(1, rs.rank + 1)]}  # the identity's parent
         by_signs = {}  # sign bits of w^-1(rho) -> (D(w), class of lambda_D)
-        rhos, classes = [], []
         for m in range(group.longest_length + 1):
             prev, cur = cur, {}
             for k in group.elements_of_length(m):
@@ -99,21 +108,39 @@ class SteinbergTable:
                         [j for j, x in enumerate(lam) if x], fg.class_of(lam))
                 rhos.append(packer.unpack(sum([cols[j] for j in got[0]])))
                 classes.append(got[1])
-        self.rhos: list[Weight] = rhos
-        self.classes: list[tuple[int, ...]] = classes
+            yield
+
+    def _through(self, k: int) -> None:
+        """Walk on until element k is known; a negative k means all of W."""
+        n = k + 1 if k >= 0 else len(self)
+        while len(self._rhos) < min(n, len(self)):
+            if next(self._walk, False) is False:  # closed by an exception
+                raise RuntimeError("the Steinberg walk was interrupted")
 
     def __len__(self) -> int:
-        return len(self.rhos)
+        return self.group.order
+
+    @property
+    def rhos(self) -> list[Weight]:
+        self._through(-1)
+        return self._rhos
+
+    @property
+    def classes(self) -> list[tuple[int, ...]]:
+        self._through(-1)
+        return self._classes
 
     def rho(self, k: int) -> Weight:
-        return self.rhos[k]
+        self._through(k)
+        return self._rhos[k]
 
     def brauer_class(self, k: int) -> tuple[int, ...]:
-        return self.classes[k]
+        self._through(k)
+        return self._classes[k]
 
     def tits_index(self, k: int, model: BrauerModel) -> int:
         model.check_group(self.fg)
-        return model.index_of(self.classes[k])
+        return model.index_of(self.brauer_class(k))
 
 
 @dataclass(frozen=True)
@@ -150,28 +177,35 @@ class RestrictionImage:
         self.lattice = lattice
         self.p = p
         self.max_degree = min(chow.degree_cap, p)
-        self._keys = self._dedup_keys()
+        # exact binomials of the true index mod p, one tuple per class
+        self._binoms = {
+            cls: tuple(math.comb(i_w, j) % p
+                       for j in range(1, self.max_degree + 1))
+            for cls, i_w in model.ind.items()
+        }
+        self._keys: list[tuple[Weight, tuple[int, ...]]] = []
+        self._stream = self._dedup_keys(p, self._binoms, steinberg, self._keys)
         self._kept: dict[int, list[tuple[Weight, int]]] = {}
         self._images: dict[int, ImagePiece] = {}
         self._ideals: dict[int, SubspaceBasis] = {}
 
-    def _dedup_keys(self) -> list[tuple[Weight, tuple[int, ...]]]:
-        """Distinct (c_1(g_w) mod p, binomials binom(i_w, 1..D) mod p)."""
-        p = self.p
-        top = self.max_degree
-        # exact binomials on the true index, reduced afterwards; one tuple
-        # per Brauer class, shared by every key of that class
-        binoms = {
-            cls: tuple(math.comb(i_w, j) % p for j in range(1, top + 1))
-            for cls, i_w in self.model.ind.items()
-        }
-        seen = {}
-        st = self.steinberg
-        for rho, cls in zip(st.rhos, st.classes):
-            b = binoms[cls]
-            if any(b):
-                seen.setdefault((tuple(x % p for x in rho), b), None)
-        return [key for key in seen]
+    @staticmethod
+    def _dedup_keys(p: int, binoms: dict, st: SteinbergTable, keys: list):
+        """Distinct (c_1(g_w) mod p, binom(i_w, 1..D) mod p) in element order,
+        appended to keys, then yielded; static: no cycle via the engine."""
+        group, rhos, classes = st.group, st._rhos, st._classes
+        seen = set(keys)  # a restarted stream skips the keys already found
+        for m in range(group.longest_length + 1):
+            elements = group.elements_of_length(m)
+            st._through(elements[-1])
+            for k in elements:
+                b = binoms[classes[k]]
+                if any(b):
+                    key = (tuple(x % p for x in rhos[k]), b)
+                    if key not in seen:
+                        seen.add(key)
+                        keys.append(key)
+                        yield key
 
     def _parts(self, j: int) -> list[tuple[Weight, int]]:
         """Parts (rho_p, binom(i_w, j) mod p), in key order, whose
@@ -194,13 +228,21 @@ class RestrictionImage:
                 monos.append((c % p, mono))
         span = SubspaceBasis(p, len(monos))
         kept = []
-        for rho_p, binoms in _until_full(span, self._keys):
-            b = binoms[j - 1]
-            if b and span.insert([
-                b * c * math.prod(rho_p[i] for i in mono) % p
-                for c, mono in monos
-            ]):
-                kept.append((rho_p, b))
+        # when binom(i, j) = 0 mod p for every class, every part is zero
+        keys = (itertools.chain(self._keys, self._stream)
+                if any(b[j - 1] for b in self._binoms.values()) else ())
+        try:
+            for rho_p, binoms in _until_full(span, keys):
+                b = binoms[j - 1]
+                if b and span.insert([
+                    b * c * math.prod(rho_p[i] for i in mono) % p
+                    for c, mono in monos
+                ]):
+                    kept.append((rho_p, b))
+        except BaseException:  # the stream is closed now: start a new one
+            self._stream = self._dedup_keys(p, self._binoms, self.steinberg,
+                                            self._keys)
+            raise
         self._kept[j] = kept
         return kept
 
@@ -289,8 +331,9 @@ class RestrictionImage:
 
 def _until_full(sub: SubspaceBasis, items):
     """Yield items until sub is the whole ambient space: past that point
-    no insertion can grow it."""
-    for item in items:
-        if sub.dim == sub.ambient:
-            return
-        yield item
+    no insertion can grow it, so no further item is drawn."""
+    if sub.dim < sub.ambient:
+        for item in items:
+            yield item
+            if sub.dim == sub.ambient:
+                return

@@ -92,6 +92,27 @@ def test_tits_index_lookup():
     assert table.tits_index(g.index_of_word((1, 2, 1)), model) == 1
 
 
+def test_an_interrupted_walk_raises_instead_of_answering_short(monkeypatch):
+    table = SteinbergTable(weyl_group(root_system("B3")))
+    engine = engine_for("B3", "adjoint", 2, 1, cap=2)
+
+    def interrupted(self, lam):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(CharacterLattice, "class_of", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        table.rho(40)
+    with pytest.raises(KeyboardInterrupt):
+        engine.image(1)
+    monkeypatch.undo()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        table.rhos
+    with pytest.raises(RuntimeError, match="interrupted"):
+        table.rho(40)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        engine.image(1)
+
+
 def test_table_requires_full_enumeration():
     g = weyl_group(root_system("E7"), max_length=2)
     with pytest.raises(ValueError) as exc:
@@ -170,13 +191,21 @@ def _index_models(fg, p):
             yield model
 
 
+def _pieces(engine, top):
+    return [(engine.image(m).pivots, engine.image_subspace(m).rows(),
+             engine.ideal(m).rows()) for m in range(1, top + 1)]
+
+
 def _assert_matches_unfiltered(engine, top):
+    # the engine streams first, walking its fresh table only as far as it
+    # reads; the oracle then reads the whole table
+    got = _pieces(engine, top)
     images, ideals = restriction_image_unfiltered(engine, top)
-    for m in range(1, top + 1):
-        sub, pivots = images[m]
-        assert engine.image(m).pivots == pivots
-        assert engine.image_subspace(m).rows() == sub.rows()
-        assert engine.ideal(m).rows() == ideals[m].rows()
+    for m, (pivots, rows, ideal_rows) in enumerate(got, start=1):
+        sub, want = images[m]
+        assert pivots == want
+        assert rows == sub.rows()
+        assert ideal_rows == ideals[m].rows()
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
@@ -187,17 +216,74 @@ def test_filtered_generators_match_the_unfiltered_stream(name, p):
     rs = root_system(name)
     group = weyl_group(rs)
     chow = ChowRing(group, degree_cap=min(p, 3))
-    table = SteinbergTable(group)
     lattice = CharacterLattice(rs, "adjoint")
     models = list(_index_models(rs.fundamental_group(), p))
     assert models
     for model in models:
-        engine = RestrictionImage(chow, table, model, lattice)
+        engine = RestrictionImage(chow, SteinbergTable(group), model,
+                                  lattice)
         _assert_matches_unfiltered(engine, min(p, 3))
 
 
-def test_filtered_generators_match_the_unfiltered_stream_on_e6():
-    _assert_matches_unfiltered(engine_for("E6", "adjoint", 3, 9, cap=2), 2)
+# split: Sym^1 is full at element 9; index 3: Sym^3 is full at element 10
+# while Sym^1 never fills, and binom(i, 3) vanishes for some classes only
+@pytest.mark.parametrize("index,cap", [(9, 2), (1, 1), (3, 3)])
+def test_filtered_generators_match_the_unfiltered_stream_on_e6(index, cap):
+    _assert_matches_unfiltered(
+        engine_for("E6", "adjoint", 3, index, cap=cap), cap)
+
+
+def _walked(engine) -> int:
+    return len(engine.steinberg._rhos)
+
+
+@pytest.mark.parametrize("p,index,degree", [(5, 25, 2), (5, 1, 1), (3, 1, 1)])
+def test_full_sym_spans_stop_the_steinberg_walk_early(p, index, degree):
+    # at p = 5 and index 25, Sym^1 is full at element 32 and binom(i, 2)
+    # vanishes mod 5 for every class; the split Sym^1 is full at element 9
+    engine = engine_for("E6", "adjoint", p, index, cap=degree)
+    engine.image(degree)
+    engine.ideal(degree)
+    assert _walked(engine) <= 77  # the elements of length <= 3
+
+
+def test_a_sym_span_that_never_fills_walks_all_of_w():
+    # at p = 3 and index 9, Sym^1 reaches only 5 of its 6 dimensions
+    engine = engine_for("E6", "adjoint", 3, 9, cap=1)
+    engine.image(1)
+    assert _walked(engine) == 51840
+
+
+@pytest.mark.parametrize("first", [9, 1])
+def test_engines_sharing_a_partly_walked_table(first):
+    rs = root_system("E6")
+    group = weyl_group(rs)
+    chow = ChowRing(group, degree_cap=3)
+    fg = rs.fundamental_group()
+    lattice = CharacterLattice(rs, "adjoint")
+
+    def engine(table, index):
+        model = BrauerModel.uniform(fg, index, 3)
+        return RestrictionImage(chow, table, model, lattice)
+
+    shared = SteinbergTable(group)
+    for index in (first, 10 - first):
+        assert (_pieces(engine(shared, index), 3)
+                == _pieces(engine(SteinbergTable(group), index), 3))
+
+    part, full = SteinbergTable(group), shared
+    engine(part, 1).image(1)
+    walked = len(part._rhos)
+    assert walked < len(part) == len(full) == 51840
+    assert len(part._rhos) == walked  # len() walks nothing
+    model = BrauerModel.uniform(fg, 9, 3)
+    for k in (0, walked - 1, walked, 5000):
+        assert part.rho(k) == full.rho(k)
+        assert part.brauer_class(k) == full.brauer_class(k)
+        assert part.tits_index(k, model) == full.tits_index(k, model)
+    assert walked < len(part._rhos) < 51840
+    assert part.rhos == full.rhos
+    assert part.classes == full.classes
 
 
 def test_e6_at_p5_fills_every_degree_through_five():

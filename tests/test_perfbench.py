@@ -53,3 +53,16 @@ def test_traced_child_reports_the_weyl_enumeration():
     report = traced_report("weyl", "--type", "A2")
     assert "weyl.enumerate" in {span[0] for span in report["spans"]}
     assert report["counts"]["weyl.elements"] == 6
+
+
+def test_traced_e6_image_keeps_the_frozen_counters():
+    # the Steinberg walk stops early here, but the benchmark's frozen
+    # counters still see the full enumeration and the filled degrees
+    report = traced_report("restriction-image", "--type", "E6", "--prime",
+                           "5", "--index", "25", "--degree", "2")
+    counts = report["counts"]
+    assert counts["weyl.elements"] == 51840
+    assert counts["kgamma.pivots.m1"] == 6
+    assert counts["kgamma.pivots.m2"] == 20
+    assert counts["kgamma.ideal_dim.m2"] == 20
+    assert "kgamma.steinberg" in {span[0] for span in report["spans"]}

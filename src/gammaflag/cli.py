@@ -190,13 +190,14 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
 
     lattice = pick("lattice", "lattice", "adjoint")
     if isinstance(lattice, list):
-        try:
-            lattice = tuple(tuple(int(x) for x in w) for w in lattice)
-        except (TypeError, ValueError):
+        if not all(isinstance(w, list) and all(
+                isinstance(x, int) and not isinstance(x, bool) for x in w)
+                for w in lattice):
             raise UsageError(
                 'config field "lattice" must be a keyword or a list of '
                 "integer weight vectors"
             )
+        lattice = tuple(tuple(w) for w in lattice)
     elif not isinstance(lattice, str):
         raise UsageError('config field "lattice" must be a string or a list')
 

@@ -39,8 +39,9 @@ so pivots and RREF rows are exactly those of the unfiltered stream.  At
 j = p the Frobenius kills every mixed multinomial coefficient mod p; that
 is right, because the Chow products are taken mod p as well.  The pass,
 the image and the ideal all stop once their subspace is the whole
-ambient space.  The Steinberg walk runs on demand, a BFS length at a time;
-it stops short of W only at full Sym^j spans or all-zero binomials.
+ambient space.  The Steinberg walk runs on demand, one whole BFS length
+at a time as the passes read keys; it stops short of W only at full
+Sym^j spans or all-zero binomials.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ __all__ = [
 
 class SteinbergTable:
     """rho_w, its first Chern coordinates and its Brauer class, for all w:
-    walked on demand, a BFS length at a time, and kept for every engine;
-    the walk stops early only at full Sym^j spans or all-zero binomials."""
+    walked on demand, one whole BFS length at a time, and kept for every
+    engine; a length is committed only when complete, so a walk that an
+    exception stops resumes on the next read."""
 
     def __init__(self, group: WeylGroup):
         if not group.is_full:
@@ -73,26 +75,27 @@ class SteinbergTable:
             )
         self.group = group
         self.rs = rs = group.rs
-        self.fg = fg = rs.fundamental_group()
+        self.fg = rs.fundamental_group()
         self._rhos: list[Weight] = []
         self._classes: list[tuple[int, ...]] = []
-        self._walk = self._lengths(group, fg, self._rhos, self._classes)
-
-    @staticmethod
-    def _lengths(group: WeylGroup, fg, rhos: list, classes: list):
-        """Append rho_w and class, a BFS length per yield; static: no cycle."""
-        rs, packer = group.rs, group.packer
-        keys, parent, words = group.keys, group.parent, group.words
+        # packed columns w(omega_j) of the last walked length, by element;
+        # the identity's parent, -1, holds the omega_j themselves
+        self._cols = {-1: [group.packer.pack(rs.fundamental_weight(i))
+                           for i in range(1, rs.rank + 1)]}
+        self._by_signs = {}  # sign bits of w^-1(rho) -> (D(w), lambda_D class)
         # w = u s_i: w(omega_i) = -u(omega_i) - sum_{j != i} C_ji u(omega_j)
-        update = [[(j, -row[i]) for j, row in enumerate(rs.cartan)
-                   if j != i and row[i]] for i in range(rs.rank)]
-        # packed columns w(omega_j) of the elements of one length, by index
-        cur = {-1: [packer.pack(rs.fundamental_weight(i))
-                    for i in range(1, rs.rank + 1)]}  # the identity's parent
-        by_signs = {}  # sign bits of w^-1(rho) -> (D(w), class of lambda_D)
-        for m in range(group.longest_length + 1):
-            prev, cur = cur, {}
-            for k in group.elements_of_length(m):
+        self._update = [[(j, -row[i]) for j, row in enumerate(rs.cartan)
+                         if j != i and row[i]] for i in range(rs.rank)]
+
+    def walk(self, m: int) -> range:
+        """Walk every BFS length up to m; the elements of length m."""
+        group, rhos, classes = self.group, self._rhos, self._classes
+        packer, by_signs = group.packer, self._by_signs
+        keys, parent, words = group.keys, group.parent, group.words
+        update = self._update
+        while len(rhos) < len(self) and group.lengths[len(rhos)] <= m:
+            prev, cur, new_rhos, new_classes = self._cols, {}, [], []
+            for k in group.elements_of_length(group.lengths[len(rhos)]):
                 cur[k] = cols = prev[parent[k]].copy()
                 if k:
                     i = words[k][-1] - 1
@@ -105,37 +108,34 @@ class SteinbergTable:
                 if got is None:
                     lam = tuple(int(x < 0) for x in packer.unpack(keys[k]))
                     got = by_signs[signs] = (
-                        [j for j, x in enumerate(lam) if x], fg.class_of(lam))
-                rhos.append(packer.unpack(sum([cols[j] for j in got[0]])))
-                classes.append(got[1])
-            yield
-
-    def _through(self, k: int) -> None:
-        """Walk on until element k is known; a negative k means all of W."""
-        n = k + 1 if k >= 0 else len(self)
-        while len(self._rhos) < min(n, len(self)):
-            if next(self._walk, False) is False:  # closed by an exception
-                raise RuntimeError("the Steinberg walk was interrupted")
+                        [j for j, x in enumerate(lam) if x],
+                        self.fg.class_of(lam))
+                new_rhos.append(packer.unpack(sum([cols[j] for j in got[0]])))
+                new_classes.append(got[1])
+            self._cols = cur
+            rhos += new_rhos
+            classes += new_classes
+        return group.elements_of_length(m)
 
     def __len__(self) -> int:
         return self.group.order
 
     @property
     def rhos(self) -> list[Weight]:
-        self._through(-1)
+        self.walk(self.group.longest_length)
         return self._rhos
 
     @property
     def classes(self) -> list[tuple[int, ...]]:
-        self._through(-1)
+        self.walk(self.group.longest_length)
         return self._classes
 
     def rho(self, k: int) -> Weight:
-        self._through(k)
+        self.walk(self.group.lengths[k])
         return self._rhos[k]
 
     def brauer_class(self, k: int) -> tuple[int, ...]:
-        self._through(k)
+        self.walk(self.group.lengths[k])
         return self._classes[k]
 
     def tits_index(self, k: int, model: BrauerModel) -> int:
@@ -183,29 +183,13 @@ class RestrictionImage:
                        for j in range(1, self.max_degree + 1))
             for cls, i_w in model.ind.items()
         }
-        self._keys: list[tuple[Weight, tuple[int, ...]]] = []
-        self._stream = self._dedup_keys(p, self._binoms, steinberg, self._keys)
+        # distinct (c_1(g_w) mod p, binom(i_w, 1..D) mod p) in element
+        # order, from the first _scanned BFS lengths
+        self._keys: dict[tuple[Weight, tuple[int, ...]], None] = {}
+        self._scanned = 0
         self._kept: dict[int, list[tuple[Weight, int]]] = {}
         self._images: dict[int, ImagePiece] = {}
         self._ideals: dict[int, SubspaceBasis] = {}
-
-    @staticmethod
-    def _dedup_keys(p: int, binoms: dict, st: SteinbergTable, keys: list):
-        """Distinct (c_1(g_w) mod p, binom(i_w, 1..D) mod p) in element order,
-        appended to keys, then yielded; static: no cycle via the engine."""
-        group, rhos, classes = st.group, st._rhos, st._classes
-        seen = set(keys)  # a restarted stream skips the keys already found
-        for m in range(group.longest_length + 1):
-            elements = group.elements_of_length(m)
-            st._through(elements[-1])
-            for k in elements:
-                b = binoms[classes[k]]
-                if any(b):
-                    key = (tuple(x % p for x in rhos[k]), b)
-                    if key not in seen:
-                        seen.add(key)
-                        keys.append(key)
-                        yield key
 
     def _parts(self, j: int) -> list[tuple[Weight, int]]:
         """Parts (rho_p, binom(i_w, j) mod p), in key order, whose
@@ -228,21 +212,32 @@ class RestrictionImage:
                 monos.append((c % p, mono))
         span = SubspaceBasis(p, len(monos))
         kept = []
+
+        def keys():
+            yield from self._keys
+            st, known, binoms = self.steinberg, self._keys, self._binoms
+            rhos, classes = st._rhos, st._classes
+            while self._scanned <= st.group.longest_length:
+                new = {}
+                for k in st.walk(self._scanned):
+                    b = binoms[classes[k]]
+                    if any(b):
+                        key = (tuple(x % p for x in rhos[k]), b)
+                        if key not in known:
+                            new[key] = None
+                known.update(new)
+                self._scanned += 1
+                yield from new
+
         # when binom(i, j) = 0 mod p for every class, every part is zero
-        keys = (itertools.chain(self._keys, self._stream)
-                if any(b[j - 1] for b in self._binoms.values()) else ())
-        try:
-            for rho_p, binoms in _until_full(span, keys):
+        if any(b[j - 1] for b in self._binoms.values()):
+            for rho_p, binoms in _until_full(span, keys()):
                 b = binoms[j - 1]
                 if b and span.insert([
                     b * c * math.prod(rho_p[i] for i in mono) % p
                     for c, mono in monos
                 ]):
                     kept.append((rho_p, b))
-        except BaseException:  # the stream is closed now: start a new one
-            self._stream = self._dedup_keys(p, self._binoms, self.steinberg,
-                                            self._keys)
-            raise
         self._kept[j] = kept
         return kept
 

@@ -290,6 +290,10 @@ def test_integer_inputs_are_bounded(capsys, argv, needle):
     expect_usage_error(capsys, *argv, "--no-banner", needle=needle)
 
 
+_LATTICE_VECTORS = ('config field "lattice" must be a keyword or a list of '
+                    "integer weight vectors")
+
+
 @pytest.mark.parametrize("data, needle", [
     ({"prime": True}, "prime must be an integer"),
     ({"index": True}, "index must be an integer"),
@@ -300,6 +304,8 @@ def test_integer_inputs_are_bounded(capsys, argv, needle):
      "kac.exponents[0] must be an integer"),
     ({"kac": {"degrees": [1], "exponents": [10**9]}},
      "kac.exponents[0] must be between 1 and 120"),
+    ({"lattice": [[1.7, 0]]}, _LATTICE_VECTORS),
+    ({"lattice": [["1", True]]}, _LATTICE_VECTORS),
 ])
 def test_config_integers_are_checked(tmp_path, capsys, data, needle):
     cfg = tmp_path / "ints.json"

@@ -92,12 +92,18 @@ def test_tits_index_lookup():
     assert table.tits_index(g.index_of_word((1, 2, 1)), model) == 1
 
 
-def test_an_interrupted_walk_raises_instead_of_answering_short(monkeypatch):
-    table = SteinbergTable(weyl_group(root_system("B3")))
+def test_an_interrupted_walk_resumes_in_full(monkeypatch):
+    group = weyl_group(root_system("B3"))
+    table = SteinbergTable(group)
     engine = engine_for("B3", "adjoint", 2, 1, cap=2)
+    class_of, calls = CharacterLattice.class_of, []
 
     def interrupted(self, lam):
-        raise KeyboardInterrupt
+        # each walk stops at its third class: partway through length 1
+        calls.append(lam)
+        if len(calls) % 3 == 0:
+            raise KeyboardInterrupt
+        return class_of(self, lam)
 
     monkeypatch.setattr(CharacterLattice, "class_of", interrupted)
     with pytest.raises(KeyboardInterrupt):
@@ -105,12 +111,21 @@ def test_an_interrupted_walk_raises_instead_of_answering_short(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         engine.image(1)
     monkeypatch.undo()
-    with pytest.raises(RuntimeError, match="interrupted"):
-        table.rhos
-    with pytest.raises(RuntimeError, match="interrupted"):
-        table.rho(40)
-    with pytest.raises(RuntimeError, match="interrupted"):
-        engine.image(1)
+    # only whole lengths are kept: here length 0, the identity
+    assert len(table._rhos) == len(engine.steinberg._rhos) == 1
+    fresh = SteinbergTable(group)
+    assert table.rho(40) == fresh.rho(40)
+    assert table.rhos == fresh.rhos
+    assert table.classes == fresh.classes
+    assert _pieces(engine, 2) == _pieces(
+        engine_for("B3", "adjoint", 2, 1, cap=2), 2)
+
+
+def test_an_out_of_range_read_walks_nothing():
+    table = SteinbergTable(weyl_group(root_system("E6")))
+    with pytest.raises(IndexError):
+        table.rho(51840)
+    assert len(table._rhos) == 0
 
 
 def test_table_requires_full_enumeration():

@@ -91,11 +91,12 @@ class SteinbergTable:
         """Walk every BFS length up to m; the elements of length m."""
         group, rhos, classes = self.group, self._rhos, self._classes
         packer, by_signs = group.packer, self._by_signs
-        keys, parent, words = group.keys, group.parent, group.words
+        group.grow(m)
+        keys, parent, words = group._keys, group._parent, group._words
         update = self._update
-        while len(rhos) < len(self) and group.lengths[len(rhos)] <= m:
+        while len(rhos) < len(self) and group.length(len(rhos)) <= m:
             prev, cur, new_rhos, new_classes = self._cols, {}, [], []
-            for k in group.elements_of_length(group.lengths[len(rhos)]):
+            for k in group.elements_of_length(group.length(len(rhos))):
                 cur[k] = cols = prev[parent[k]].copy()
                 if k:
                     i = words[k][-1] - 1
@@ -131,11 +132,11 @@ class SteinbergTable:
         return self._classes
 
     def rho(self, k: int) -> Weight:
-        self.walk(self.group.lengths[k])
+        self.walk(self.group.length(k))
         return self._rhos[k]
 
     def brauer_class(self, k: int) -> tuple[int, ...]:
-        self.walk(self.group.lengths[k])
+        self.walk(self.group.length(k))
         return self._classes[k]
 
     def tits_index(self, k: int, model: BrauerModel) -> int:

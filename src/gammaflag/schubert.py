@@ -99,7 +99,7 @@ class ChowRing:
         return tuple(out)
 
     def single(self, k: int) -> SchubertClass:
-        return SchubertClass(self.group.lengths[k], {k: 1})
+        return SchubertClass(self.group.length(k), {k: 1})
 
     def h(self, i: int) -> SchubertClass:
         """Schubert divisor sigma_{s_i}."""
@@ -111,15 +111,7 @@ class ChowRing:
         """Pairs (root index, element index of u*s_alpha) raising length by 1."""
         got = self._covers.get(u)
         if got is None:
-            grp = self.group
-            lu = grp.lengths[u]
-            out = []
-            for ri, root in enumerate(self.rs.positive_roots):
-                t = grp.right_mul_reflection(u, root)
-                if t is not None and grp.lengths[t] == lu + 1:
-                    out.append((ri, t))
-            got = tuple(out)
-            self._covers[u] = got
+            got = self._covers[u] = self.group.covers(u)
         return got
 
     def chevalley(self, cls: SchubertClass, lam: Weight,

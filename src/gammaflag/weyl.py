@@ -21,11 +21,17 @@ and the constructor checks that this bound fits a packed field.
 The breadth-first closure under right multiplication by simple
 reflections follows ascents only and fixes a deterministic order: by
 length, then by lexicographically least reduced word.  ``parent[k]`` is
-the BFS-tree parent, whose word is ``words[k][:-1]``.
+the BFS-tree parent, whose word is ``words[k][:-1]``.  The closure is
+grown on demand, one whole length at a time, as far as a query needs: the
+number of elements of each length is known from the degrees, so the size
+of the group and the length of w_k need no enumeration, and a command
+that reads only short elements never enumerates the rest of W.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import struct
 from array import array
 from functools import lru_cache
@@ -64,14 +70,19 @@ class Packer:
 
 
 class WeylGroup:
-    """Enumerated Weyl group (full, or truncated at a maximum length).
+    """Weyl group (full, or truncated at a maximum length), enumerated on
+    demand one whole length at a time.
 
-    The enumeration refuses to run when the number of elements it would
+    The enumeration refuses to start when the number of elements it could
     visit (known beforehand from the degrees of the invariants) exceeds
     ``size_guard``; the full E7 and E8 trip the default guard.  A
-    truncated enumeration contains every element of length <= max_length
-    and supports everything except operations that need the whole group.
-    ``keys[k]`` is the packed w_k^-1(rho); the identity's parent is -1.
+    truncated group contains every element of length <= max_length and
+    supports everything except operations that need the whole group.
+    ``len``, ``order``, ``longest_length`` and ``is_full`` come from the
+    degrees; a query about an element grows the BFS as far as it needs,
+    and reading ``keys``, ``words``, ``lengths`` or ``parent`` as a whole
+    completes it.  ``keys[k]`` is the packed w_k^-1(rho); the identity's
+    parent is -1.
     """
 
     def __init__(self, rs: RootSystem, max_length: int | None = None,
@@ -99,74 +110,114 @@ class WeylGroup:
                              "past the 16-bit packed field")
         self.rs = rs
         self.max_length = max_length
+        top = len(rs.positive_roots)
+        self.is_full = max_length is None or max_length >= top
+        self.longest_length = top if self.is_full else max_length
+        # elements of length m are starts[m] .. starts[m + 1] - 1
+        self._starts = list(itertools.accumulate(
+            length_counts(rs.degrees)[:self.longest_length + 1], initial=0))
         n = rs.rank
         self.packer = packer = Packer(n)
-        pack, unpack = packer.pack, packer.unpack
-        self._alphas = alphas = [pack(rs.simple_root(i))
-                                 for i in range(1, n + 1)]
-        self._root_keys = {r.omega_coords: pack(r.omega_coords)
+        self._alphas = [packer.pack(rs.simple_root(i))
+                        for i in range(1, n + 1)]
+        self._root_keys = {r.omega_coords: packer.pack(r.omega_coords)
                            for r in rs.positive_roots}
-        keys = [pack((1,) * n)]  # rho
-        index = {keys[0]: 0}
-        parent = array("i", [-1])
-        words: list[tuple[int, ...]] = [()]
-        lengths = [0]
+        self._keys = [packer.pack((1,) * n)]  # rho
+        self._index = {self._keys[0]: 0}
+        self._parent = array("i", [-1])
+        self._words: list[tuple[int, ...]] = [()]
+        self._lengths = [0]
+        self._offsets = [0, 1]  # the enumerated part of _starts
 
-        # elements of length m are offsets[m] .. offsets[m + 1] - 1
-        offsets = [0, 1]
-        while max_length is None or len(offsets) <= max_length + 1:
+    def grow(self, m: int) -> None:
+        """Enumerate every length up to m (at most longest_length).  Each
+        length is staged and committed only when complete, so an exception
+        leaves nothing half-built and the next call resumes."""
+        m = min(m, self.longest_length)
+        offsets, keys, words = self._offsets, self._keys, self._words
+        unpack, alphas = self.packer.unpack, self._alphas
+        while len(offsets) - 2 < m:
             level = len(offsets) - 1
-            for k in range(offsets[-2], offsets[-1]):
+            base = offsets[-1]
+            new: dict[int, int] = {}
+            parent = array("i")
+            new_words = []
+            # ascents only: every s_i(v) with v_i > 0 has length level
+            for k in range(offsets[-2], base):
                 x = keys[k]
                 word = words[k]
                 for i, c in enumerate(unpack(x)):
                     if c > 0:
                         y = x - c * alphas[i]
-                        if y not in index:
-                            index[y] = len(keys)
-                            keys.append(y)
+                        if y not in new:
+                            new[y] = base + len(new)
                             parent.append(k)
-                            words.append(word + (i + 1,))
-                            lengths.append(level)
-            if len(keys) == offsets[-1]:
-                break
+                            new_words.append(word + (i + 1,))
+            self._index.update(new)
+            keys.extend(new)  # in insertion order
+            self._parent += parent
+            words += new_words
+            self._lengths += [level] * len(new)
             offsets.append(len(keys))
 
-        self._index = index
-        self.keys = keys
-        self.parent = parent
-        self.words = words
-        self.lengths = lengths
-        self._offsets = offsets
-        # a truncated run that still reaches the known order is complete
-        self.is_full = len(keys) == rs.weyl_order
+    def _grown_to(self, k: int) -> int:
+        """k, once element k is enumerated."""
+        if not 0 <= k < len(self._keys):
+            self.grow(self.length(k))
+        return k
 
     # -- basic queries ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self._starts[-1]
 
     @property
     def order(self) -> int:
-        return len(self.keys)
+        return self._starts[-1]
 
     @property
-    def longest_length(self) -> int:
-        return self.lengths[-1]
+    def keys(self) -> list[int]:
+        self.grow(self.longest_length)
+        return self._keys
+
+    @property
+    def words(self) -> list[tuple[int, ...]]:
+        self.grow(self.longest_length)
+        return self._words
+
+    @property
+    def lengths(self) -> list[int]:
+        self.grow(self.longest_length)
+        return self._lengths
+
+    @property
+    def parent(self) -> array:
+        self.grow(self.longest_length)
+        return self._parent
+
+    def length(self, k: int) -> int:
+        """Length of w_k, read off the number of elements of each length;
+        enumerates nothing."""
+        if not 0 <= k < len(self):
+            raise IndexError(f"element {k} outside the {len(self)} of "
+                             f"W({self.rs.name}) up to length "
+                             f"{self.longest_length}")
+        return bisect.bisect_right(self._starts, k) - 1
 
     def inv_rho(self, k: int) -> Weight:
         """w_k^-1(rho) in fundamental-weight coordinates."""
-        return self.packer.unpack(self.keys[k])
+        return self.packer.unpack(self._keys[self._grown_to(k)])
 
     def count_by_length(self) -> dict[int, int]:
+        self.grow(self.longest_length)
         off = self._offsets
         return {m: off[m + 1] - off[m] for m in range(len(off) - 1)}
 
     def elements_of_length(self, m: int) -> range:
-        off = self._offsets
-        if not 0 <= m < len(off) - 1:
+        if not 0 <= m <= self.longest_length:
             return range(0)
-        return range(off[m], off[m + 1])
+        self.grow(m)
+        return range(self._offsets[m], self._offsets[m + 1])
 
     def index_of_word(self, word) -> int:
         k = 0
@@ -177,8 +228,9 @@ class WeylGroup:
     def right_mul(self, k: int, i: int) -> int:
         """Index of w_k * s_i."""
         self.rs._check_index(i)
+        self.grow(self.length(k) + 1)
         c = self.inv_rho(k)[i - 1]
-        t = self._index.get(self.keys[k] - c * self._alphas[i - 1])
+        t = self._index.get(self._keys[k] - c * self._alphas[i - 1])
         if t is None:
             raise ValueError(
                 f"w*s_{i} has length beyond the enumerated bound "
@@ -191,7 +243,7 @@ class WeylGroup:
     def act(self, k: int, w: Weight) -> Weight:
         """w_k(w): the letters of the reduced word, rightmost first."""
         out = list(w)
-        for i in reversed(self.words[k]):
+        for i in reversed(self._words[self._grown_to(k)]):
             c = out[i - 1]
             for j, row in enumerate(self.rs.cartan):
                 out[j] -= c * row[i - 1]
@@ -200,13 +252,13 @@ class WeylGroup:
     def multiply(self, a: int, b: int) -> int:
         """Index of w_a * w_b (composition, right factor acts first)."""
         k = a
-        for i in self.words[b]:
+        for i in self._words[self._grown_to(b)]:
             k = self.right_mul(k, i)
         return k
 
     def inverse(self, k: int) -> int:
         j = 0
-        for i in reversed(self.words[k]):
+        for i in reversed(self._words[self._grown_to(k)]):
             j = self.right_mul(j, i)
         return j
 
@@ -218,10 +270,34 @@ class WeylGroup:
         )
 
     def right_mul_reflection(self, k: int, root: PositiveRoot) -> int | None:
-        """Index of w_k * s_alpha, or None if outside the enumerated slice."""
+        """Index of w_k * s_alpha, or None if outside the slice."""
         c = sum(x * d for x, d in zip(self.inv_rho(k), root.coroot_coords))
-        return self._index.get(
-            self.keys[k] - c * self._root_keys[root.omega_coords])
+        y = self._keys[k] - c * self._root_keys[root.omega_coords]
+        if y not in self._index and len(self._keys) < len(self):
+            # len(w) counts the positive roots w makes negative: the
+            # coroots alpha^vee with <w^-1(rho), alpha^vee> < 0
+            v = self.packer.unpack(y)
+            self.grow(sum(sum(x * d for x, d in zip(v, r.coroot_coords)) < 0
+                          for r in self.rs.positive_roots))
+        return self._index.get(y)
+
+    def covers(self, k: int) -> tuple[tuple[int, int], ...]:
+        """Pairs (root index, index of w_k * s_alpha) over the positive
+        roots with len(w_k * s_alpha) = len(w_k) + 1, in root order."""
+        # no longer element is needed, and growing to the longest
+        # w_k * s_alpha, up to len(w_k) + 2 ht(alpha) - 1, would build most
+        # of W
+        above = self.elements_of_length(self.length(k) + 1)
+        v = self.inv_rho(k)  # above grew nothing if w_k has the top length
+        x = self._keys[k]
+        index, root_keys = self._index, self._root_keys
+        out = []
+        for ri, root in enumerate(self.rs.positive_roots):
+            c = sum(a * d for a, d in zip(v, root.coroot_coords))
+            t = index.get(x - c * root_keys[root.omega_coords], -1)
+            if t in above:
+                out.append((ri, t))
+        return tuple(out)
 
 
 def length_counts(degrees) -> list[int]:

@@ -385,37 +385,73 @@ def inversion_count(group: WeylGroup, k: int) -> int:
     )
 
 
+def word_columns(rs: RootSystem, word: tuple[int, ...],
+                 memo: dict) -> tuple[tuple[int, ...], ...]:
+    """The images w(omega_1), ..., w(omega_n) of the element with this
+    reduced word, memoised in memo by word.  They are carried from the
+    prefix: for w = u s_j only omega_j moves, to u(s_j(omega_j))."""
+    cols = memo.get(word)
+    if cols is None:
+        if word:
+            u = word_columns(rs, word[:-1], memo)
+            j = word[-1]
+            cols = list(u)
+            cols[j - 1] = columns_act(
+                u, rs.reflect(j, rs.fundamental_weight(j)))
+            cols = tuple(cols)
+        else:
+            cols = tuple(rs.fundamental_weight(i)
+                         for i in range(1, rs.rank + 1))
+        memo[word] = cols
+    return cols
+
+
+def columns_act(cols, lam) -> tuple[int, ...]:
+    """w(lam) = sum_k lam_k w(omega_k), from the columns w(omega_k)."""
+    out = [0] * len(lam)
+    for c, col in zip(lam, cols):
+        if c:
+            for r, x in enumerate(col):
+                out[r] += c * x
+    return tuple(out)
+
+
+def _descents(rs: RootSystem, cols, alphas) -> frozenset[int]:
+    return frozenset(i for i, alpha in enumerate(alphas, 1)
+                     if rs.root_sign(columns_act(cols, alpha)) < 0)
+
+
 def descent_set_by_roots(group: WeylGroup, k: int) -> frozenset[int]:
     """Definitional descent set: i with w(alpha_i) a negative root."""
     rs = group.rs
-    return frozenset(
-        i for i in range(1, rs.rank + 1)
-        if rs.root_sign(group.act(k, rs.simple_root(i))) < 0
-    )
+    alphas = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+    return _descents(rs, word_columns(rs, group.words[k], {}), alphas)
 
 
 def steinberg_by_descent_sets(group: WeylGroup):
     """rho_w and the Brauer class of every element, from the definitions:
-    D(w) from the signs of w(alpha_i), the sum of omega_i over D carried
-    through the reduced word by simple reflections (rightmost letter
-    first), and the class as the sum of the omega_i classes in the
-    SNF-of-Cartan chart.  Returns (rhos, classes) in element order."""
+    D(w) from the signs of w(alpha_i), rho_w as w applied to the sum of
+    omega_i over D, and the class as the sum of the omega_i classes in the
+    SNF-of-Cartan chart.  w acts through its columns w(omega_k), carried
+    along the prefixes of its reduced word.  Returns (rhos, classes) in
+    element order."""
     rs = group.rs
     n = rs.rank
     factors, class_of = fundamental_group_by_cartan_snf(rs)
-    omegas = [rs.fundamental_weight(i) for i in range(1, n + 1)]
-    omega_classes = [class_of(w) for w in omegas]
+    omega_classes = [class_of(rs.fundamental_weight(i))
+                     for i in range(1, n + 1)]
+    alphas = [rs.simple_root(i) for i in range(1, n + 1)]
+    memo: dict = {}
     rhos, classes = [], []
-    for k, word in enumerate(group.words):
-        lam = (0,) * n
+    for word in group.words:
+        cols = word_columns(rs, word, memo)
+        lam = [0] * n
         cls = (0,) * len(factors)
-        for i in descent_set_by_roots(group, k):
-            lam = tuple(x + y for x, y in zip(lam, omegas[i - 1]))
+        for i in _descents(rs, cols, alphas):
+            lam[i - 1] = 1
             cls = tuple((x + y) % d for x, y, d
                         in zip(cls, omega_classes[i - 1], factors))
-        for i in reversed(word):
-            lam = rs.reflect(i, lam)
-        rhos.append(lam)
+        rhos.append(columns_act(cols, lam))
         classes.append(cls)
     return rhos, classes
 

@@ -160,14 +160,15 @@ def test_weyl_group_orders(report):
         rs = root_system(name)
         t0 = time.perf_counter()
         group = WeylGroup(rs)  # deliberate fresh build, no cache
+        enumerated = len(group.words)  # the full BFS, not the degrees
         elapsed = time.perf_counter() - t0
         if name == "E6":
             e6_elapsed = elapsed
         product = 1
         for d in rs.degrees:
             product *= d
-        if group.order != order or product != order:
-            failures.append((name, group.order, order))
+        if enumerated != order or group.order != order or product != order:
+            failures.append((name, enumerated, group.order, order))
     ok = not failures and e6_elapsed < 60.0
     report(ok, f"Weyl group orders 6/8/12/24/51840, E6 fresh in "
               f"{e6_elapsed:.2f}s < 60s")

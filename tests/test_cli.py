@@ -1,13 +1,17 @@
 """Command-line interface: formats, exit codes, and byte-stable reports."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from gammaflag.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 A2_STEINBERG_TSV = (
     "word\trho\tclass\n"
@@ -342,10 +346,13 @@ def test_missing_presentation_is_a_usage_error(capsys):
 
 
 def test_python_dash_m_matches_in_process_output():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gammaflag", "steinberg", "--type", "A2",
          "--format", "tsv", "--no-banner"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert proc.stdout == A2_STEINBERG_TSV
     assert proc.stderr == ""

@@ -56,8 +56,9 @@ def test_traced_child_reports_the_weyl_enumeration():
 
 
 def test_traced_e6_image_keeps_the_frozen_counters():
-    # the Steinberg walk stops early here, but the benchmark's frozen
-    # counters still see the full enumeration and the filled degrees
+    # the BFS and the Steinberg walk stop at 77 elements here, but the
+    # frozen weyl.elements counter reads len(group), the order of W, and
+    # the other counters the filled degrees
     report = traced_report("restriction-image", "--type", "E6", "--prime",
                            "5", "--index", "25", "--degree", "2")
     counts = report["counts"]

@@ -1,5 +1,6 @@
 """Weyl group enumeration: orders, lengths, words, and group laws."""
 
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +24,8 @@ FROZEN_ORDERS = {"A2": 6, "B2": 8, "G2": 12, "A3": 24, "E6": 51840}
 @pytest.mark.parametrize("name,order", sorted(FROZEN_ORDERS.items()))
 def test_group_order(name, order):
     rs = root_system(name)
-    g = weyl_group(rs)
+    g = WeylGroup(rs)  # fresh: len(g) comes from the degrees, words from BFS
+    assert len(g.words) == order
     assert g.order == order
     assert g.is_full
     product = 1
@@ -222,3 +224,133 @@ def test_truncation_at_longest_length_is_full():
     g = weyl_group(rs, max_length=3)
     assert g.is_full
     assert g.order == 6
+
+
+# -- the BFS grown on demand ----------------------------------------------------
+
+LAZY_CASES = [("A2", None), ("B2", None), ("G2", None), ("A3", None),
+              ("B3", None), ("C3", None), ("D4", None), ("E6", 4)]
+
+
+@lru_cache(maxsize=None)
+def _grown_and_matrices(name, max_length):
+    rs = root_system(name)
+    grown = WeylGroup(rs, max_length=max_length)
+    grown.grow(grown.longest_length)
+    words, lengths, index = weyl_by_matrices(rs, max_length)
+    return grown, lengths, index, sorted(index, key=index.get)
+
+
+def _answer(call):
+    """call()'s value, or ValueError if it raised one."""
+    try:
+        return call()
+    except ValueError:
+        return ValueError
+
+
+@given(st.sampled_from(LAZY_CASES), st.data())
+def test_a_group_read_in_any_order_matches_the_grown_one(case, data):
+    grown, lengths, index, mats = _grown_and_matrices(*case)
+    rs = grown.rs
+    g = WeylGroup(rs, max_length=case[1])
+    elements = st.integers(0, len(g) - 1)
+    roots = st.sampled_from(rs.positive_roots)
+    simple = st.integers(1, rs.rank)
+
+    def in_slice(mat):
+        return index.get(mat, ValueError)
+
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from([
+            "right_mul", "right_mul_reflection", "multiply", "inverse",
+            "act", "elements_of_length", "descent_set", "covers"]))
+        if op == "elements_of_length":
+            m = data.draw(st.integers(-1, grown.longest_length + 1))
+            got = g.elements_of_length(m)
+            assert got == grown.elements_of_length(m)
+            assert list(got) == [k for k, x in enumerate(lengths) if x == m]
+            continue
+        k = data.draw(elements)
+        assert g.length(k) == lengths[k]
+        if op == "right_mul":
+            i = data.draw(simple)
+            got = _answer(lambda: g.right_mul(k, i))
+            root = next(r for r in rs.positive_roots
+                        if r.omega_coords == rs.simple_root(i))
+            want = in_slice(mat_mul(mats[k], reflection_matrix(root)))
+        elif op == "right_mul_reflection":
+            root = data.draw(roots)
+            got = g.right_mul_reflection(k, root)
+            want = index.get(mat_mul(mats[k], reflection_matrix(root)))
+            assert got == grown.right_mul_reflection(k, root)
+        elif op == "multiply":
+            b = data.draw(elements)
+            got = _answer(lambda: g.multiply(k, b))
+            # a truncated slice may leave it on the way to a product inside
+            assert got == _answer(lambda: grown.multiply(k, b))
+            want = got if got is ValueError else in_slice(
+                mat_mul(mats[k], mats[b]))
+        elif op == "inverse":
+            # the prefixes of the reversed word never leave the slice
+            got = g.inverse(k)
+            assert got == grown.inverse(k)
+            want = next(j for j, mat in enumerate(mats)
+                        if mat_mul(mats[k], mat) == mats[0])
+        elif op == "act":
+            lam = data.draw(st.tuples(*[st.integers(-3, 3)] * rs.rank))
+            got = g.act(k, lam)
+            want = mat_act(mats[k], lam)
+        elif op == "covers":
+            got = g.covers(k)
+            assert got == grown.covers(k)
+            want = tuple(
+                (ri, t) for ri, t in (
+                    (ri, index.get(mat_mul(mats[k], reflection_matrix(r))))
+                    for ri, r in enumerate(rs.positive_roots))
+                if t is not None and lengths[t] == lengths[k] + 1)
+        else:
+            got = g.descent_set(k)
+            want = frozenset(
+                i for i in range(1, rs.rank + 1)
+                if rs.root_sign(mat_act(mats[k], rs.simple_root(i))) < 0)
+        assert got == want
+    # whatever was read, only whole lengths were enumerated, as the grown
+    # group enumerates them
+    assert g._offsets == grown._offsets[:len(g._offsets)]
+    assert len(g._keys) == g._offsets[-1]
+    assert g._keys == grown._keys[:len(g._keys)]
+    assert g._words == grown._words[:len(g._keys)]
+    assert list(g._parent) == list(grown._parent[:len(g._keys)])
+
+
+def test_an_interrupted_bfs_keeps_only_whole_lengths(monkeypatch):
+    rs = root_system("D4")
+    g = WeylGroup(rs)
+    g.grow(2)
+    unpack, calls = Packer.unpack, []
+
+    def interrupted(self, x):
+        # the fifth key read is partway through the nine of length 2
+        calls.append(x)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return unpack(self, x)
+
+    monkeypatch.setattr(Packer, "unpack", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        g.grow(4)
+    monkeypatch.undo()
+    fresh = WeylGroup(rs)
+    fresh.grow(2)
+    assert len(calls) == 5
+    assert g._offsets == fresh._offsets == [0, 1, 5, 14]
+    assert g._index == fresh._index
+    assert (g._keys, g._words, g._lengths) == (
+        fresh._keys, fresh._words, fresh._lengths)
+    assert list(g._parent) == list(fresh._parent)
+    fresh = WeylGroup(rs)
+    assert g.right_mul(20, 1) == fresh.right_mul(20, 1)
+    assert g.count_by_length() == fresh.count_by_length()
+    assert (g.keys, g.words, g.lengths, list(g.parent)) == (
+        fresh.keys, fresh.words, fresh.lengths, list(fresh.parent))

@@ -37,11 +37,21 @@ is a ring homomorphism, so is its product with any lower pivot, and its
 generators could never have grown the image.  Feed order is unchanged,
 so pivots and RREF rows are exactly those of the unfiltered stream.  At
 j = p the Frobenius kills every mixed multinomial coefficient mod p; that
-is right, because the Chow products are taken mod p as well.  The pass,
-the image and the ideal all stop once their subspace is the whole
-ambient space.  The Steinberg walk runs on demand, one whole BFS length
-at a time as the passes read keys; it stops short of W only at full
-Sym^j spans or all-zero binomials.
+is right, because the Chow products are taken mod p as well.  The image
+and the ideal stop once their subspace is the whole ambient space.
+
+Each pass stops at a ceiling that can lie below all of Sym^j.  rho_w
+lies in lambda_D + Lambda_r, so every part of size j has rho_w mod p in
+
+    V_j = Lambda_r + span{lambda_D : binom(i_class(lambda_D), j) != 0 mod p}
+
+taken mod p, and its polynomial lies in the span of (v . h)^j over V_j:
+Sym^j(V_j), of dimension binom(d + j - 1, j) with d = dim V_j, when j! is a
+unit (polarization), and V_j itself in the pure powers h_i^p at j = p,
+where v_i^p = v_i.  When p divides |Lambda/Lambda_r| the root lattice mod
+p is a proper subspace, so V_j can be too.  The Steinberg walk runs on
+demand, one whole BFS length at a time as the passes read keys; it stops
+short of W once every pass reaches its ceiling or has all-zero binomials.
 """
 
 from __future__ import annotations
@@ -192,25 +202,42 @@ class RestrictionImage:
         self._images: dict[int, ImagePiece] = {}
         self._ideals: dict[int, SubspaceBasis] = {}
 
+    def _rho_space(self, j: int) -> SubspaceBasis:
+        """V_j in F_p^n: Lambda_r plus every lambda_D whose class has
+        binom(i, j) != 0 mod p, mod p.  It holds rho_w mod p for every
+        part of size j."""
+        rs, fg, p = self.chow.rs, self.steinberg.fg, self.p
+        n = rs.rank
+        room = SubspaceBasis(p, n)
+        for i in range(1, n + 1):
+            room.insert(rs.simple_root(i))
+        # every 0/1 vector lambda_D, its class added up from the omega_i
+        subsets = [((0,) * n, fg.quotient.identity())]
+        for i, omega in enumerate(fg.omega_classes):
+            subsets += [(lam[:i] + (1,) + lam[i + 1:],
+                         fg.quotient.add(cls, omega)) for lam, cls in subsets]
+        for lam, cls in subsets:
+            if room.dim < n and self._binoms[cls][j - 1]:
+                room.insert(lam)
+        return room
+
+    def _ceiling(self, j: int) -> int:
+        """Dimension of the span of the (v . h)^j, v in V_j, against the
+        unit-multinomial monomials: Sym^j(V_j) for j < p; V_j in the pure
+        powers at j = p.  No part of size j lies outside it."""
+        d = self._rho_space(j).dim
+        return d if j == self.p else math.comb(d + j - 1, j)
+
     def _parts(self, j: int) -> list[tuple[Weight, int]]:
         """Parts (rho_p, binom(i_w, j) mod p), in key order, whose
         polynomial b * (rho_p . h)^j grows the span they have in
-        Sym^j(F_p^n); the pass stops once that span is all of Sym^j."""
+        Sym^j(F_p^n); the pass stops once that span reaches its
+        ceiling."""
         got = self._kept.get(j)
         if got is not None:
             return got
         p = self.p
-        # coordinates against the monomials h^alpha, |alpha| = j, whose
-        # multinomial coefficient is a unit mod p: the others (every mixed
-        # one at j = p) are zero for every part
-        monos = []
-        for mono in itertools.combinations_with_replacement(
-                range(self.chow.rs.rank), j):
-            c = math.factorial(j)
-            for i in set(mono):
-                c //= math.factorial(mono.count(i))
-            if c % p:
-                monos.append((c % p, mono))
+        monos = _unit_monomials(self.chow.rs.rank, j, p)
         span = SubspaceBasis(p, len(monos))
         kept = []
 
@@ -232,7 +259,7 @@ class RestrictionImage:
 
         # when binom(i, j) = 0 mod p for every class, every part is zero
         if any(b[j - 1] for b in self._binoms.values()):
-            for rho_p, binoms in _until_full(span, keys()):
+            for rho_p, binoms in _until_full(span, keys(), self._ceiling(j)):
                 b = binoms[j - 1]
                 if b and span.insert([
                     b * c * math.prod(rho_p[i] for i in mono) % p
@@ -325,11 +352,27 @@ class RestrictionImage:
         return sub
 
 
-def _until_full(sub: SubspaceBasis, items):
-    """Yield items until sub is the whole ambient space: past that point
-    no insertion can grow it, so no further item is drawn."""
-    if sub.dim < sub.ambient:
+def _unit_monomials(n: int, j: int, p: int) -> list[tuple[int, tuple]]:
+    """(multinomial mod p, mono) for the monomials h^mono, |mono| = j, in
+    n variables whose multinomial coefficient is a unit mod p: the others
+    (every mixed one at j = p) are zero for every part."""
+    monos = []
+    for mono in itertools.combinations_with_replacement(range(n), j):
+        c = math.factorial(j)
+        for i in set(mono):
+            c //= math.factorial(mono.count(i))
+        if c % p:
+            monos.append((c % p, mono))
+    return monos
+
+
+def _until_full(sub: SubspaceBasis, items, ceiling: int | None = None):
+    """Yield items until sub reaches the dimension ceiling, by default the
+    whole ambient space.  Every item lies in a subspace of that dimension,
+    so past that point no insertion can grow sub and no item is drawn."""
+    top = sub.ambient if ceiling is None else ceiling
+    if sub.dim < top:
         for item in items:
             yield item
-            if sub.dim == sub.ambient:
+            if sub.dim == top:
                 return

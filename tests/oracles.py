@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from gammaflag import intmat
@@ -560,6 +561,55 @@ def restriction_image_unfiltered(engine, top: int):
                                      for x in chow.vector(cls, p)))
         ideals[m] = sub
     return images, ideals
+
+
+# -- Sym^j spans of the restriction image's parts -----------------------------
+
+
+@lru_cache(maxsize=None)
+def power_coordinates(v: tuple[int, ...], j: int, p: int,
+                      coords: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """(v . h)^j mod p, multiplied out one linear factor at a time, read at
+    the monomials coords (sorted variable tuples); every other coefficient
+    must vanish mod p."""
+    poly = {(): 1}
+    for _ in range(j):
+        nxt: dict[tuple[int, ...], int] = {}
+        for mono, c in poly.items():
+            for i, x in enumerate(v):
+                key = tuple(sorted(mono + (i,)))
+                nxt[key] = (nxt.get(key, 0) + c * x) % p
+        poly = nxt
+    assert not any(c for mono, c in poly.items() if mono not in coords)
+    return tuple(poly.get(mono, 0) for mono in coords)
+
+
+def sym_part_span(parts, model, j: int,
+                  coords: tuple[tuple[int, ...], ...]) -> SubspaceBasis:
+    """Span of binom(i, j) (rho . h)^j mod p over every (rho, class) pair of
+    parts, i the model's index of the class: all parts of size j, none
+    dropped and no early exit."""
+    p = model.p
+    span = SubspaceBasis(p, len(coords))
+    for rho, cls in parts:
+        b = math.comb(model.index_of(cls), j) % p
+        if b:
+            vec = power_coordinates(tuple(x % p for x in rho), j, p, coords)
+            span.insert([b * x % p for x in vec])
+    return span
+
+
+@lru_cache(maxsize=None)
+def sym_power_span(rows: tuple[tuple[int, ...], ...], n: int, j: int, p: int,
+                   coords: tuple[tuple[int, ...], ...]) -> SubspaceBasis:
+    """Span of (v . h)^j over every vector v of the F_p-span of rows in
+    F_p^n, each of the p^len(rows) vectors listed."""
+    span = SubspaceBasis(p, len(coords))
+    for coeffs in product(range(p), repeat=len(rows)):
+        v = tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % p
+                  for i in range(n))
+        span.insert(power_coordinates(v, j, p, coords))
+    return span
 
 
 # -- total Chern classes as products of one factor per line ------------------

@@ -16,11 +16,16 @@ from gammaflag import (
     root_system,
     weyl_group,
 )
+from gammaflag.kgamma import _unit_monomials
+from gammaflag.schubert import SubspaceBasis
 from kgamma_helpers import engine_for
 from oracles import (
+    power_coordinates,
     restriction_image_unfiltered,
     restriction_span_bruteforce,
     steinberg_by_descent_sets,
+    sym_part_span,
+    sym_power_span,
 )
 
 
@@ -242,11 +247,60 @@ def test_filtered_generators_match_the_unfiltered_stream(name, p):
 
 
 # split: Sym^1 is full at element 9; index 3: Sym^3 is full at element 10
-# while Sym^1 never fills, and binom(i, 3) vanishes for some classes only
+# and Sym^1 reaches its ceiling, 5 of 6 dimensions, at element 18, while
+# binom(i, 3) vanishes for some classes only
 @pytest.mark.parametrize("index,cap", [(9, 2), (1, 1), (3, 3)])
 def test_filtered_generators_match_the_unfiltered_stream_on_e6(index, cap):
     _assert_matches_unfiltered(
         engine_for("E6", "adjoint", 3, index, cap=cap), cap)
+
+
+def _assert_sound_ceilings(engine, parts):
+    # parts: every (rho_w mod p, class of rho_w) of a full walk
+    p, n = engine.p, engine.chow.rs.rank
+    for j in range(1, engine.max_degree + 1):
+        coords = tuple(mono for _, mono in _unit_monomials(n, j, p))
+        full = sym_part_span(parts, engine.model, j, coords)
+        ceiling = sym_power_span(engine._rho_space(j).rows(), n, j, p, coords)
+        assert engine._ceiling(j) == ceiling.dim
+        assert full.is_subspace_of(ceiling)
+        kept = SubspaceBasis(p, len(coords))
+        for rho_p, b in engine._parts(j):
+            kept.insert([b * x % p
+                         for x in power_coordinates(rho_p, j, p, coords)])
+        assert kept == full
+
+
+def _full_walk_parts(table, p) -> set:
+    # (rho_w mod p, class of rho_w) for every w: a part depends on no more
+    return {(tuple(x % p for x in rho), table.fg.class_of(rho))
+            for rho in table.rhos}
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4",
+                                  "A5", "D5"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_sym_pass_stops_at_a_sound_ceiling(name, p):
+    # every part of a full walk lies in the pass's ceiling, whose dimension
+    # is that of the span of (v . h)^j over all of V_j, and the stopped
+    # pass keeps the span of all of them
+    rs = root_system(name)
+    group = weyl_group(rs)
+    table = SteinbergTable(group)
+    parts = _full_walk_parts(table, p)
+    chow = ChowRing(group, degree_cap=min(p, 3))
+    lattice = CharacterLattice(rs, "adjoint")
+    for model in _index_models(table.fg, p):
+        _assert_sound_ceilings(
+            RestrictionImage(chow, table, model, lattice), parts)
+
+
+def test_each_sym_pass_stops_at_a_sound_ceiling_on_e6():
+    table = SteinbergTable(weyl_group(root_system("E6")))
+    parts = _full_walk_parts(table, 3)
+    for index in (1, 3, 9, 27):
+        engine = engine_for("E6", "adjoint", 3, index, cap=3)
+        _assert_sound_ceilings(engine, parts)
 
 
 def _walked(engine) -> int:
@@ -274,11 +328,41 @@ def test_full_sym_spans_stop_the_steinberg_walk_early(p, index, degree):
     assert len(engine.chow.group._keys) <= 77
 
 
-def test_a_sym_span_that_never_fills_walks_all_of_w():
-    # at p = 3 and index 9, Sym^1 reaches only 5 of its 6 dimensions
-    engine = _fresh_e6_engine(3, 9, 1)
-    engine.image(1)
-    assert _walked(engine) == len(engine.chow.group._keys) == 51840
+@pytest.mark.parametrize("index", [9, 27])
+def test_sym_spans_at_their_ceiling_stop_the_steinberg_walk_early(index):
+    # p = 3 divides |Lambda/Lambda_r| = 3, so Lambda_r mod 3 is 5 of 6
+    # dimensions; binom(i, j) vanishes mod 3 for j = 1..3 except at the
+    # identity's j = 1, and Sym^1 reaches that ceiling at element 18
+    engine = _fresh_e6_engine(3, index, 3)
+    for m in (1, 2, 3):
+        engine.image(m)
+        engine.ideal(m)
+    assert engine.image_subspace(1).dim == 5
+    assert _walked(engine) <= 77
+    assert len(engine.chow.group._keys) <= 77
+
+
+@pytest.mark.parametrize("name,p,labels,degree,kept,ceiling,walked", [
+    # degree 1 reaches 1 of its ceiling's 2 dimensions, so the walk covers
+    # W: only the identity class counts, and its parts 0 and -rho span a line
+    ("A2", 2, (1, 2, 2), 1, 1, 2, 6),
+    # at j = p the ceiling is V_3 itself, reached within length 3
+    ("A5", 3, (1, 9, 9, 3, 9, 9), 3, 4, 4, 49),
+])
+def test_the_walk_stops_only_at_the_sym_ceiling(name, p, labels, degree,
+                                                kept, ceiling, walked):
+    rs = root_system(name)
+    fg = rs.fundamental_group()
+    group = WeylGroup(rs)  # uncached, so what it enumerated was read here
+    g = fg.quotient
+    model = BrauerModel.from_labels(
+        fg, {g.label(e): i for e, i in zip(g.elements(), labels)}, p)
+    engine = RestrictionImage(ChowRing(group, degree_cap=degree),
+                              SteinbergTable(group), model,
+                              CharacterLattice(rs, "adjoint"))
+    assert len(engine._parts(degree)) == kept
+    assert engine._ceiling(degree) == ceiling
+    assert _walked(engine) == len(group._keys) == walked
 
 
 @pytest.mark.parametrize("first", [9, 1])

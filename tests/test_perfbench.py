@@ -67,3 +67,17 @@ def test_traced_e6_image_keeps_the_frozen_counters():
     assert counts["kgamma.pivots.m2"] == 20
     assert counts["kgamma.ideal_dim.m2"] == 20
     assert "kgamma.steinberg" in {span[0] for span in report["spans"]}
+
+
+def test_traced_e6_verify_theorem_keeps_the_frozen_counters():
+    # the pass stops at its root-lattice ceiling mod 3, 5 of 6 dimensions,
+    # so the walk reads 77 elements; every frozen counter is unchanged
+    report = traced_report("verify-theorem", "--type", "E6", "--prime", "3",
+                           "--index", "9", "--max-degree", "3")
+    counts = report["counts"]
+    assert counts["weyl.elements"] == 51840
+    for m, (basis, pivots, ideal) in enumerate(
+            [(6, 5, 5), (20, 14, 19), (50, 30, 49)], start=1):
+        assert counts[f"schubert.basis_dim.m{m}"] == basis
+        assert counts[f"kgamma.pivots.m{m}"] == pivots
+        assert counts[f"kgamma.ideal_dim.m{m}"] == ideal

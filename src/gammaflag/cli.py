@@ -95,7 +95,8 @@ class ScenarioConfig:
 class Report:
     """One command's output in every format; _render reads one of them
     once, so any field may be a generator (in the payload, one that
-    stands for a JSON array)."""
+    stands for a JSON array).  ``failed`` is read after rendering, so a
+    generator may set it once it has run out."""
 
     payload: dict
     rows: Iterable[tuple]   # raw values; _cell formats each one
@@ -391,39 +392,59 @@ def _cmd_chow(cfg: ScenarioConfig) -> Report:
     return Report(payload, rows, lines)
 
 
+def _steinberg_elements(table: SteinbergTable):
+    """(word, packed rho_w, class) of every element in order, carrying the
+    words of one length only."""
+    words = [()]
+    for parents, letters, rhos, classes in table.lengths():
+        if parents:
+            words = [words[j] + (i,) for j, i in zip(parents, letters)]
+        yield from zip(words, rhos, classes)
+
+
 def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
     group = weyl_group(root_system(cfg.dynkin))
     table = SteinbergTable(group)
-    g = table.fg.quotient
-    label = {c: g.label(c) for c in set(table.classes)}
-    words, rhos, classes = group.words, table.rhos, table.classes
-    distinct = len(set(rhos)) == len(table)
-    elements = range(len(table))
-    # per-element entries, rows and lines are generators: _render consumes
-    # the one its format needs and the other two are never built
-    payload = {
-        "type": group.rs.name,
-        "order": len(table),
+    name, order = group.rs.name, len(table)
+    unpack, label = group.packer.unpack, functools.cache(
+        table.fg.quotient.label)
+    report = Report({}, (), ())
+
+    def elements():
+        # packed weights are equal exactly when the weights are, so only
+        # they are kept for the collision check, decided after the last row
+        seen = set()
+        for word, rho, cls in _steinberg_elements(table):
+            seen.add(rho)
+            yield word, unpack(rho), label(cls)
+        report.failed = len(seen) < order
+
+    if cfg.fmt == "tsv":
+        report.rows = itertools.chain(
+            [("word", "rho", "class")],
+            ((word, " ".join(map(str, rho)), cls)
+             for word, rho, cls in elements()))
+        return report
+    # json and pretty state the verdict before any element: a first pass
+    # over the weights alone
+    distinct = len({rho for _, _, rhos, _ in table.lengths()
+                    for rho in rhos}) == order
+    report.payload = {
+        "type": name,
+        "order": order,
         "distinct": distinct,
         "entries": (
-            {"index": k, "word": words[k], "rho": rhos[k],
-             "class": label[classes[k]]}
-            for k in elements
+            {"index": k, "word": word, "rho": rho, "class": cls}
+            for k, (word, rho, cls) in enumerate(elements())
         ),
     }
-    rows = itertools.chain(
-        [("word", "rho", "class")],
-        ((words[k], " ".join(map(str, rhos[k])), label[classes[k]])
-         for k in elements),
-    )
-    lines = itertools.chain(
-        [f"type {group.rs.name}: {len(table)} elements, "
+    report.lines = itertools.chain(
+        [f"type {name}: {order} elements, "
          + ("all weights distinct" if distinct else "WEIGHT COLLISION")],
-        (f"  {_sigma(words[k])}  rho=({', '.join(map(str, rhos[k]))})"
-         f"  class {label[classes[k]]}"
-         for k in elements),
+        (f"  {_sigma(word)}  rho=({', '.join(map(str, rho))})  class {cls}"
+         for word, rho, cls in elements()),
     )
-    return Report(payload, rows, lines, failed=not distinct)
+    return report
 
 
 def _cmd_restriction_image(cfg: ScenarioConfig) -> Report:

@@ -10,7 +10,13 @@ lambda_D is their 0/1 indicator.  W acts trivially on Lambda/Lambda_r,
 so the Brauer class of rho_w is the class of lambda_D, looked up once
 per distinct descent set.  The packed columns w(omega_j) are carried
 down the BFS tree: for w = u s_i only column i changes, to
-u(omega_i - alpha_i), and rho_w is the sum of the columns in D(w).
+u(omega_i - alpha_i), and rho_w is the sum of the columns in D(w).  The
+carry is a window of one length: the keys w^-1(rho) and columns of the
+last walked length, stepped to the next by ``WeylGroup.step``, which
+names each new element's parent in the window and its letter i.  So the
+walk never grows the group, and a listing of all of W that keeps nothing
+per element needs memory for its widest length only (3,662 of the 51,840
+elements of E6).
 
 For a twisted form, only multiples survive restriction: the image of the
 m-th gamma-filtration quotient in CH^m mod p is spanned by
@@ -76,7 +82,9 @@ class SteinbergTable:
     """rho_w, its first Chern coordinates and its Brauer class, for all w:
     walked on demand, one whole BFS length at a time, and kept for every
     engine; a length is committed only when complete, so a walk that an
-    exception stops resumes on the next read."""
+    exception stops resumes on the next read.  The walk carries a window
+    of the keys and packed columns w(omega_j) of the last walked length
+    only, and never grows the group."""
 
     def __init__(self, group: WeylGroup):
         if not group.is_full:
@@ -88,45 +96,74 @@ class SteinbergTable:
         self.fg = rs.fundamental_group()
         self._rhos: list[Weight] = []
         self._classes: list[tuple[int, ...]] = []
-        # packed columns w(omega_j) of the last walked length, by element;
-        # the identity's parent, -1, holds the omega_j themselves
-        self._cols = {-1: [group.packer.pack(rs.fundamental_weight(i))
-                           for i in range(1, rs.rank + 1)]}
+        self._window = None  # (keys, columns) of the last walked length
         self._by_signs = {}  # sign bits of w^-1(rho) -> (D(w), lambda_D class)
         # w = u s_i: w(omega_i) = -u(omega_i) - sum_{j != i} C_ji u(omega_j)
         self._update = [[(j, -row[i]) for j, row in enumerate(rs.cartan)
                          if j != i and row[i]] for i in range(rs.rank)]
 
+    def _next(self, window):
+        """The window of the length after ``window`` (None: the one before
+        the identity), with each new element's parent position in
+        ``window`` and letter; changes no state."""
+        pack, n = self.group.packer.pack, self.rs.rank
+        if window is None:
+            omegas = [pack(self.rs.fundamental_weight(i))
+                      for i in range(1, n + 1)]
+            return ([pack((1,) * n)], [omegas]), (), ()
+        keys, cols = window
+        new, parents, letters = self.group.step(keys)
+        update, carried = self._update, []
+        for j, letter in zip(parents, letters):
+            c = cols[j].copy()
+            i = letter - 1
+            x = -c[i]
+            for k, a in update[i]:
+                x += a * c[k]
+            c[i] = x
+            carried.append(c)
+        return (new, carried), parents, letters
+
+    def _weights(self, keys, cols) -> tuple[list[int], list[tuple]]:
+        """Packed rho_w, the sum of the columns in D(w), and the class of
+        lambda_D, for each element of one window."""
+        packer, by_signs = self.group.packer, self._by_signs
+        rhos, classes = [], []
+        for x, c in zip(keys, cols):
+            signs = packer.sign_bits(x)
+            got = by_signs.get(signs)
+            if got is None:
+                lam = tuple(int(v < 0) for v in packer.unpack(x))
+                got = by_signs[signs] = (
+                    [j for j, v in enumerate(lam) if v],
+                    self.fg.class_of(lam))
+            rhos.append(sum([c[j] for j in got[0]]))
+            classes.append(got[1])
+        return rhos, classes
+
+    def lengths(self):
+        """Yield every BFS length in turn, from a window of its own, as
+        (parents, letters, packed rho_w, classes): the parent's position in
+        the previous length and the letter i of w = u s_i, per element.
+        The identity's length has no parents or letters.  Nothing is
+        kept."""
+        window = None
+        for _ in range(self.group.longest_length + 1):
+            window, parents, letters = self._next(window)
+            yield (parents, letters, *self._weights(*window))
+
     def walk(self, m: int) -> range:
         """Walk every BFS length up to m; the elements of length m."""
         group, rhos, classes = self.group, self._rhos, self._classes
-        packer, by_signs = group.packer, self._by_signs
-        group.grow(m)
-        keys, parent, words = group._keys, group._parent, group._words
-        update = self._update
+        unpack = group.packer.unpack
         while len(rhos) < len(self) and group.length(len(rhos)) <= m:
-            prev, cur, new_rhos, new_classes = self._cols, {}, [], []
-            for k in group.elements_of_length(group.length(len(rhos))):
-                cur[k] = cols = prev[parent[k]].copy()
-                if k:
-                    i = words[k][-1] - 1
-                    c = -cols[i]
-                    for j, a in update[i]:
-                        c += a * cols[j]
-                    cols[i] = c
-                signs = packer.sign_bits(keys[k])
-                got = by_signs.get(signs)
-                if got is None:
-                    lam = tuple(int(x < 0) for x in packer.unpack(keys[k]))
-                    got = by_signs[signs] = (
-                        [j for j, x in enumerate(lam) if x],
-                        self.fg.class_of(lam))
-                new_rhos.append(packer.unpack(sum([cols[j] for j in got[0]])))
-                new_classes.append(got[1])
-            self._cols = cur
+            window, _, _ = self._next(self._window)
+            packed, new_classes = self._weights(*window)
+            new_rhos = list(map(unpack, packed))
+            self._window = window
             rhos += new_rhos
             classes += new_classes
-        return group.elements_of_length(m)
+        return group.range_of_length(m)
 
     def __len__(self) -> int:
         return self.group.order

@@ -21,11 +21,16 @@ and the constructor checks that this bound fits a packed field.
 The breadth-first closure under right multiplication by simple
 reflections follows ascents only and fixes a deterministic order: by
 length, then by lexicographically least reduced word.  ``parent[k]`` is
-the BFS-tree parent, whose word is ``words[k][:-1]``.  The closure is
-grown on demand, one whole length at a time, as far as a query needs: the
-number of elements of each length is known from the degrees, so the size
-of the group and the length of w_k need no enumeration, and a command
-that reads only short elements never enumerates the rest of W.
+the BFS-tree parent, whose word is ``words[k][:-1]``.  One BFS step
+(``step``) takes the keys of one whole length and returns those of the
+next, each with its parent's position and its last letter; it needs no
+other state, so a caller that keeps one length at a time (the Steinberg
+walk in kgamma.py) can walk all of W without the index, words or parents.
+The group's own closure is grown by the same step on demand, one whole
+length at a time, as far as a query needs: the number of elements of each
+length is known from the degrees, so the size of the group, the length
+of w_k and the positions of each length need no enumeration, and a
+command that reads only short elements never enumerates the rest of W.
 """
 
 from __future__ import annotations
@@ -129,35 +134,40 @@ class WeylGroup:
         self._lengths = [0]
         self._offsets = [0, 1]  # the enumerated part of _starts
 
+    def step(self, keys: list[int]) -> tuple[list[int], array, bytearray]:
+        """One ascents-only BFS step: from the keys of one whole length, in
+        order, the keys of the next length in BFS order, each with its
+        parent's position in ``keys`` and its letter i (w = u s_i)."""
+        unpack, alphas = self.packer.unpack, self._alphas
+        new: dict[int, None] = {}
+        parents, letters = array("i"), bytearray()
+        # every s_i(v) with v_i > 0 is one length longer
+        for pos, x in enumerate(keys):
+            for i, c in enumerate(unpack(x), 1):
+                if c > 0:
+                    y = x - c * alphas[i - 1]
+                    if y not in new:
+                        new[y] = None
+                        parents.append(pos)
+                        letters.append(i)
+        return list(new), parents, letters
+
     def grow(self, m: int) -> None:
         """Enumerate every length up to m (at most longest_length).  Each
         length is staged and committed only when complete, so an exception
         leaves nothing half-built and the next call resumes."""
         m = min(m, self.longest_length)
         offsets, keys, words = self._offsets, self._keys, self._words
-        unpack, alphas = self.packer.unpack, self._alphas
         while len(offsets) - 2 < m:
-            level = len(offsets) - 1
-            base = offsets[-1]
-            new: dict[int, int] = {}
-            parent = array("i")
-            new_words = []
-            # ascents only: every s_i(v) with v_i > 0 has length level
-            for k in range(offsets[-2], base):
-                x = keys[k]
-                word = words[k]
-                for i, c in enumerate(unpack(x)):
-                    if c > 0:
-                        y = x - c * alphas[i]
-                        if y not in new:
-                            new[y] = base + len(new)
-                            parent.append(k)
-                            new_words.append(word + (i + 1,))
-            self._index.update(new)
-            keys.extend(new)  # in insertion order
-            self._parent += parent
+            start, base = offsets[-2], offsets[-1]
+            new, parents, letters = self.step(keys[start:base])
+            new_words = [words[start + j] + (i,)
+                         for j, i in zip(parents, letters)]
+            self._index.update(zip(new, range(base, base + len(new))))
+            keys += new
+            self._parent.extend(start + j for j in parents)
             words += new_words
-            self._lengths += [level] * len(new)
+            self._lengths += [len(offsets) - 1] * len(new)
             offsets.append(len(keys))
 
     def _grown_to(self, k: int) -> int:
@@ -213,11 +223,16 @@ class WeylGroup:
         off = self._offsets
         return {m: off[m + 1] - off[m] for m in range(len(off) - 1)}
 
-    def elements_of_length(self, m: int) -> range:
+    def range_of_length(self, m: int) -> range:
+        """Positions of the elements of length m, read off the number of
+        elements of each length; enumerates nothing."""
         if not 0 <= m <= self.longest_length:
             return range(0)
+        return range(self._starts[m], self._starts[m + 1])
+
+    def elements_of_length(self, m: int) -> range:
         self.grow(m)
-        return range(self._offsets[m], self._offsets[m + 1])
+        return self.range_of_length(m)
 
     def index_of_word(self, word) -> int:
         k = 0

@@ -1,14 +1,20 @@
 """Command-line interface: formats, exit codes, and byte-stable reports."""
 
+import contextlib
+import functools
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from gammaflag import SteinbergTable, WeylGroup, cli, root_system
 from gammaflag.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +52,93 @@ def test_steinberg_tsv_golden(capsys):
         capsys, "steinberg", "--type", "A2", "--format", "tsv", "--no-banner")
     assert code == 0
     assert out == A2_STEINBERG_TSV
+
+
+# sha256 of stdout and the exit code of listings larger than the goldens
+STEINBERG_DIGESTS = {
+    ("D5", "json"): (
+        0, "27a8df5722969d5956e0bd02f0f3f446a6a4d534a4e80b40437858fd39a3909f"),
+    ("D5", "tsv"): (
+        0, "dd5eced02e21593f246b016b56febc821661a188583f0648f4978735725d3ec0"),
+    ("D5", "pretty"): (
+        0, "a080865b96c6052b761d83e75a41a70fd4fe527af9ead944c3868e1beb4f38b9"),
+    ("F4", "json"): (
+        0, "65351681e41cb6207605010428d8da6a6892e6b1547fa08b0ba164de3bc5f261"),
+    ("F4", "tsv"): (
+        0, "2e21728ac8951fded8b894259993a5eb15a8e587131d8342c422f1a3acf4009d"),
+    ("F4", "pretty"): (
+        0, "5460b219365b0752020a73c4c4055eb1b9029a4e0dfeeb8d14b6764f050a7dd4"),
+    ("E6", "pretty"): (
+        0, "008660969add779fe5cc594236c22be83442bfb1722c9417f5dc4c3e31211c63"),
+}
+
+
+@pytest.mark.parametrize("dynkin,fmt", sorted(STEINBERG_DIGESTS))
+def test_larger_steinberg_listings_keep_their_bytes(capsys, dynkin, fmt):
+    code, out, _ = run_cli(
+        capsys, "steinberg", "--type", dynkin, "--format", fmt, "--no-banner")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        STEINBERG_DIGESTS[dynkin, fmt])
+
+
+class HashSink(io.TextIOBase):
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def test_the_e6_listing_streams_in_bounded_memory(monkeypatch):
+    # a cache of its own, so the group the listing builds is fresh
+    monkeypatch.setattr(cli, "weyl_group", functools.cache(WeylGroup))
+    catalogue = json.loads((ROOT / "perfbench" / "catalogue.json").read_text())
+    frozen = catalogue["commands"]["steinberg --type E6 --format tsv"]
+    sink = HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["steinberg", "--type", "E6", "--format", "tsv",
+                         "--no-banner"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.digest.hexdigest()) == (frozen["rc"], frozen["sha256"])
+    # a stored table of all 51,840 elements peaks at about 25 MiB
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert len(cli.weyl_group(root_system("E6"))._keys) == 1
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_steinberg_reports_a_weight_collision(capsys, monkeypatch, collide):
+    lengths = SteinbergTable.lengths
+
+    def repeating(self):
+        # the second element of length 1 gets the first one's weight
+        for m, (parents, letters, rhos, classes) in enumerate(lengths(self)):
+            if m == 1:
+                rhos = [rhos[0], *rhos[:-1]]
+            yield parents, letters, rhos, classes
+
+    if collide:
+        monkeypatch.setattr(SteinbergTable, "lengths", repeating)
+    want = 1 if collide else 0
+    args = ("steinberg", "--type", "A2", "--no-banner", "--format")
+    code, out, _ = run_cli(capsys, *args, "tsv")
+    rows = out.splitlines()
+    assert code == want and len(rows) == 7
+    assert (rows[2].split("\t")[1] == rows[3].split("\t")[1]) == collide
+    code, out, _ = run_cli(capsys, *args, "pretty")
+    assert code == want
+    assert out.splitlines()[0] == "type A2: 6 elements, " + (
+        "WEIGHT COLLISION" if collide else "all weights distinct")
+    code, out, _ = run_cli(capsys, *args, "json")
+    payload = json.loads(out)
+    assert code == want and len(payload["entries"]) == 6
+    assert payload["distinct"] is not collide
 
 
 def test_weyl_count_tsv_golden(capsys):

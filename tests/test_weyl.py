@@ -267,6 +267,9 @@ def test_a_group_read_in_any_order_matches_the_grown_one(case, data):
             "act", "elements_of_length", "descent_set", "covers"]))
         if op == "elements_of_length":
             m = data.draw(st.integers(-1, grown.longest_length + 1))
+            before = list(g._offsets)
+            assert g.range_of_length(m) == grown.elements_of_length(m)
+            assert g._offsets == before  # read off the length counts
             got = g.elements_of_length(m)
             assert got == grown.elements_of_length(m)
             assert list(got) == [k for k, x in enumerate(lengths) if x == m]

@@ -405,7 +405,7 @@ def _steinberg_elements(table: SteinbergTable):
 def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
     group = weyl_group(root_system(cfg.dynkin))
     table = SteinbergTable(group)
-    name, order = group.rs.name, len(table)
+    name, order = group.rs.name, group.order
     unpack, label = group.packer.unpack, functools.cache(
         table.fg.quotient.label)
     report = Report({}, (), ())
@@ -694,10 +694,25 @@ def _cell(value) -> str:
     return str(value)
 
 
+class _JsonArray(list):
+    """json ``default`` for any other iterable: a list holding its first
+    item only, so it is empty exactly when the iterable is, whose iteration
+    draws the rest.  With an indent json.dump encodes and writes chunk by
+    chunk, so each item is drawn only as it is written."""
+
+    def __init__(self, items):
+        self._rest = iter(items)
+        super().__init__(itertools.islice(self._rest, 1))
+
+    def __iter__(self):
+        return itertools.chain(super().__iter__(), self._rest)
+
+
 def _render(report: Report, fmt: str, out) -> None:
     """Write the report in one format to ``out`` as it is produced."""
     if fmt == "json":
-        json.dump(report.payload, out, indent=2, sort_keys=True, default=list)
+        json.dump(report.payload, out, indent=2, sort_keys=True,
+                  default=_JsonArray)
         out.write("\n")
     elif fmt == "tsv":
         out.writelines("\t".join(map(_cell, row)) + "\n"

@@ -12,11 +12,11 @@ per distinct descent set.  The packed columns w(omega_j) are carried
 down the BFS tree: for w = u s_i only column i changes, to
 u(omega_i - alpha_i), and rho_w is the sum of the columns in D(w).  The
 carry is a window of one length: the keys w^-1(rho) and columns of the
-last walked length, stepped to the next by ``WeylGroup.step``, which
-names each new element's parent in the window and its letter i.  So the
-walk never grows the group, and a listing of all of W that keeps nothing
-per element needs memory for its widest length only (3,662 of the 51,840
-elements of E6).
+last walked length.  ``SteinbergTable.step`` takes it to the next length
+through ``WeylGroup.step``, which names each new element's parent in the
+window and its letter i, and stores nothing; whoever walks keeps the
+window.  So a walk never grows the group, and a walk of all of W needs
+memory for its widest length only (3,662 of the 51,840 elements of E6).
 
 For a twisted form, only multiples survive restriction: the image of the
 m-th gamma-filtration quotient in CH^m mod p is spanned by
@@ -55,9 +55,10 @@ taken mod p, and its polynomial lies in the span of (v . h)^j over V_j:
 Sym^j(V_j), of dimension binom(d + j - 1, j) with d = dim V_j, when j! is a
 unit (polarization), and V_j itself in the pure powers h_i^p at j = p,
 where v_i^p = v_i.  When p divides |Lambda/Lambda_r| the root lattice mod
-p is a proper subspace, so V_j can be too.  The Steinberg walk runs on
-demand, one whole BFS length at a time as the passes read keys; it stops
-short of W once every pass reaches its ceiling or has all-zero binomials.
+p is a proper subspace, so V_j can be too.  Each engine walks the
+Steinberg stream on demand, one whole BFS length at a time as the passes
+read keys, from a window of its own; it stops short of W once every pass
+reaches its ceiling or has all-zero binomials.
 """
 
 from __future__ import annotations
@@ -79,12 +80,10 @@ __all__ = [
 
 
 class SteinbergTable:
-    """rho_w, its first Chern coordinates and its Brauer class, for all w:
-    walked on demand, one whole BFS length at a time, and kept for every
-    engine; a length is committed only when complete, so a walk that an
-    exception stops resumes on the next read.  The walk carries a window
-    of the keys and packed columns w(omega_j) of the last walked length
-    only, and never grows the group."""
+    """rho_w and its Brauer class for every w, one whole BFS length at a
+    time and stored nowhere: ``step`` takes a window of one length to the
+    next, and the caller keeps the window, so any number of walks share a
+    table.  A walk never grows the group."""
 
     def __init__(self, group: WeylGroup):
         if not group.is_full:
@@ -94,41 +93,35 @@ class SteinbergTable:
         self.group = group
         self.rs = rs = group.rs
         self.fg = rs.fundamental_group()
-        self._rhos: list[Weight] = []
-        self._classes: list[tuple[int, ...]] = []
-        self._window = None  # (keys, columns) of the last walked length
         self._by_signs = {}  # sign bits of w^-1(rho) -> (D(w), lambda_D class)
         # w = u s_i: w(omega_i) = -u(omega_i) - sum_{j != i} C_ji u(omega_j)
         self._update = [[(j, -row[i]) for j, row in enumerate(rs.cartan)
                          if j != i and row[i]] for i in range(rs.rank)]
 
-    def _next(self, window):
-        """The window of the length after ``window`` (None: the one before
-        the identity), with each new element's parent position in
-        ``window`` and letter; changes no state."""
-        pack, n = self.group.packer.pack, self.rs.rank
+    def step(self, window):
+        """The length after ``window`` (None: before the identity) as
+        (window, parents, letters, packed rho_w, classes): per element, its
+        parent's position in ``window``, the letter i of w = u s_i (none at
+        the identity), rho_w and the class of lambda_D, memoised per D(w)."""
+        packer, n = self.group.packer, self.rs.rank
         if window is None:
-            omegas = [pack(self.rs.fundamental_weight(i))
-                      for i in range(1, n + 1)]
-            return ([pack((1,) * n)], [omegas]), (), ()
-        keys, cols = window
-        new, parents, letters = self.group.step(keys)
-        update, carried = self._update, []
-        for j, letter in zip(parents, letters):
-            c = cols[j].copy()
-            i = letter - 1
-            x = -c[i]
-            for k, a in update[i]:
-                x += a * c[k]
-            c[i] = x
-            carried.append(c)
-        return (new, carried), parents, letters
-
-    def _weights(self, keys, cols) -> tuple[list[int], list[tuple]]:
-        """Packed rho_w, the sum of the columns in D(w), and the class of
-        lambda_D, for each element of one window."""
-        packer, by_signs = self.group.packer, self._by_signs
-        rhos, classes = [], []
+            keys = [packer.pack((1,) * n)]
+            cols = [[packer.pack(self.rs.fundamental_weight(i))
+                     for i in range(1, n + 1)]]
+            parents = letters = ()
+        else:
+            old_keys, old_cols = window
+            keys, parents, letters = self.group.step(old_keys)
+            update, cols = self._update, []
+            for j, letter in zip(parents, letters):
+                c = old_cols[j].copy()
+                i = letter - 1
+                x = -c[i]
+                for k, a in update[i]:
+                    x += a * c[k]
+                c[i] = x
+                cols.append(c)
+        by_signs, rhos, classes = self._by_signs, [], []
         for x, c in zip(keys, cols):
             signs = packer.sign_bits(x)
             got = by_signs.get(signs)
@@ -139,56 +132,14 @@ class SteinbergTable:
                     self.fg.class_of(lam))
             rhos.append(sum([c[j] for j in got[0]]))
             classes.append(got[1])
-        return rhos, classes
+        return (keys, cols), parents, letters, rhos, classes
 
     def lengths(self):
-        """Yield every BFS length in turn, from a window of its own, as
-        (parents, letters, packed rho_w, classes): the parent's position in
-        the previous length and the letter i of w = u s_i, per element.
-        The identity's length has no parents or letters.  Nothing is
-        kept."""
+        """Every BFS length in turn, as ``step`` gives it less the window."""
         window = None
         for _ in range(self.group.longest_length + 1):
-            window, parents, letters = self._next(window)
-            yield (parents, letters, *self._weights(*window))
-
-    def walk(self, m: int) -> range:
-        """Walk every BFS length up to m; the elements of length m."""
-        group, rhos, classes = self.group, self._rhos, self._classes
-        unpack = group.packer.unpack
-        while len(rhos) < len(self) and group.length(len(rhos)) <= m:
-            window, _, _ = self._next(self._window)
-            packed, new_classes = self._weights(*window)
-            new_rhos = list(map(unpack, packed))
-            self._window = window
-            rhos += new_rhos
-            classes += new_classes
-        return group.range_of_length(m)
-
-    def __len__(self) -> int:
-        return self.group.order
-
-    @property
-    def rhos(self) -> list[Weight]:
-        self.walk(self.group.longest_length)
-        return self._rhos
-
-    @property
-    def classes(self) -> list[tuple[int, ...]]:
-        self.walk(self.group.longest_length)
-        return self._classes
-
-    def rho(self, k: int) -> Weight:
-        self.walk(self.group.length(k))
-        return self._rhos[k]
-
-    def brauer_class(self, k: int) -> tuple[int, ...]:
-        self.walk(self.group.length(k))
-        return self._classes[k]
-
-    def tits_index(self, k: int, model: BrauerModel) -> int:
-        model.check_group(self.fg)
-        return model.index_of(self.brauer_class(k))
+            window, *length = self.step(window)
+            yield tuple(length)
 
 
 @dataclass(frozen=True)
@@ -232,9 +183,11 @@ class RestrictionImage:
             for cls, i_w in model.ind.items()
         }
         # distinct (c_1(g_w) mod p, binom(i_w, 1..D) mod p) in element
-        # order, from the first _scanned BFS lengths
+        # order, from the first _scanned BFS lengths, the last of which is
+        # the Steinberg window _window
         self._keys: dict[tuple[Weight, tuple[int, ...]], None] = {}
         self._scanned = 0
+        self._window = None
         self._kept: dict[int, list[tuple[Weight, int]]] = {}
         self._images: dict[int, ImagePiece] = {}
         self._ideals: dict[int, SubspaceBasis] = {}
@@ -281,16 +234,19 @@ class RestrictionImage:
         def keys():
             yield from self._keys
             st, known, binoms = self.steinberg, self._keys, self._binoms
-            rhos, classes = st._rhos, st._classes
+            unpack = st.group.packer.unpack
             while self._scanned <= st.group.longest_length:
+                window, _, _, rhos, classes = st.step(self._window)
                 new = {}
-                for k in st.walk(self._scanned):
-                    b = binoms[classes[k]]
+                for rho, cls in zip(rhos, classes):
+                    b = binoms[cls]
                     if any(b):
-                        key = (tuple(x % p for x in rhos[k]), b)
+                        key = (tuple(x % p for x in unpack(rho)), b)
                         if key not in known:
                             new[key] = None
+                # a length counts as scanned once all its keys are known
                 known.update(new)
+                self._window = window
                 self._scanned += 1
                 yield from new
 

@@ -25,7 +25,7 @@ the BFS-tree parent, whose word is ``words[k][:-1]``.  One BFS step
 (``step``) takes the keys of one whole length and returns those of the
 next, each with its parent's position and its last letter; it needs no
 other state, so a caller that keeps one length at a time (the Steinberg
-walk in kgamma.py) can walk all of W without the index, words or parents.
+stream in kgamma.py) can walk all of W without the index, words or parents.
 The group's own closure is grown by the same step on demand, one whole
 length at a time, as far as a query needs: the number of elements of each
 length is known from the degrees, so the size of the group, the length
@@ -85,9 +85,8 @@ class WeylGroup:
     supports everything except operations that need the whole group.
     ``len``, ``order``, ``longest_length`` and ``is_full`` come from the
     degrees; a query about an element grows the BFS as far as it needs,
-    and reading ``keys``, ``words``, ``lengths`` or ``parent`` as a whole
-    completes it.  ``keys[k]`` is the packed w_k^-1(rho); the identity's
-    parent is -1.
+    and reading ``keys``, ``words`` or ``parent`` as a whole completes it.
+    ``keys[k]`` is the packed w_k^-1(rho); the identity's parent is -1.
     """
 
     def __init__(self, rs: RootSystem, max_length: int | None = None,
@@ -131,7 +130,6 @@ class WeylGroup:
         self._index = {self._keys[0]: 0}
         self._parent = array("i", [-1])
         self._words: list[tuple[int, ...]] = [()]
-        self._lengths = [0]
         self._offsets = [0, 1]  # the enumerated part of _starts
 
     def step(self, keys: list[int]) -> tuple[list[int], array, bytearray]:
@@ -167,7 +165,6 @@ class WeylGroup:
             keys += new
             self._parent.extend(start + j for j in parents)
             words += new_words
-            self._lengths += [len(offsets) - 1] * len(new)
             offsets.append(len(keys))
 
     def _grown_to(self, k: int) -> int:
@@ -194,11 +191,6 @@ class WeylGroup:
     def words(self) -> list[tuple[int, ...]]:
         self.grow(self.longest_length)
         return self._words
-
-    @property
-    def lengths(self) -> list[int]:
-        self.grow(self.longest_length)
-        return self._lengths
 
     @property
     def parent(self) -> array:

@@ -429,13 +429,14 @@ def descent_set_by_roots(group: WeylGroup, k: int) -> frozenset[int]:
     return _descents(rs, word_columns(rs, group.words[k], {}), alphas)
 
 
+@lru_cache(maxsize=None)  # per group object: about 2 s for all of E6
 def steinberg_by_descent_sets(group: WeylGroup):
     """rho_w and the Brauer class of every element, from the definitions:
     D(w) from the signs of w(alpha_i), rho_w as w applied to the sum of
     omega_i over D, and the class as the sum of the omega_i classes in the
     SNF-of-Cartan chart.  w acts through its columns w(omega_k), carried
     along the prefixes of its reduced word.  Returns (rhos, classes) in
-    element order."""
+    element order, as tuples."""
     rs = group.rs
     n = rs.rank
     factors, class_of = fundamental_group_by_cartan_snf(rs)
@@ -454,13 +455,13 @@ def steinberg_by_descent_sets(group: WeylGroup):
                         in zip(cls, omega_classes[i - 1], factors))
         rhos.append(columns_act(cols, lam))
         classes.append(cls)
-    return rhos, classes
+    return tuple(rhos), tuple(classes)
 
 
 # -- restriction image without any of the library's shortcuts -----------------
 
 
-def restriction_span_bruteforce(chow: ChowRing, steinberg, model,
+def restriction_span_bruteforce(chow: ChowRing, model,
                                 m: int) -> SubspaceBasis:
     """Span of every generator of the degree-m image piece.
 
@@ -469,12 +470,13 @@ def restriction_span_bruteforce(chow: ChowRing, steinberg, model,
     The same element may appear in several parts: the filtration is
     multiplicative, so gamma_1(x)^2 sits in level two alongside
     gamma_2(x), and binom(i,1)^2 c^2 is a generator next to
-    binom(i,2) c^2.  Exact binomials of true indices, no deduplication.
+    binom(i,2) c^2.  Exact binomials of true indices, no deduplication;
+    rho_w and its class come from ``steinberg_by_descent_sets``.
     """
     p = model.p
-    group = steinberg.group
+    rhos, classes = steinberg_by_descent_sets(chow.group)
     span = SubspaceBasis(p, chow.basis_dim(m))
-    size = len(group)
+    size = len(rhos)
 
     def feed(scalar: int, weights: list) -> None:
         scalar %= p
@@ -490,8 +492,8 @@ def restriction_span_bruteforce(chow: ChowRing, steinberg, model,
             return
         # parts ordered by element index, elements repeatable across parts
         for w in range(start, size):
-            iw = model.index_of(steinberg.brauer_class(w))
-            rho = steinberg.rho(w)
+            iw = model.index_of(classes[w])
+            rho = rhos[w]
             for a in range(1, left + 1):
                 c = math.comb(iw, a) % p
                 if c:
@@ -505,19 +507,18 @@ def restriction_image_unfiltered(engine, top: int):
     """Image pieces and ideals in degrees 1..top, fed as the engine fed
     them before generators were filtered in Sym^j: every deduplicated
     Steinberg key, in element order, and no early exit on a full subspace.
+    rho_w and its class come from ``steinberg_by_descent_sets``.
 
     Returns ({m: (image subspace, pivots)}, {m: ideal subspace}).
     """
-    chow, steinberg, model, p = (
-        engine.chow, engine.steinberg, engine.model, engine.p)
+    chow, model, p = engine.chow, engine.model, engine.p
     seen = {}
-    for k in range(len(steinberg)):
-        i_w = model.index_of(steinberg.brauer_class(k))
+    for rho, cls in zip(*steinberg_by_descent_sets(chow.group)):
+        i_w = model.index_of(cls)
         binoms = tuple(math.comb(i_w, j) % p
                        for j in range(1, engine.max_degree + 1))
         if any(binoms):
-            seen.setdefault(
-                (tuple(x % p for x in steinberg.rho(k)), binoms), None)
+            seen.setdefault((tuple(x % p for x in rho), binoms), None)
     keys = list(seen)
 
     images = {}

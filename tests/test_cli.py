@@ -141,6 +141,45 @@ def test_steinberg_reports_a_weight_collision(capsys, monkeypatch, collide):
     assert payload["distinct"] is not collide
 
 
+def test_json_entries_are_drawn_as_they_are_written(monkeypatch):
+    elements, drawn = cli._steinberg_elements, []
+
+    def counted(table):
+        for item in elements(table):
+            drawn.append(item)
+            yield item
+
+    class Sink(io.StringIO):
+        # how many entries were drawn when the first one reached the output
+        at_first = None
+
+        def write(self, text):
+            if self.at_first is None and '"index"' in text:
+                self.at_first = len(drawn)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_steinberg_elements", counted)
+    sink = Sink()
+    with contextlib.redirect_stdout(sink):
+        code = main(["steinberg", "--type", "A2", "--format", "json",
+                     "--no-banner"])
+    assert code == 0 and len(json.loads(sink.getvalue())["entries"]) == 6
+    assert sink.at_first == 1 and len(drawn) == 6
+
+
+def test_the_frozen_catalogue_replays_in_process():
+    # every command the benchmark issues keeps its exit code and stdout
+    catalogue = json.loads((ROOT / "perfbench" / "catalogue.json").read_text())
+    got = {}
+    for key in catalogue["commands"]:
+        sink = HashSink()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(key.split())
+        got[key] = {"rc": code, "sha256": sink.digest.hexdigest()}
+    assert got == catalogue["commands"]
+
+
 def test_weyl_count_tsv_golden(capsys):
     code, out, _ = run_cli(
         capsys, "weyl", "--type", "A2", "--count-by-length",

@@ -34,50 +34,56 @@ from oracles import (
 # -- Steinberg table -----------------------------------------------------------
 
 
+def _elements(table):
+    """(word, rho_w, class) of every element of the table's stream."""
+    unpack = table.group.packer.unpack
+    return [(word, unpack(rho), cls)
+            for word, rho, cls in _steinberg_elements(table)]
+
+
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "C4", "D4", "G2"])
 def test_identity_and_simple_reflection_values(name):
     rs = root_system(name)
     table = SteinbergTable(weyl_group(rs))
-    assert table.rho(0) == (0,) * rs.rank
-    for i in range(1, rs.rank + 1):
-        k = table.group.index_of_word((i,))
+    unpack = table.group.packer.unpack
+    first, second = itertools.islice(table.lengths(), 2)
+    assert first[:2] == ((), ())
+    assert [unpack(rho) for rho in first[2]] == [(0,) * rs.rank]
+    parents, letters, rhos, _ = second
+    assert list(parents) == [0] * rs.rank
+    assert list(letters) == list(range(1, rs.rank + 1))
+    for i, rho in zip(letters, rhos):
         omega = rs.fundamental_weight(i)
         alpha = rs.simple_root(i)
-        expected = tuple(w - a for w, a in zip(omega, alpha))
-        assert table.rho(k) == expected
+        assert unpack(rho) == tuple(w - a for w, a in zip(omega, alpha))
 
 
 def test_a2_table_frozen():
     table = SteinbergTable(weyl_group(root_system("A2")))
-    g = table.group
     # class labels follow the library's Z/3 chart: omega_1 -> 2, omega_2 -> 1
-    expected = {
-        (): ((0, 0), (0,)),
-        (1,): ((-1, 1), (2,)),
-        (2,): ((1, -1), (1,)),
-        (1, 2): ((-1, 0), (1,)),
-        (2, 1): ((0, -1), (2,)),
-        (1, 2, 1): ((-1, -1), (0,)),
-    }
-    for word, (rho, cls) in expected.items():
-        k = g.index_of_word(word)
-        assert table.rho(k) == rho
-        assert table.brauer_class(k) == cls
+    assert _elements(table) == [
+        ((), (0, 0), (0,)),
+        ((1,), (-1, 1), (2,)),
+        ((2,), (1, -1), (1,)),
+        ((1, 2), (-1, 0), (1,)),
+        ((2, 1), (0, -1), (2,)),
+        ((1, 2, 1), (-1, -1), (0,)),
+    ]
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_rhos_pairwise_distinct(name):
     table = SteinbergTable(weyl_group(root_system(name)))
-    rhos = [table.rho(k) for k in range(len(table))]
-    assert len(set(rhos)) == len(rhos)
+    rhos = [rho for _, rho, _ in _elements(table)]
+    assert len(set(rhos)) == len(rhos) == table.group.order
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "D4"])
 def test_brauer_class_is_the_class_of_rho(name):
     table = SteinbergTable(weyl_group(root_system(name)))
     fg = table.fg
-    for k in range(len(table)):
-        assert table.brauer_class(k) == fg.class_of(table.rho(k))
+    for _, rho, cls in _elements(table):
+        assert cls == fg.class_of(rho)
 
 
 @pytest.mark.parametrize(
@@ -88,61 +94,52 @@ def test_steinberg_table_matches_the_descent_set_oracle(name):
     words = (weyl_group(rs).words if name == "E6"
              else weyl_by_matrices(rs)[0])
     group = WeylGroup(rs)  # uncached, so what it enumerated was read here
-    table = SteinbergTable(group)
-    assert table.rhos == rhos
-    assert table.classes == classes
     # the listing's stream, from a window of its own
-    unpack = group.packer.unpack
-    assert [(word, unpack(rho), cls) for word, rho, cls
-            in _steinberg_elements(table)] == list(zip(words, rhos, classes))
+    assert _elements(SteinbergTable(group)) == list(
+        zip(words, rhos, classes))
     # the window steps from keys it carries and grows no part of the group
     assert len(group._keys) == 1
 
 
+def test_the_stream_steps_without_state():
+    table = SteinbergTable(weyl_group(root_system("B3")))
+    first = table.step(None)
+    second = table.step(first[0])
+    assert table.step(None) == first
+    assert table.step(first[0]) == second
+    assert set(vars(table)) == {"group", "rs", "fg", "_by_signs", "_update"}
+
+
 def test_tits_index_lookup():
     rs = root_system("A2")
-    table = SteinbergTable(weyl_group(rs))
-    model = BrauerModel.uniform(rs.fundamental_group(), 3, 3)
-    g = table.group
-    assert table.tits_index(0, model) == 1
-    assert table.tits_index(g.index_of_word((1,)), model) == 3
-    assert table.tits_index(g.index_of_word((1, 2, 1)), model) == 1
+    fg = rs.fundamental_group()
+    model = BrauerModel.uniform(fg, 3, 3)
+    rhos, classes = steinberg_by_descent_sets(weyl_group(rs))
+    assert [model.tits_index(fg, rho) for rho in rhos] == [1, 3, 3, 3, 3, 1]
+    assert [model.index_of(cls) for cls in classes] == [1, 3, 3, 3, 3, 1]
 
 
 def test_an_interrupted_walk_resumes_in_full(monkeypatch):
-    group = weyl_group(root_system("B3"))
-    table = SteinbergTable(group)
     engine = engine_for("B3", "adjoint", 2, 1, cap=2)
     class_of, calls = CharacterLattice.class_of, []
 
     def interrupted(self, lam):
-        # each walk stops at its third class: partway through length 1
+        # the walk stops at its third class: partway through length 1
         calls.append(lam)
-        if len(calls) % 3 == 0:
+        if len(calls) == 3:
             raise KeyboardInterrupt
         return class_of(self, lam)
 
     monkeypatch.setattr(CharacterLattice, "class_of", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        table.rho(40)
-    with pytest.raises(KeyboardInterrupt):
         engine.image(1)
     monkeypatch.undo()
+    assert len(calls) == 3
     # only whole lengths are kept: here length 0, the identity
-    assert len(table._rhos) == len(engine.steinberg._rhos) == 1
-    fresh = SteinbergTable(group)
-    assert table.rho(40) == fresh.rho(40)
-    assert table.rhos == fresh.rhos
-    assert table.classes == fresh.classes
+    assert engine._scanned == 1
+    assert len(engine._window[0]) == 1
     assert _pieces(engine, 2) == _pieces(
         engine_for("B3", "adjoint", 2, 1, cap=2), 2)
-
-
-def test_an_out_of_range_read_walks_nothing():
-    table = SteinbergTable(weyl_group(root_system("E6")))
-    with pytest.raises(IndexError):
-        table.rho(51840)
-    assert len(table._rhos) == 0
 
 
 def test_table_requires_full_enumeration():
@@ -190,7 +187,7 @@ def test_image_matches_bruteforce_span(name, p, ind_exp):
     engine = engine_for(name, "adjoint", p, p**ind_exp, cap=3)
     for m in range(1, min(p, 3) + 1):
         expected = restriction_span_bruteforce(
-            engine.chow, engine.steinberg, engine.model, m)
+            engine.chow, engine.model, m)
         assert engine.image_subspace(m) == expected
 
 
@@ -205,7 +202,7 @@ def test_image_matches_bruteforce_on_nonuniform_model():
     lat = CharacterLattice(rs, "adjoint")
     engine = RestrictionImage(chow, table, model, lat)
     for m in (1, 2):
-        expected = restriction_span_bruteforce(chow, table, model, m)
+        expected = restriction_span_bruteforce(chow, model, m)
         assert engine.image_subspace(m) == expected
 
 
@@ -284,8 +281,10 @@ def _assert_sound_ceilings(engine, parts):
 
 def _full_walk_parts(table, p) -> set:
     # (rho_w mod p, class of rho_w) for every w: a part depends on no more
-    return {(tuple(x % p for x in rho), table.fg.class_of(rho))
-            for rho in table.rhos}
+    unpack = table.group.packer.unpack
+    return {(tuple(x % p for x in unpack(rho)), cls)
+            for _, _, rhos, classes in table.lengths()
+            for rho, cls in zip(rhos, classes)}
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4",
@@ -315,7 +314,8 @@ def test_each_sym_pass_stops_at_a_sound_ceiling_on_e6():
 
 
 def _walked(engine) -> int:
-    return len(engine.steinberg._rhos)
+    # the elements of the lengths the engine's walk has committed
+    return engine.chow.group.range_of_length(engine._scanned - 1).stop
 
 
 def _fresh_e6_engine(p, index, degree) -> RestrictionImage:
@@ -391,24 +391,11 @@ def test_engines_sharing_a_partly_walked_table(first):
         model = BrauerModel.uniform(fg, index, 3)
         return RestrictionImage(chow, table, model, lattice)
 
+    # each engine walks the stream from a window of its own
     shared = SteinbergTable(group)
     for index in (first, 10 - first):
         assert (_pieces(engine(shared, index), 3)
                 == _pieces(engine(SteinbergTable(group), index), 3))
-
-    part, full = SteinbergTable(group), shared
-    engine(part, 1).image(1)
-    walked = len(part._rhos)
-    assert walked < len(part) == len(full) == 51840
-    assert len(part._rhos) == walked  # len() walks nothing
-    model = BrauerModel.uniform(fg, 9, 3)
-    for k in (0, walked - 1, walked, 5000):
-        assert part.rho(k) == full.rho(k)
-        assert part.brauer_class(k) == full.brauer_class(k)
-        assert part.tits_index(k, model) == full.tits_index(k, model)
-    assert walked < len(part._rhos) < 51840
-    assert part.rhos == full.rhos
-    assert part.classes == full.classes
 
 
 def test_e6_at_p5_fills_every_degree_through_five():

@@ -324,7 +324,6 @@ def _cmd_rootinfo(cfg: ScenarioConfig) -> Report:
 def _cmd_weyl(cfg: ScenarioConfig) -> Report:
     rs = root_system(cfg.dynkin)
     group = weyl_group(rs, max_length=cfg.max_length)
-    counts = sorted(group.count_by_length().items())
     payload = {
         "type": rs.name,
         "complete": group.is_full,
@@ -342,6 +341,8 @@ def _cmd_weyl(cfg: ScenarioConfig) -> Report:
         payload["order"] = len(group)
         lines.append(f"order {len(group)}  (degree product {rs.weyl_order})")
     if cfg.count_by_length:
+        counts = [(m, len(group.range_of_length(m)))  # none enumerated
+                  for m in range(group.longest_length + 1)]
         payload["count_by_length"] = counts
         rows = [("length", "count"), *counts]
         lines.append("length  count")
@@ -393,19 +394,23 @@ def _cmd_chow(cfg: ScenarioConfig) -> Report:
 
 
 def _steinberg_elements(table: SteinbergTable):
-    """(word, packed rho_w, class) of every element in order, carrying the
-    words of one length only."""
-    words = [()]
-    for parents, letters, rhos, classes in table.lengths():
-        if parents:
-            words = [words[j] + (i,) for j, i in zip(parents, letters)]
+    """(word, packed rho_w, class) of every element in order.  A word is
+    its letters joined by commas, "" for the identity, built as its
+    parent's word, "," and its letter; one length's words are kept."""
+    after = [f",{i}" for i in range(table.rs.rank + 1)]
+    words = [""]
+    for m, (parents, letters, rhos, classes) in enumerate(table.lengths()):
+        if m == 1:
+            words = [str(i) for i in letters]
+        elif m:
+            words = [words[j] + after[i] for j, i in zip(parents, letters)]
         yield from zip(words, rhos, classes)
 
 
 def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
     group = weyl_group(root_system(cfg.dynkin))
     table = SteinbergTable(group)
-    name, order = group.rs.name, group.order
+    name, order, n = group.rs.name, group.order, group.rs.rank
     unpack, label = group.packer.unpack, functools.cache(
         table.fg.quotient.label)
     report = Report({}, (), ())
@@ -420,28 +425,33 @@ def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
         report.failed = len(seen) < order
 
     if cfg.fmt == "tsv":
+        rho_text = " ".join(["%d"] * n)
         report.rows = itertools.chain(
             [("word", "rho", "class")],
-            ((word, " ".join(map(str, rho)), cls)
+            ((word or "-", rho_text % rho, cls)
              for word, rho, cls in elements()))
         return report
     # json and pretty state the verdict before any element: a first pass
     # over the weights alone
     distinct = len({rho for _, _, rhos, _ in table.lengths()
                     for rho in rhos}) == order
+    # one digit per letter (rank <= 8): the digits' values, commas dropped
+    digits = bytes.maketrans(b"123456789", bytes(range(1, 10)))
     report.payload = {
         "type": name,
         "order": order,
         "distinct": distinct,
         "entries": (
-            {"index": k, "word": word, "rho": rho, "class": cls}
+            {"index": k, "word": list(word.encode().translate(digits, b",")),
+             "rho": rho, "class": cls}
             for k, (word, rho, cls) in enumerate(elements())
         ),
     }
+    rho_text = ", ".join(["%d"] * n)
     report.lines = itertools.chain(
         [f"type {name}: {order} elements, "
          + ("all weights distinct" if distinct else "WEIGHT COLLISION")],
-        (f"  {_sigma(word)}  rho=({', '.join(map(str, rho))})  class {cls}"
+        (f"  sigma[{word}]  rho=({rho_text % rho})  class {cls}"
          for word, rho, cls in elements()),
     )
     return report
@@ -715,8 +725,12 @@ def _render(report: Report, fmt: str, out) -> None:
                   default=_JsonArray)
         out.write("\n")
     elif fmt == "tsv":
-        out.writelines("\t".join(map(_cell, row)) + "\n"
-                       for row in report.rows)
+        for row in report.rows:
+            try:  # text cells need no _cell
+                line = "\t".join(row)
+            except TypeError:
+                line = "\t".join(map(_cell, row))
+            out.write(line + "\n")
     else:
         out.writelines(line + "\n" for line in report.lines)
 

@@ -210,11 +210,6 @@ class WeylGroup:
         """w_k^-1(rho) in fundamental-weight coordinates."""
         return self.packer.unpack(self._keys[self._grown_to(k)])
 
-    def count_by_length(self) -> dict[int, int]:
-        self.grow(self.longest_length)
-        off = self._offsets
-        return {m: off[m + 1] - off[m] for m in range(len(off) - 1)}
-
     def range_of_length(self, m: int) -> range:
         """Positions of the elements of length m, read off the number of
         elements of each length; enumerates nothing."""

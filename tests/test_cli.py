@@ -56,6 +56,14 @@ def test_steinberg_tsv_golden(capsys):
 
 # sha256 of stdout and the exit code of listings larger than the goldens
 STEINBERG_DIGESTS = {
+    ("A6", "tsv"): (
+        0, "7fd0734ed3c7e09e837e3d03eadb55fcf1a840632dda87250dabe1d60c36bd33"),
+    ("B6", "tsv"): (
+        0, "6b941ba45995765b7a51e4c2759064d3628403d7d2e7c20de5337086a74221b0"),
+    ("C6", "tsv"): (
+        0, "9d081bf6ee21512d15ac797586034787f76204764dbd16a8112e332bcc0b077e"),
+    ("D6", "tsv"): (
+        0, "2faf178a756dc0903269315223dd048dd292088b45dfb357dc9d78af0985a752"),
     ("D5", "json"): (
         0, "27a8df5722969d5956e0bd02f0f3f446a6a4d534a4e80b40437858fd39a3909f"),
     ("D5", "tsv"): (
@@ -110,6 +118,18 @@ def test_the_e6_listing_streams_in_bounded_memory(monkeypatch):
     # a stored table of all 51,840 elements peaks at about 25 MiB
     assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert len(cli.weyl_group(root_system("E6"))._keys) == 1
+
+
+def test_weyl_counts_by_length_enumerate_nothing(capsys, monkeypatch):
+    # a cache of its own, so the group the command builds is fresh
+    monkeypatch.setattr(cli, "weyl_group", functools.cache(WeylGroup))
+    code, out, _ = run_cli(capsys, "weyl", "--type", "E6", "--format", "tsv",
+                           "--count-by-length", "--no-banner")
+    rows = [row.split("\t") for row in out.splitlines()]
+    assert code == 0 and rows[0] == ["length", "count"] and len(rows) == 38
+    assert sum(int(c) for _, c in rows[1:]) == 51840
+    group = cli.weyl_group(root_system("E6"), max_length=None)
+    assert len(group._keys) == 1
 
 
 @pytest.mark.parametrize("collide", [False, True])

@@ -35,9 +35,11 @@ from oracles import (
 
 
 def _elements(table):
-    """(word, rho_w, class) of every element of the table's stream."""
+    """(word, rho_w, class) of every element of the table's stream, each
+    word string turned back into its tuple of letters."""
     unpack = table.group.packer.unpack
-    return [(word, unpack(rho), cls)
+    return [(tuple(map(int, word.split(","))) if word else (), unpack(rho),
+             cls)
             for word, rho, cls in _steinberg_elements(table)]
 
 

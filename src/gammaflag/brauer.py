@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .rootdata import CharacterLattice, FiniteAbelianGroup, Weight
+from .rootdata import CharacterLattice, Weight
 
 __all__ = ["BrauerModel", "CommonIndexReport", "common_index", "is_prime", "vp"]
 
@@ -39,13 +39,11 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
-@dataclass(frozen=True)
-class BrauerModel:
-    """Index assignment on a finite abelian group, at a chosen prime."""
+class BrauerModel(namedtuple("BrauerModel", "group ind p")):
+    """Index assignment on a finite abelian group, at a chosen prime:
+    ``ind`` maps each element of ``group`` to its index."""
 
-    group: FiniteAbelianGroup
-    ind: dict[tuple[int, ...], int]
-    p: int
+    __slots__ = ()
 
     def validate(self) -> list[str]:
         """All axiom violations (empty list = valid)."""
@@ -129,15 +127,16 @@ class BrauerModel:
         return cls(group=g, ind=ind, p=p)
 
 
-@dataclass(frozen=True)
-class CommonIndexReport:
-    """gcd of indices over combinations of the degree-1 generator classes."""
+class CommonIndexReport(namedtuple(
+        "CommonIndexReport", "defined value valuation generators witness")):
+    """gcd of indices over combinations of the degree-1 generator classes.
 
-    defined: bool
-    value: int | None
-    valuation: int | None
-    generators: tuple[int, ...]          # 1-based fundamental-weight indices
-    witness: tuple[int, ...] | None      # exponent tuple of least p-valuation
+    ``generators`` are 1-based fundamental-weight indices and ``witness``
+    the exponent tuple of least p-valuation; ``value``, ``valuation`` and
+    ``witness`` are None when the report is not ``defined``.
+    """
+
+    __slots__ = ()
 
     @property
     def vacuous(self) -> bool:

@@ -15,18 +15,10 @@ import functools
 import itertools
 import json
 import sys
-from collections.abc import Iterable
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from collections import namedtuple
 
 from . import __version__
 from .brauer import BrauerModel, is_prime
-from .formal_bundles import (
-    binomial_gamma_expansion,
-    check_gamma1_product_chern,
-    check_gamma_chern_scaling,
-)
-from .jinv import ideal_equality_report, j1_constraints, kac_presentation
 from .kgamma import RestrictionImage, SteinbergTable
 from .rootdata import CharacterLattice, RootSystem, root_system
 from .schubert import ChowRing
@@ -65,43 +57,39 @@ class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One fully validated invocation."""
-
-    command: str
-    dynkin: str = "E6"
-    lattice: str | tuple[tuple[int, ...], ...] = "adjoint"
-    prime: int = 3
-    index_map: dict[str, int] | None = None  # per-class Brauer indices
-    uniform_index: int | None = None         # shorthand: one value everywhere
-    degree: int | None = None
-    max_degree: int | None = None
-    kac: dict | None = None                  # {"degrees": [...], "exponents": [...]}
-    fmt: str = "pretty"
-    no_banner: bool = False
-    count_by_length: bool = False
-    max_length: int | None = None
-    show_basis: bool = False
-    show_products: bool = False
-    oracle_kind: str | None = None
-    max_i: int | None = None
-    max_n: int | None = None
-    max_bundles: int | None = None
-    max_mult: int | None = None
+# One fully validated invocation: the command, then every field below
+# with its default.
+_DEFAULTS = {
+    "dynkin": "E6",
+    "lattice": "adjoint",   # a keyword or a tuple of weight tuples
+    "prime": 3,
+    "index_map": None,      # per-class Brauer indices
+    "uniform_index": None,  # shorthand: one value everywhere
+    "degree": None, "max_degree": None,
+    "kac": None,            # {"degrees": [...], "exponents": [...]}
+    "fmt": "pretty", "no_banner": False,
+    "count_by_length": False, "max_length": None,
+    "show_basis": False, "show_products": False,
+    "oracle_kind": None, "max_i": None, "max_n": None, "max_bundles": None,
+    "max_mult": None,
+}
+ScenarioConfig = namedtuple("ScenarioConfig", ["command", *_DEFAULTS],
+                            defaults=_DEFAULTS.values())
 
 
-@dataclass
 class Report:
     """One command's output in every format; _render reads one of them
     once, so any field may be a generator (in the payload, one that
     stands for a JSON array).  ``failed`` is read after rendering, so a
     generator may set it once it has run out."""
 
-    payload: dict
-    rows: Iterable[tuple]   # raw values; _cell formats each one
-    lines: Iterable[str]
-    failed: bool = False
+    __slots__ = ("payload", "rows", "lines", "failed")
+
+    def __init__(self, payload: dict, rows, lines, failed: bool = False):
+        self.payload = payload
+        self.rows = rows    # tuples of raw values; _cell formats each one
+        self.lines = lines  # strings
+        self.failed = failed
 
 
 # -- config ingestion --------------------------------------------------------
@@ -120,14 +108,15 @@ def _check_int(name: str, value, bounds: str | None = None) -> int:
 
 def _read_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as fh:
+            text = fh.read()
     except OSError as e:
         raise UsageError(f"config {path}: {e.strerror or e}")
     try:
-        data = json.loads(text)
+        data = json.loads(text)  # decodes the bytes itself
     except json.JSONDecodeError as e:
         raise UsageError(f"config {path}: line {e.lineno}: {e.msg}")
-    except ValueError as e:  # an integer literal past the digit limit
+    except ValueError as e:  # not UTF-8, or an integer past the digit limit
         raise UsageError(f"config {path}: {e}")
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: top level must be a JSON object")
@@ -491,6 +480,8 @@ def _cmd_restriction_image(cfg: ScenarioConfig) -> Report:
 
 
 def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
+    from .jinv import j1_constraints, kac_presentation
+
     rs = root_system(cfg.dynkin)
     lattice = CharacterLattice(rs, cfg.lattice)
     model = _model(cfg, rs)
@@ -520,9 +511,9 @@ def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
         "type": rs.name,
         "lattice": lattice.kind,
         "prime": cfg.prime,
-        "presentation": asdict(pres),
-        "common_index": asdict(report),
-        "degree_one": [asdict(c) for c in constraints],
+        "presentation": pres._asdict(),
+        "common_index": report._asdict(),
+        "degree_one": [c._asdict() for c in constraints],
         "higher": higher,
         "crosscheck": crosscheck,
     }
@@ -563,6 +554,8 @@ def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
 
 
 def _cmd_verify_theorem(cfg: ScenarioConfig) -> Report:
+    from .jinv import ideal_equality_report
+
     cap = cfg.max_degree if cfg.max_degree is not None else cfg.prime
     engine = _engine(cfg, degree_cap=min(cap, cfg.prime))
     report = ideal_equality_report(engine, max_degree=cap)
@@ -571,8 +564,8 @@ def _cmd_verify_theorem(cfg: ScenarioConfig) -> Report:
         "type": name,
         "lattice": kind,
         "prime": report.prime,
-        "common_index": asdict(report.common),
-        "degrees": [asdict(d) for d in report.degrees],
+        "common_index": report.common._asdict(),
+        "degrees": [d._asdict() for d in report.degrees],
         "vacuous": report.vacuous,
         "verified": report.verified,
         "failures": report.failures(),
@@ -621,6 +614,12 @@ def _gammatoc_cases(max_bundles: int, max_mult: int, max_i: int):
 
 
 def _cmd_oracle(cfg: ScenarioConfig) -> Report:
+    from .formal_bundles import (
+        binomial_gamma_expansion,
+        check_gamma1_product_chern,
+        check_gamma_chern_scaling,
+    )
+
     kind = cfg.oracle_kind
     cases = []
     rows = [("case", "ok")]

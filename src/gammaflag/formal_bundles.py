@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "FormalBundle",
@@ -260,11 +260,7 @@ def chern_component(x: FormalBundle, i: int) -> dict[tuple[int, ...], int]:
 # -- identity checks -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    label: str
-    ok: bool
-    detail: str
+CheckOutcome = namedtuple("CheckOutcome", "label ok detail")
 
 
 def check_gamma1_product_chern(i: int, n: int | None = None) -> CheckOutcome:

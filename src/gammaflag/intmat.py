@@ -7,8 +7,7 @@ lattice quotients computed downstream are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -159,25 +158,27 @@ def snf(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def unimodular_inverse(a: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of an integer matrix with det = +-1 (exact)."""
+    """Inverse of an integer matrix with det = +-1 (exact).
+
+    Fraction-free (Bareiss) Gauss-Jordan on [a | I]: every division is
+    exact, and the elimination ends in [d*I | d*a^-1] with d = +-det(a).
+    """
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    m = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(a)]
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             raise ValueError("matrix is singular")
         m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
+        rk = m[k]
+        p = rk[k]
         for i in range(n):
-            if i != k and m[i][k] != 0:
+            if i != k:
                 f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    out = []
-    for row in m:
-        vals = row[n:]
-        if any(x.denominator != 1 for x in vals):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in vals))
-    return tuple(out)
+                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], rk)]
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(prev * x for x in row[n:]) for row in m)

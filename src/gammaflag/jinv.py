@@ -14,7 +14,7 @@ adjoint lattice, p = 3); anything else must be supplied as user data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .brauer import BrauerModel, CommonIndexReport, common_index, vp
 from .kgamma import RestrictionImage
@@ -35,20 +35,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KacPresentation:
+class KacPresentation(namedtuple("KacPresentation", "degrees exponents")):
     """Generator degrees d_i and exponent bounds k_i (x_i^{p^{k_i}} = 0)."""
 
-    degrees: tuple[int, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.degrees) != len(self.exponents):
+    def __new__(cls, degrees: tuple[int, ...], exponents: tuple[int, ...]):
+        if len(degrees) != len(exponents):
             raise ValueError("degrees and exponents must have equal length")
-        if any(d < 1 for d in self.degrees) or any(k < 1 for k in self.exponents):
+        if any(d < 1 for d in degrees) or any(k < 1 for k in exponents):
             raise ValueError("degrees and exponents must be positive")
-        if list(self.degrees) != sorted(self.degrees):
+        if list(degrees) != sorted(degrees):
             raise ValueError("degrees must be non-decreasing")
+        return super().__new__(cls, degrees, exponents)
 
     @property
     def rank(self) -> int:
@@ -152,15 +151,12 @@ def deglex_less(pres: KacPresentation, m, n) -> bool:
 # -- constraints on the degree-1 exponents -----------------------------------
 
 
-@dataclass(frozen=True)
-class JConstraint:
-    position: int              # 1-based slot among the degree-1 generators
-    omega_index: int           # fundamental weight providing the class
-    k: int                     # exponent bound from the presentation
-    upper_sharp: int           # min(k, v_p(ind of that weight's class))
-    upper_coarse: int          # min(k, max v_p over all elements)
-    admissible: tuple[int, ...]
-    notes: tuple[str, ...]
+# position: 1-based slot among the degree-1 generators; omega_index: the
+# fundamental weight providing the class; k: the exponent bound from the
+# presentation; upper_sharp = min(k, v_p(ind of that weight's class));
+# upper_coarse = min(k, max v_p over all elements)
+JConstraint = namedtuple("JConstraint", "position omega_index k upper_sharp "
+                         "upper_coarse admissible notes")
 
 
 def j1_constraints(model: BrauerModel, lattice: CharacterLattice,
@@ -231,20 +227,15 @@ def j1_constraints(model: BrauerModel, lattice: CharacterLattice,
 # -- index hypothesis: equality of the split and twisted ideals --------------
 
 
-@dataclass(frozen=True)
-class TheoremDegree:
-    m: int
-    applicable: bool
-    dim_char: int | None
-    dim_twisted: int | None
-    equal: bool | None
+# the dimensions and ``equal`` are None where the degree is not applicable
+TheoremDegree = namedtuple("TheoremDegree",
+                           "m applicable dim_char dim_twisted equal")
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    prime: int
-    common: CommonIndexReport
-    degrees: tuple[TheoremDegree, ...]
+class TheoremReport(namedtuple("TheoremReport", "prime common degrees")):
+    """The CommonIndexReport and one TheoremDegree per compared degree."""
+
+    __slots__ = ()
 
     @property
     def vacuous(self) -> bool:

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .brauer import BrauerModel, is_prime
 from .rootdata import CharacterLattice, Weight
@@ -142,14 +142,12 @@ class SteinbergTable:
             yield tuple(length)
 
 
-@dataclass(frozen=True)
-class ImagePiece:
-    """One computed degree: the subspace plus the raw generators whose
-    insertion grew it (each raw generator is scalar * product of c_1's)."""
+class ImagePiece(namedtuple("ImagePiece", "degree subspace pivots")):
+    """One computed degree: the SubspaceBasis plus the raw generators
+    whose insertion grew it, as (scalar, weights) pairs (each raw
+    generator is scalar * product of c_1's)."""
 
-    degree: int
-    subspace: SubspaceBasis
-    pivots: tuple[tuple[int, tuple[Weight, ...]], ...]
+    __slots__ = ()
 
 
 class RestrictionImage:

@@ -19,7 +19,7 @@ of Dynkin diagrams (Bourbaki numbering).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, lru_cache
 
 from . import intmat
@@ -101,13 +101,13 @@ def _cartan_matrix(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
-    """One positive root with its coroot, all in integer coordinates."""
+class PositiveRoot(namedtuple(
+        "PositiveRoot", "alpha_coords omega_coords coroot_coords")):
+    """One positive root with its coroot, all in integer coordinates:
+    coefficients on the simple roots, fundamental-weight coordinates and
+    coefficients on the simple coroots."""
 
-    alpha_coords: tuple[int, ...]   # coefficients on the simple roots
-    omega_coords: Weight            # fundamental-weight coordinates
-    coroot_coords: tuple[int, ...]  # coefficients on the simple coroots
+    __slots__ = ()
 
     @property
     def height(self) -> int:
@@ -248,19 +248,32 @@ class RootSystem:
         return CharacterLattice(self, "adjoint")
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Finite abelian group as a product of cyclic factors d_1 | d_2 | ...
 
     Elements are tuples of residues, one per factor; the trivial group has
     the single element ().  Labels render elements for CLI/config use.
+    Immutable; two groups are equal when their factors are.
     """
 
-    factors: tuple[int, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if any(d < 2 for d in self.factors):
+    def __init__(self, factors: tuple[int, ...]):
+        if any(d < 2 for d in factors):
             raise ValueError("factors must all be >= 2")
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, *_):
+        raise AttributeError("FiniteAbelianGroup is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FiniteAbelianGroup and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"FiniteAbelianGroup(factors={self.factors!r})"
 
     @property
     def order(self) -> int:

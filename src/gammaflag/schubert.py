@@ -16,7 +16,7 @@ p argument) or at the subspace level, never through floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .rootdata import CharacterLattice, RootSystem, Weight
 from .weyl import WeylGroup
@@ -24,13 +24,15 @@ from .weyl import WeylGroup
 __all__ = ["SchubertClass", "ChowRing", "SubspaceBasis"]
 
 
-@dataclass(frozen=True)
-class SchubertClass:
+class SchubertClass(namedtuple("SchubertClass", "degree terms")):
     """Homogeneous class of the given degree; terms map element index ->
-    integer coefficient (nonzero)."""
+    integer coefficient (nonzero).  Without terms the class is zero, with
+    a dict of its own."""
 
-    degree: int
-    terms: dict[int, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, degree: int, terms: dict[int, int] | None = None):
+        return super().__new__(cls, degree, {} if terms is None else terms)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -396,12 +396,16 @@ def test_unknown_config_key(tmp_path, capsys):
         needle="unknown key 'primes'")
 
 
-def test_broken_config_reports_the_line(tmp_path, capsys):
+@pytest.mark.parametrize("content,needle", [
+    (b'{"type": "A2",\n', "line 2"),
+    (b'{"type": "\xff\xfe"}', "'utf-8' codec can't decode byte 0xff"),
+], ids=["truncated", "not-utf-8"])
+def test_broken_config_reports_the_line(tmp_path, capsys, content, needle):
     cfg = tmp_path / "broken.json"
-    cfg.write_text('{"type": "A2",\n')
+    cfg.write_bytes(content)
     expect_usage_error(
         capsys, "weyl", "--config", str(cfg), "--no-banner",
-        needle="line 2")
+        needle=f"config {cfg}: {needle}")
 
 
 def test_partial_brauer_map_names_missing_elements(tmp_path, capsys):

@@ -155,9 +155,10 @@ def test_group_label_round_trip(factors, data):
     assert g.parse_label(g.label(e)) == e
 
 
-def test_group_rejects_trivial_factors():
+@pytest.mark.parametrize("factors", [(1, 3), (1,)])
+def test_group_rejects_trivial_factors(factors):
     with pytest.raises(ValueError):
-        FiniteAbelianGroup((1, 3))
+        FiniteAbelianGroup(factors)
 
 
 def test_subgroup_generated():

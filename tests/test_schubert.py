@@ -46,6 +46,13 @@ def test_degree_zero_and_one():
     assert ring.vector(h2) == (0, 1)
 
 
+def test_zero_classes_do_not_share_terms():
+    a, b = SchubertClass(2), SchubertClass(2)
+    assert a.is_zero() and a == b
+    a.terms[0] = 1
+    assert b.terms == {}
+
+
 def test_divisor_class_of_weight():
     ring = chow("A2")
     cls = ring.divisor_class((2, -1))

@@ -354,14 +354,14 @@ def _cmd_chow(cfg: ScenarioConfig) -> Report:
     lines = [f"type {rs.name}, degrees 0..{chow.degree_cap}"]
     lines.extend(f"dim CH^{m} = {d}" for m, d in dims)
     top = chow.degree_cap
-    words = group.words
+    word = functools.cache(group.word)  # an element is listed up to 3 times
 
     if cfg.show_basis:
         payload["basis"] = [
-            {"index": k, "word": words[k]} for k in chow.basis(top)
+            {"index": k, "word": word(k)} for k in chow.basis(top)
         ]
         lines.append(f"basis of CH^{top}:")
-        lines.extend(f"  {_sigma(words[k])}" for k in chow.basis(top))
+        lines.extend(f"  {_sigma(word(k))}" for k in chow.basis(top))
     if cfg.show_products:
         products = []
         lines.append(f"divisor products into CH^{top}:")
@@ -372,12 +372,12 @@ def _cmd_chow(cfg: ScenarioConfig) -> Report:
                 terms = sorted(res.terms.items())
                 products.append({
                     "h": i,
-                    "word": words[k],
-                    "result": [(c, words[j]) for j, c in terms],
+                    "word": word(k),
+                    "result": [(c, word(j)) for j, c in terms],
                 })
                 rhs = " + ".join(
-                    f"{c}*{_sigma(words[j])}" for j, c in terms) or "0"
-                lines.append(f"  h_{i} * {_sigma(words[k])} = {rhs}")
+                    f"{c}*{_sigma(word(j))}" for j, c in terms) or "0"
+                lines.append(f"  h_{i} * {_sigma(word(k))} = {rhs}")
         payload["products"] = products
     return Report(payload, rows, lines)
 

@@ -308,9 +308,6 @@ class RestrictionImage:
         self._images[m] = piece
         return piece
 
-    def image_subspace(self, m: int) -> SubspaceBasis:
-        return self.image(m).subspace
-
     # -- the ideal the images generate -------------------------------------
 
     def ideal(self, m: int) -> SubspaceBasis:

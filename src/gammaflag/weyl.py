@@ -1,17 +1,15 @@
-"""Weyl group enumeration and element arithmetic.
+"""Weyl group enumeration and the queries the Chow ring and the Steinberg
+basis need.
 
 An element w is keyed by the weight v = w^-1(rho), with rho = (1, ..., 1)
 in fundamental-weight coordinates; rho is regular, so distinct elements
-have distinct keys.  Every query comes from that weight and the reduced
-word the enumeration records:
+have distinct keys.  Every query comes from that weight:
 
 - right multiplication: (w s_i)^-1(rho) = s_i(v) = v - v_i * alpha_i, and
   more generally w s_alpha is keyed by s_alpha(v);
 - descents: v_i = <rho, w(alpha_i^vee)>, never 0, so s_i is a right
   ascent when v_i > 0 and the right descents of w are the negative
-  coordinates of v (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4);
-- the action w(lam) applies the letters of the reduced word to lam,
-  rightmost first.
+  coordinates of v (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4).
 
 Keys are packed into one int each (``Packer``); packing is Z-linear, so
 s_i(v) is one multiply-subtract on that int.  Each coordinate of a key is
@@ -20,12 +18,13 @@ and the constructor checks that this bound fits a packed field.
 
 The breadth-first closure under right multiplication by simple
 reflections follows ascents only and fixes a deterministic order: by
-length, then by lexicographically least reduced word.  ``parent[k]`` is
-the BFS-tree parent, whose word is ``words[k][:-1]``.  One BFS step
-(``step``) takes the keys of one whole length and returns those of the
-next, each with its parent's position and its last letter; it needs no
-other state, so a caller that keeps one length at a time (the Steinberg
-stream in kgamma.py) can walk all of W without the index, words or parents.
+length, then by lexicographically least reduced word.  Each element keeps
+its packed key, its BFS-tree parent and its last letter, so ``word(k)``
+reads its reduced word up the parents.  One BFS step (``step``) takes the
+keys of one whole length and returns those of the next, each with its
+parent's position and its last letter; it needs no other state, so a
+caller that keeps one length at a time (the Steinberg stream in kgamma.py)
+can walk all of W without the index or the parents.
 The group's own closure is grown by the same step on demand, one whole
 length at a time, as far as a query needs: the number of elements of each
 length is known from the degrees, so the size of the group, the length
@@ -41,7 +40,7 @@ import struct
 from array import array
 from functools import lru_cache
 
-from .rootdata import PositiveRoot, RootSystem, Weight
+from .rootdata import RootSystem, Weight
 
 __all__ = ["WeylGroup", "weyl_group", "length_counts", "DEFAULT_SIZE_GUARD"]
 
@@ -80,31 +79,29 @@ class WeylGroup:
 
     The enumeration refuses to start when the number of elements it could
     visit (known beforehand from the degrees of the invariants) exceeds
-    ``size_guard``; the full E7 and E8 trip the default guard.  A
-    truncated group contains every element of length <= max_length and
-    supports everything except operations that need the whole group.
-    ``len``, ``order``, ``longest_length`` and ``is_full`` come from the
-    degrees; a query about an element grows the BFS as far as it needs,
-    and reading ``keys``, ``words`` or ``parent`` as a whole completes it.
-    ``keys[k]`` is the packed w_k^-1(rho); the identity's parent is -1.
+    ``DEFAULT_SIZE_GUARD``; the full E7 and E8 trip it.  A truncated group
+    contains every element of length <= max_length.  ``len``, ``order``,
+    ``longest_length`` and ``is_full`` come from the degrees; a query about
+    an element grows the BFS as far as it needs.  ``_keys[k]`` is the
+    packed w_k^-1(rho); the identity's parent is -1.
     """
 
-    def __init__(self, rs: RootSystem, max_length: int | None = None,
-                 size_guard: int = DEFAULT_SIZE_GUARD):
+    def __init__(self, rs: RootSystem, max_length: int | None = None):
+        guard = DEFAULT_SIZE_GUARD
         if max_length is None:
-            if rs.weyl_order > size_guard:
+            if rs.weyl_order > guard:
                 raise ValueError(
                     f"refusing full enumeration of W({rs.name}): order "
-                    f"{rs.weyl_order} exceeds the size guard {size_guard}; "
+                    f"{rs.weyl_order} exceeds the size guard {guard}; "
                     "pass max_length to enumerate a bounded slice"
                 )
         else:
             size = sum(length_counts(rs.degrees)[:max_length + 1])
-            if size > size_guard:
+            if size > guard:
                 raise ValueError(
                     f"refusing enumeration of W({rs.name}) up to length "
                     f"{max_length}: {size} elements exceed the size guard "
-                    f"{size_guard}"
+                    f"{guard}"
                 )
         # a BFS step v_i * a_ji: the highest coroot height times a_ji
         step = (max(sum(r.coroot_coords) for r in rs.positive_roots)
@@ -129,7 +126,7 @@ class WeylGroup:
         self._keys = [packer.pack((1,) * n)]  # rho
         self._index = {self._keys[0]: 0}
         self._parent = array("i", [-1])
-        self._words: list[tuple[int, ...]] = [()]
+        self._letters = bytearray(1)  # w_k = w_parent s_letter
         self._offsets = [0, 1]  # the enumerated part of _starts
 
     def step(self, keys: list[int]) -> tuple[list[int], array, bytearray]:
@@ -155,16 +152,14 @@ class WeylGroup:
         length is staged and committed only when complete, so an exception
         leaves nothing half-built and the next call resumes."""
         m = min(m, self.longest_length)
-        offsets, keys, words = self._offsets, self._keys, self._words
+        offsets, keys = self._offsets, self._keys
         while len(offsets) - 2 < m:
             start, base = offsets[-2], offsets[-1]
             new, parents, letters = self.step(keys[start:base])
-            new_words = [words[start + j] + (i,)
-                         for j, i in zip(parents, letters)]
             self._index.update(zip(new, range(base, base + len(new))))
             keys += new
             self._parent.extend(start + j for j in parents)
-            words += new_words
+            self._letters += letters
             offsets.append(len(keys))
 
     def _grown_to(self, k: int) -> int:
@@ -182,21 +177,6 @@ class WeylGroup:
     def order(self) -> int:
         return self._starts[-1]
 
-    @property
-    def keys(self) -> list[int]:
-        self.grow(self.longest_length)
-        return self._keys
-
-    @property
-    def words(self) -> list[tuple[int, ...]]:
-        self.grow(self.longest_length)
-        return self._words
-
-    @property
-    def parent(self) -> array:
-        self.grow(self.longest_length)
-        return self._parent
-
     def length(self, k: int) -> int:
         """Length of w_k, read off the number of elements of each length;
         enumerates nothing."""
@@ -210,6 +190,16 @@ class WeylGroup:
         """w_k^-1(rho) in fundamental-weight coordinates."""
         return self.packer.unpack(self._keys[self._grown_to(k)])
 
+    def word(self, k: int) -> tuple[int, ...]:
+        """The reduced word of w_k that the BFS order sorts by: its letters
+        read up the chain of parents."""
+        k = self._grown_to(k)
+        parent, letters, out = self._parent, self._letters, []
+        while k:
+            out.append(letters[k])
+            k = parent[k]
+        return tuple(reversed(out))
+
     def range_of_length(self, m: int) -> range:
         """Positions of the elements of length m, read off the number of
         elements of each length; enumerates nothing."""
@@ -220,12 +210,6 @@ class WeylGroup:
     def elements_of_length(self, m: int) -> range:
         self.grow(m)
         return self.range_of_length(m)
-
-    def index_of_word(self, word) -> int:
-        k = 0
-        for i in word:
-            k = self.right_mul(k, i)
-        return k
 
     def right_mul(self, k: int, i: int) -> int:
         """Index of w_k * s_i."""
@@ -239,49 +223,6 @@ class WeylGroup:
                 f"(max_length={self.max_length})"
             )
         return t
-
-    # -- group structure ---------------------------------------------------
-
-    def act(self, k: int, w: Weight) -> Weight:
-        """w_k(w): the letters of the reduced word, rightmost first."""
-        out = list(w)
-        for i in reversed(self._words[self._grown_to(k)]):
-            c = out[i - 1]
-            for j, row in enumerate(self.rs.cartan):
-                out[j] -= c * row[i - 1]
-        return tuple(out)
-
-    def multiply(self, a: int, b: int) -> int:
-        """Index of w_a * w_b (composition, right factor acts first)."""
-        k = a
-        for i in self._words[self._grown_to(b)]:
-            k = self.right_mul(k, i)
-        return k
-
-    def inverse(self, k: int) -> int:
-        j = 0
-        for i in reversed(self._words[self._grown_to(k)]):
-            j = self.right_mul(j, i)
-        return j
-
-    def descent_set(self, k: int) -> frozenset[int]:
-        """Simple indices i with w(alpha_i) a negative root, equivalently
-        len(w*s_i) < len(w): the negative coordinates of w^-1(rho)."""
-        return frozenset(
-            i for i, x in enumerate(self.inv_rho(k), 1) if x < 0
-        )
-
-    def right_mul_reflection(self, k: int, root: PositiveRoot) -> int | None:
-        """Index of w_k * s_alpha, or None if outside the slice."""
-        c = sum(x * d for x, d in zip(self.inv_rho(k), root.coroot_coords))
-        y = self._keys[k] - c * self._root_keys[root.omega_coords]
-        if y not in self._index and len(self._keys) < len(self):
-            # len(w) counts the positive roots w makes negative: the
-            # coroots alpha^vee with <w^-1(rho), alpha^vee> < 0
-            v = self.packer.unpack(y)
-            self.grow(sum(sum(x * d for x, d in zip(v, r.coroot_coords)) < 0
-                          for r in self.rs.positive_roots))
-        return self._index.get(y)
 
     def covers(self, k: int) -> tuple[tuple[int, int], ...]:
         """Pairs (root index, index of w_k * s_alpha) over the positive
@@ -316,7 +257,7 @@ def length_counts(degrees) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def weyl_group(rs: RootSystem, max_length: int | None = None,
-               size_guard: int = DEFAULT_SIZE_GUARD) -> WeylGroup:
-    """Cached enumeration; reuse across callers is what makes E6 cheap."""
-    return WeylGroup(rs, max_length=max_length, size_guard=size_guard)
+def weyl_group(rs: RootSystem, max_length: int | None = None) -> WeylGroup:
+    """One group per root system and bound, shared by every caller, so
+    what one query enumerates the next need not enumerate again."""
+    return WeylGroup(rs, max_length=max_length)

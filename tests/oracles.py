@@ -385,11 +385,25 @@ def reflection_matrix(root) -> tuple[int, ...]:
         int(r == c) - u[r] * d[c] for r in range(n) for c in range(n))
 
 
+def index_of_word(group: WeylGroup, word) -> int:
+    """Index of the product of the simple reflections of word, left to
+    right, one right multiplication at a time."""
+    k = 0
+    for i in word:
+        k = group.right_mul(k, i)
+    return k
+
+
+def act(group: WeylGroup, k: int, lam) -> tuple[int, ...]:
+    """w_k(lam), through the columns w_k(omega_j) of its reduced word."""
+    return columns_act(word_columns(group.rs, group.word(k), {}), lam)
+
+
 def inversion_count(group: WeylGroup, k: int) -> int:
     """Positive roots sent to negative ones; the definition of length."""
     rs = group.rs
     return sum(
-        rs.root_sign(group.act(k, r.omega_coords)) < 0
+        rs.root_sign(act(group, k, r.omega_coords)) < 0
         for r in rs.positive_roots
     )
 
@@ -434,7 +448,7 @@ def descent_set_by_roots(group: WeylGroup, k: int) -> frozenset[int]:
     """Definitional descent set: i with w(alpha_i) a negative root."""
     rs = group.rs
     alphas = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
-    return _descents(rs, word_columns(rs, group.words[k], {}), alphas)
+    return _descents(rs, word_columns(rs, group.word(k), {}), alphas)
 
 
 @lru_cache(maxsize=None)  # per group object: about 2 s for all of E6
@@ -453,8 +467,8 @@ def steinberg_by_descent_sets(group: WeylGroup):
     alphas = [rs.simple_root(i) for i in range(1, n + 1)]
     memo: dict = {}
     rhos, classes = [], []
-    for word in group.words:
-        cols = word_columns(rs, word, memo)
+    for k in range(len(group)):
+        cols = word_columns(rs, group.word(k), memo)
         lam = [0] * n
         cls = (0,) * len(factors)
         for i in _descents(rs, cols, alphas):

@@ -1,4 +1,5 @@
-"""Weyl group enumeration: orders, lengths, words, and group laws."""
+"""Weyl group enumeration: orders, lengths, words, covers and the BFS
+grown on demand."""
 
 from functools import lru_cache
 from types import SimpleNamespace
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from gammaflag import root_system, weyl_group
 from gammaflag.weyl import Packer, WeylGroup, length_counts
 from oracles import (
+    act,
     descent_set_by_roots,
+    index_of_word,
     inversion_count,
     mat_act,
     mat_mul,
@@ -34,8 +37,8 @@ def bfs_counts(g):
 @pytest.mark.parametrize("name,order", sorted(FROZEN_ORDERS.items()))
 def test_group_order(name, order):
     rs = root_system(name)
-    g = WeylGroup(rs)  # fresh: len(g) comes from the degrees, words from BFS
-    assert len(g.words) == order
+    g = WeylGroup(rs)  # fresh: len(g) comes from the degrees, keys from BFS
+    assert len({g.inv_rho(k) for k in range(len(g))}) == order
     assert g.order == order
     assert g.is_full
     product = 1
@@ -68,39 +71,18 @@ def test_length_equals_inversion_count(name):
 
 def test_a2_words_frozen():
     g = weyl_group(root_system("A2"))
-    assert g.words == [(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]
+    assert [g.word(k) for k in range(g.order)] == [
+        (), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]
 
 
 def test_words_are_length_then_lex_sorted_and_reduced():
     g = weyl_group(root_system("B2"))
-    keys = [(len(w), w) for w in g.words]
+    words = [g.word(k) for k in range(g.order)]
+    keys = [(len(w), w) for w in words]
     assert keys == sorted(keys)
-    for k, w in enumerate(g.words):
+    for k, w in enumerate(words):
         assert g.length(k) == len(w)
-        assert g.index_of_word(w) == k
-
-
-@given(st.sampled_from(["A2", "B2", "G2"]), st.data())
-def test_group_laws(name, data):
-    g = weyl_group(root_system(name))
-    a = data.draw(st.integers(0, g.order - 1))
-    b = data.draw(st.integers(0, g.order - 1))
-    assert g.multiply(a, g.inverse(a)) == 0
-    assert g.inverse(g.inverse(a)) == a
-    ab = g.multiply(a, b)
-    assert g.inverse(ab) == g.multiply(g.inverse(b), g.inverse(a))
-
-
-@given(st.sampled_from(["A2", "B2", "G2"]),
-       st.lists(st.integers(-3, 3), min_size=2, max_size=2).map(tuple),
-       st.data())
-def test_action_is_a_homomorphism(name, w, data):
-    g = weyl_group(root_system(name))
-    a = data.draw(st.integers(0, g.order - 1))
-    b = data.draw(st.integers(0, g.order - 1))
-    # convention: act(multiply(a, b), w) applies b first
-    assert g.act(g.multiply(a, b), w) == g.act(a, g.act(b, w))
-    assert g.act(0, w) == w
+        assert index_of_word(g, w) == k
 
 
 @pytest.mark.parametrize("name,max_length", [
@@ -108,14 +90,19 @@ def test_action_is_a_homomorphism(name, w, data):
     ("E6", 3), ("B3", 2),
 ])
 def test_descent_definitions_agree(name, max_length):
-    # truncated slices check the boundary, whose descents go past the slice
+    # the right descents of w_k are the negative coordinates of inv_rho(k),
+    # which the Steinberg walk reads as D(w); truncated slices check the
+    # boundary, whose descents go past the slice
     g = weyl_group(root_system(name), max_length=max_length)
+
+    def descents(group, k):
+        return frozenset(i for i, x in enumerate(group.inv_rho(k), 1) if x < 0)
+
     for k in range(g.order):
-        assert g.descent_set(k) == descent_set_by_roots(g, k)
-    assert g.descent_set(0) == frozenset()
+        assert descents(g, k) == descent_set_by_roots(g, k)
+    assert descents(g, 0) == frozenset()
     full = weyl_group(root_system(name))
-    longest = full.order - 1
-    assert full.descent_set(longest) == frozenset(
+    assert descents(full, full.order - 1) == frozenset(
         range(1, full.rs.rank + 1))
 
 
@@ -136,13 +123,14 @@ def test_right_multiplication_rejects_bad_indices(i):
         g.right_mul(0, i)
 
 
-def test_reflection_indices_are_involutions():
-    g = weyl_group(root_system("B2"))
-    for root in g.rs.positive_roots:
-        k = g.right_mul_reflection(0, root)
-        assert g.multiply(k, k) == 0
-        assert g.act(k, root.omega_coords) == tuple(
-            -x for x in root.omega_coords)
+def matrix_covers(rs, index, lengths, mat, k):
+    """covers(k) from the matrix enumeration: (root index, index of
+    w_k s_alpha) over the positive roots whose product is one longer."""
+    return tuple(
+        (ri, t) for ri, t in (
+            (ri, index.get(mat_mul(mat, reflection_matrix(root))))
+            for ri, root in enumerate(rs.positive_roots))
+        if t is not None and lengths[t] == lengths[k] + 1)
 
 
 @pytest.mark.parametrize("name,max_length", [
@@ -151,19 +139,22 @@ def test_reflection_indices_are_involutions():
 ])
 def test_inverse_rho_keys_match_the_matrix_enumeration(name, max_length):
     rs = root_system(name)
-    g = weyl_group(rs, max_length=max_length)
+    g = WeylGroup(rs, max_length=max_length)
+    for k in (-1, len(g)):
+        with pytest.raises(IndexError):
+            g.word(k)
+    assert g._offsets == [0, 1]  # an index out of range grows nothing
     words, lengths, index = weyl_by_matrices(rs, max_length)
-    assert g.words == words
+    assert [g.word(k) for k in range(g.order)] == words
     assert [g.length(k) for k in range(g.order)] == lengths
     mats = sorted(index, key=index.get)
     weights = [(1,) * rs.rank]
     weights += [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
     for k, mat in enumerate(mats):
         for lam in weights:
-            assert g.act(k, lam) == mat_act(mat, lam)
-        for root in rs.positive_roots:
-            expected = index.get(mat_mul(mat, reflection_matrix(root)))
-            assert g.right_mul_reflection(k, root) == expected
+            assert act(g, k, lam) == mat_act(mat, lam)
+        # at the top length of a slice no cover is in the slice
+        assert g.covers(k) == matrix_covers(rs, index, lengths, mat, k)
 
 
 FIELD = st.integers(-2**15, 2**15 - 1)
@@ -191,12 +182,13 @@ def test_packing_round_trips_and_is_linear(case):
                                   "E6"])
 def test_parents_are_the_words_less_their_last_letter(name):
     g = weyl_group(root_system(name))
-    assert g.parent[0] == -1
+    assert g.word(0) == ()
     for k in range(1, g.order):
-        t = g.parent[k]
-        assert g.words[k] == g.words[t] + (g.words[k][-1],)
+        word = g.word(k)
+        t = g.right_mul(k, word[-1])
+        assert g.word(t) == word[:-1]
         assert g.length(t) == g.length(k) - 1
-        assert g.inv_rho(k) == g.rs.reflect(g.words[k][-1], g.inv_rho(t))
+        assert g.inv_rho(k) == g.rs.reflect(word[-1], g.inv_rho(t))
 
 
 def test_packing_refuses_weights_past_a_field():
@@ -245,7 +237,7 @@ def _grown_and_matrices(name, max_length):
     grown = WeylGroup(rs, max_length=max_length)
     grown.grow(grown.longest_length)
     words, lengths, index = weyl_by_matrices(rs, max_length)
-    return grown, lengths, index, sorted(index, key=index.get)
+    return grown, words, lengths, index, sorted(index, key=index.get)
 
 
 def _answer(call):
@@ -258,11 +250,10 @@ def _answer(call):
 
 @given(st.sampled_from(LAZY_CASES), st.data())
 def test_a_group_read_in_any_order_matches_the_grown_one(case, data):
-    grown, lengths, index, mats = _grown_and_matrices(*case)
+    grown, words, lengths, index, mats = _grown_and_matrices(*case)
     rs = grown.rs
     g = WeylGroup(rs, max_length=case[1])
     elements = st.integers(0, len(g) - 1)
-    roots = st.sampled_from(rs.positive_roots)
     simple = st.integers(1, rs.rank)
 
     def in_slice(mat):
@@ -270,8 +261,7 @@ def test_a_group_read_in_any_order_matches_the_grown_one(case, data):
 
     for _ in range(data.draw(st.integers(1, 12))):
         op = data.draw(st.sampled_from([
-            "right_mul", "right_mul_reflection", "multiply", "inverse",
-            "act", "elements_of_length", "descent_set", "covers"]))
+            "right_mul", "word", "elements_of_length", "covers"]))
         if op == "elements_of_length":
             m = data.draw(st.integers(-1, grown.longest_length + 1))
             before = list(g._offsets)
@@ -289,48 +279,20 @@ def test_a_group_read_in_any_order_matches_the_grown_one(case, data):
             root = next(r for r in rs.positive_roots
                         if r.omega_coords == rs.simple_root(i))
             want = in_slice(mat_mul(mats[k], reflection_matrix(root)))
-        elif op == "right_mul_reflection":
-            root = data.draw(roots)
-            got = g.right_mul_reflection(k, root)
-            want = index.get(mat_mul(mats[k], reflection_matrix(root)))
-            assert got == grown.right_mul_reflection(k, root)
-        elif op == "multiply":
-            b = data.draw(elements)
-            got = _answer(lambda: g.multiply(k, b))
-            # a truncated slice may leave it on the way to a product inside
-            assert got == _answer(lambda: grown.multiply(k, b))
-            want = got if got is ValueError else in_slice(
-                mat_mul(mats[k], mats[b]))
-        elif op == "inverse":
-            # the prefixes of the reversed word never leave the slice
-            got = g.inverse(k)
-            assert got == grown.inverse(k)
-            want = next(j for j, mat in enumerate(mats)
-                        if mat_mul(mats[k], mat) == mats[0])
-        elif op == "act":
-            lam = data.draw(st.tuples(*[st.integers(-3, 3)] * rs.rank))
-            got = g.act(k, lam)
-            want = mat_act(mats[k], lam)
-        elif op == "covers":
+        elif op == "word":
+            got = g.word(k)
+            want = words[k]
+        else:
             got = g.covers(k)
             assert got == grown.covers(k)
-            want = tuple(
-                (ri, t) for ri, t in (
-                    (ri, index.get(mat_mul(mats[k], reflection_matrix(r))))
-                    for ri, r in enumerate(rs.positive_roots))
-                if t is not None and lengths[t] == lengths[k] + 1)
-        else:
-            got = g.descent_set(k)
-            want = frozenset(
-                i for i in range(1, rs.rank + 1)
-                if rs.root_sign(mat_act(mats[k], rs.simple_root(i))) < 0)
+            want = matrix_covers(rs, index, lengths, mats[k], k)
         assert got == want
     # whatever was read, only whole lengths were enumerated, as the grown
     # group enumerates them
     assert g._offsets == grown._offsets[:len(g._offsets)]
     assert len(g._keys) == g._offsets[-1]
     assert g._keys == grown._keys[:len(g._keys)]
-    assert g._words == grown._words[:len(g._keys)]
+    assert g._letters == grown._letters[:len(g._keys)]
     assert list(g._parent) == list(grown._parent[:len(g._keys)])
 
 
@@ -356,10 +318,12 @@ def test_an_interrupted_bfs_keeps_only_whole_lengths(monkeypatch):
     assert len(calls) == 5
     assert g._offsets == fresh._offsets == [0, 1, 5, 14]
     assert g._index == fresh._index
-    assert (g._keys, g._words) == (fresh._keys, fresh._words)
+    assert (g._keys, g._letters) == (fresh._keys, fresh._letters)
     assert list(g._parent) == list(fresh._parent)
     fresh = WeylGroup(rs)
     assert g.right_mul(20, 1) == fresh.right_mul(20, 1)
-    assert (g.keys, g.words, list(g.parent)) == (
-        fresh.keys, fresh.words, list(fresh.parent))
+    for group in (g, fresh):
+        group.grow(group.longest_length)
+    assert (g._keys, g._letters, list(g._parent)) == (
+        fresh._keys, fresh._letters, list(fresh._parent))
     assert g._offsets == fresh._offsets

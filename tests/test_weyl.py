@@ -85,6 +85,71 @@ def test_words_are_length_then_lex_sorted_and_reduced():
         assert index_of_word(g, w) == k
 
 
+# the order m_ij of s_i s_j, from a_ij * a_ji = 0, 1, 2, 3
+COXETER_M = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "B3"]), st.data())
+def test_group_laws(name, data):
+    # right multiplication obeys the Coxeter presentation: s_i^2 = 1 and
+    # (s_i s_j)^m_ij = 1, from any element of the group
+    g = weyl_group(root_system(name))
+    k = data.draw(st.integers(0, g.order - 1))
+    cartan = g.rs.cartan
+    for i in range(1, g.rs.rank + 1):
+        assert g.right_mul(g.right_mul(k, i), i) == k
+        for j in range(i + 1, g.rs.rank + 1):
+            t = k
+            for _ in range(COXETER_M[cartan[i - 1][j - 1]
+                                     * cartan[j - 1][i - 1]]):
+                t = g.right_mul(g.right_mul(t, i), j)
+            assert t == k
+    assert g.word(0) == ()
+
+
+@given(st.sampled_from(["A2", "B2", "G2"]),
+       st.lists(st.integers(-3, 3), min_size=2, max_size=2).map(tuple),
+       st.data())
+def test_action_is_a_homomorphism(name, w, data):
+    g = weyl_group(root_system(name))
+    a = data.draw(st.integers(0, g.order - 1))
+    b = data.draw(st.integers(0, g.order - 1))
+    # w_a w_b, one right multiplication per letter of w_b; it acts by
+    # applying w_b first
+    ab = a
+    for i in g.word(b):
+        ab = g.right_mul(ab, i)
+    assert act(g, ab, w) == act(g, a, act(g, b, w))
+    assert act(g, 0, w) == w
+    # the BFS keys transform the other way: (w_a s_i)^-1 rho = s_i w_a^-1 rho
+    for i in range(1, g.rs.rank + 1):
+        assert g.inv_rho(g.right_mul(a, i)) == g.rs.reflect(i, g.inv_rho(a))
+
+
+def test_reflection_indices_are_involutions():
+    # each cover w_t = w_k s_alpha: s_alpha sends alpha to -alpha, and
+    # reflecting the key of w_t through alpha again gives back that of w_k
+    for name in ("B2", "G2", "A3"):
+        g = weyl_group(root_system(name))
+        rs = g.rs
+
+        def reflect(v, root):
+            c = rs.pairing(v, root)
+            return tuple(x - c * a for x, a in zip(v, root.omega_coords))
+
+        for k in range(g.order):
+            for ri, t in g.covers(k):
+                root = rs.positive_roots[ri]
+                assert act(g, t, root.omega_coords) == tuple(
+                    -x for x in act(g, k, root.omega_coords))
+                assert reflect(g.inv_rho(k), root) == g.inv_rho(t)
+                assert reflect(g.inv_rho(t), root) == g.inv_rho(k)
+        # the identity is covered by the simple reflections alone
+        assert sorted(rs.positive_roots[ri].omega_coords
+                      for ri, _ in g.covers(0)) == sorted(
+            rs.simple_root(i) for i in range(1, rs.rank + 1))
+
+
 @pytest.mark.parametrize("name,max_length", [
     ("A2", None), ("B2", None), ("G2", None), ("A3", None),
     ("E6", 3), ("B3", 2),

@@ -33,8 +33,8 @@ _CONFIG_KEYS = {
 }
 
 # Inclusive (least, largest) value of every integer input.  The oracle caps
-# keep a run under a second (at the caps on a 2-vCPU Xeon: gammatoc 0.3 s,
-# firsteq 0.3 s, binomial 0.3 s wall); 120 = l(w_0) of E8, the longest
+# keep a run under a second (at the caps on a 2-vCPU Xeon: gammatoc 0.33 s,
+# firsteq 0.24 s, binomial 0.14 s wall); 120 = l(w_0) of E8, the longest
 # supported type; p and index caps keep arithmetic cheap.
 _INT_BOUNDS = {
     "prime": (2, 1000),

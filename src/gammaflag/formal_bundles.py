@@ -225,14 +225,22 @@ def total_chern(x: FormalBundle, cap: int) -> TruncatedChowPoly:
     if cap < 0:
         raise ValueError("cap must be >= 0")
     n = x.n
-    p = [TruncatedChowPoly(n, cap)] * (cap + 1)  # p[k]: k-th power sum
+    p = [{} for _ in range(cap + 1)]  # p[k]: k-th power sum, homogeneous
     for a, m in x.terms.items():
-        root = TruncatedChowPoly.linear(n, cap, a)
-        power = TruncatedChowPoly(n, cap, {(0,) * n: m})
-        for k in range(1, cap + 1):
-            power = power * root
-            p[k] = p[k] + power
-    return _newton(p)
+        if len(a) != n:
+            raise ValueError("exponent vector has the wrong arity")
+        root = [j for j, c in enumerate(a) if c]
+        power = {(0,) * n: m}  # m (a.t)^k
+        for pk in p[1:]:
+            nxt = {}
+            for e, v in power.items():
+                for j in root:
+                    f = e[:j] + (e[j] + 1,) + e[j + 1:]
+                    nxt[f] = nxt.get(f, 0) + v * a[j]
+            power = nxt
+            for e, v in power.items():
+                pk[e] = pk.get(e, 0) + v
+    return _newton([TruncatedChowPoly(n, cap, pk) for pk in p])
 
 
 def _newton(p: list[TruncatedChowPoly]) -> TruncatedChowPoly:
@@ -241,11 +249,13 @@ def _newton(p: list[TruncatedChowPoly]) -> TruncatedChowPoly:
     n, cap = p[0].n, p[0].cap
     c = [TruncatedChowPoly.one(n, cap)]
     for i in range(1, cap + 1):
-        acc = TruncatedChowPoly(n, cap)
+        acc = {}
         for k in range(1, i + 1):
-            acc = acc + (p[k] * c[i - k]).scaled((-1) ** (k - 1))
+            sign = (-1) ** (k - 1)
+            for e, v in (p[k] * c[i - k]).terms.items():
+                acc[e] = acc.get(e, 0) + sign * v
         terms = {}
-        for e, v in acc.terms.items():
+        for e, v in acc.items():
             terms[e], r = divmod(v, i)
             if r:
                 raise ArithmeticError(f"inexact Newton step {i} at {e}")

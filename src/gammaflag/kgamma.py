@@ -293,6 +293,8 @@ class RestrictionImage:
                     for scalar, wts in lower_pivots:
                         yield b * scalar, tuple(sorted(wts + part))
 
+        # a generator is fed without its scalar, a unit mod p: scaling by
+        # a unit changes neither the span nor whether it grows
         for scalar, weights in _until_full(sub, generators()):
             scalar %= p
             if not scalar:
@@ -300,8 +302,7 @@ class RestrictionImage:
             cls = chow.monomial(weights, p)
             if cls.is_zero():
                 continue
-            vec = tuple(x * scalar % p for x in chow.vector(cls, p))
-            if sub.insert(vec):
+            if sub.insert(chow.coords(cls)):
                 pivots.append((scalar, weights))
 
         piece = ImagePiece(m, sub, tuple(pivots))
@@ -327,12 +328,10 @@ class RestrictionImage:
                 piece = self.image(j)
                 for u in chow.basis(m - j):
                     su = chow.single(u)
-                    for scalar, wts in piece.pivots:
+                    for _, wts in piece.pivots:  # its scalar is a unit
                         cls = chow.extend_by_weights(su, wts, p)
                         if not cls.is_zero():
-                            yield tuple(
-                                x * scalar % p for x in chow.vector(cls, p)
-                            )
+                            yield chow.coords(cls)
 
         for vec in _until_full(sub, vectors()):
             sub.insert(vec)

@@ -79,6 +79,9 @@ class ChowRing:
         self.rs: RootSystem = group.rs
         self.degree_cap = degree_cap
         self._covers: dict[int, tuple[tuple[int, int], ...]] = {}
+        # row i: the alpha_i^vee-coordinate of every positive coroot
+        self._coroot_rows = tuple(zip(*(
+            r.coroot_coords for r in self.rs.positive_roots)))
         self._monomial_cache: dict = {}
 
     # -- bases -----------------------------------------------------------
@@ -92,12 +95,18 @@ class ChowRing:
     def basis_dim(self, m: int) -> int:
         return len(self.basis(m))
 
+    def coords(self, cls: SchubertClass) -> dict[int, int]:
+        """Nonzero coordinates {position in basis(cls.degree): value}."""
+        b = self.basis(cls.degree)
+        if not all(k in b for k in cls.terms):
+            raise ValueError(f"class has terms not of length {cls.degree}")
+        return {k - b.start: v for k, v in cls.terms.items()}
+
     def vector(self, cls: SchubertClass, p: int | None = None) -> tuple[int, ...]:
         """Coordinates of a class against the degree-(cls.degree) basis."""
-        b = self.basis(cls.degree)
-        out = [0] * len(b)
-        for k, v in cls.terms.items():
-            out[k - b.start] = v % p if p else v
+        out = [0] * self.basis_dim(cls.degree)
+        for i, v in self.coords(cls).items():
+            out[i] = v % p if p else v
         return tuple(out)
 
     def single(self, k: int) -> SchubertClass:
@@ -124,10 +133,10 @@ class ChowRing:
             raise ValueError(
                 f"product degree {m + 1} exceeds the degree cap {self.degree_cap}"
             )
-        roots = self.rs.positive_roots
-        coeffs = [
-            sum(x * d for x, d in zip(lam, r.coroot_coords)) for r in roots
-        ]
+        coeffs = [0] * len(self.rs.positive_roots)
+        for x, row in zip(self.rs.check_weight(lam), self._coroot_rows):
+            if x:
+                coeffs = [c + x * d for c, d in zip(coeffs, row)]
         if p:
             coeffs = [c % p for c in coeffs]
         out: dict[int, int] = {}
@@ -204,8 +213,7 @@ class ChowRing:
         for u in self.basis(m - 1):
             su = self.single(u)
             for b in lattice.basis:
-                cls = self.chevalley(su, b, p)
-                sub.insert(self.vector(cls, p))
+                sub.insert(self.coords(self.chevalley(su, b, p)))
         return sub
 
 
@@ -213,65 +221,95 @@ class SubspaceBasis:
     """Subspace of F_p^ambient kept in reduced row echelon form.
 
     Exact small-prime Gaussian elimination; rows are canonical, so two
-    subspaces are equal iff their row tuples are equal.
+    subspaces are equal iff their rows are.  A row is kept as {column:
+    value} off its pivot, where it is 1, and ``_where`` lists per column
+    the pivots whose rows are nonzero there.  A vector comes dense or as
+    {column: value}.
     """
 
     def __init__(self, p: int, ambient: int):
         if p < 2:
             raise ValueError("modulus must be >= 2")
+        if not isinstance(ambient, int) or ambient < 0:
+            raise ValueError(f"ambient dimension {ambient!r} is not >= 0")
         self.p = p
         self.ambient = ambient
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
+        self._where: dict[int, set[int]] = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec) -> list[int]:
+    def _reduce(self, vec) -> dict[int, int]:
+        """The nonzero entries mod p of vec minus its combination of rows.
+        A row is zero at every other pivot, so vec's entries at the
+        pivots give the combination."""
+        n = self.ambient
+        if isinstance(vec, dict):
+            fits = all(isinstance(c, int) and 0 <= c < n for c in vec)
+        else:
+            vec = dict(enumerate(vec))
+            fits = len(vec) == n
+        if not fits:
+            raise ValueError("vector does not lie in the ambient space")
+        if not all(isinstance(x, int) for x in vec.values()):
+            raise ValueError("vector entries must be integers")
+        v = {c: x for c, x in vec.items() if x}
+        rows = self._rows
+        for q in [q for q in v if q in rows]:
+            c = v.pop(q)
+            for col, x in rows[q].items():
+                v[col] = v.get(col, 0) - c * x
         p = self.p
-        v = [x % p for x in vec]
-        if len(v) != self.ambient:
-            raise ValueError("vector has the wrong ambient dimension")
-        for row, piv in zip(self._rows, self._pivots):
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        return v
+        return {col: y for col, x in v.items() if (y := x % p)}
 
     def insert(self, vec) -> bool:
         """Add a vector; returns True iff the dimension grew."""
         v = self._reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+        if not v:
             return False
-        inv = pow(v[piv], -1, self.p)
-        v = [x * inv % self.p for x in v]
-        for row in self._rows:
-            c = row[piv]
-            if c:
-                row[:] = [(a - c * b) % self.p for a, b in zip(row, v)]
-        at = next(
-            (k for k, q in enumerate(self._pivots) if q > piv), len(self._pivots)
-        )
-        self._rows.insert(at, v)
-        self._pivots.insert(at, piv)
+        p, rows, where = self.p, self._rows, self._where
+        piv = min(v)
+        inv = pow(v.pop(piv), -1, p)
+        new = rows[piv] = {col: x * inv % p for col, x in v.items()}
+        for col in new:
+            where.setdefault(col, set()).add(piv)
+        # back-substitute into the rows nonzero at the new pivot only
+        for q in where.pop(piv, ()):
+            row = rows[q]
+            c = row.pop(piv)
+            for col, x in new.items():
+                y = (row.get(col, 0) - c * x) % p
+                if y:
+                    row[col] = y
+                    where[col].add(q)
+                elif row.pop(col, None) is not None:
+                    where[col].discard(q)
         return True
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return not self._reduce(vec)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(r) for r in self._rows)
+        out = []
+        for q in sorted(self._rows):
+            row = [0] * self.ambient
+            row[q] = 1
+            for col, x in self._rows[q].items():
+                row[col] = x
+            out.append(tuple(row))
+        return tuple(out)
 
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
-        return all(other.contains(r) for r in self._rows)
+        return all(other.contains({q: 1, **row})
+                   for q, row in self._rows.items())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubspaceBasis)
             and (self.p, self.ambient) == (other.p, other.ambient)
-            and self.rows() == other.rows()
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:

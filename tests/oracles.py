@@ -16,7 +16,7 @@ from itertools import product
 from gammaflag import intmat
 from gammaflag.formal_bundles import FormalBundle, TruncatedChowPoly
 from gammaflag.rootdata import RootSystem
-from gammaflag.schubert import ChowRing, SubspaceBasis
+from gammaflag.schubert import ChowRing, SchubertClass
 from gammaflag.weyl import WeylGroup
 
 
@@ -106,6 +106,71 @@ def det_fraction(mat) -> Fraction:
                 for j in range(c, n):
                     a[r][j] -= f * a[c][j]
     return out * sign
+
+
+# -- mod-p subspaces with dense rows ------------------------------------------
+
+
+class DenseSubspace:
+    """Subspace of F_p^ambient in reduced row echelon form, with dense list
+    rows: every insert reduces against every row, column by column.  The
+    reference for the library's sparse SubspaceBasis."""
+
+    def __init__(self, p: int, ambient: int):
+        self.p = p
+        self.ambient = ambient
+        self._rows: list[list[int]] = []
+        self._pivots: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, vec) -> list[int]:
+        p = self.p
+        v = [x % p for x in vec]
+        if len(v) != self.ambient:
+            raise ValueError("vector has the wrong ambient dimension")
+        for row, piv in zip(self._rows, self._pivots):
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        return v
+
+    def insert(self, vec) -> bool:
+        """Add a vector; returns True iff the dimension grew."""
+        v = self._reduce(vec)
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, self.p)
+        v = [x * inv % self.p for x in v]
+        for row in self._rows:
+            c = row[piv]
+            if c:
+                row[:] = [(a - c * b) % self.p for a, b in zip(row, v)]
+        at = next(
+            (k for k, q in enumerate(self._pivots) if q > piv), len(self._pivots)
+        )
+        self._rows.insert(at, v)
+        self._pivots.insert(at, piv)
+        return True
+
+    def contains(self, vec) -> bool:
+        return not any(self._reduce(vec))
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(r) for r in self._rows)
+
+    def is_subspace_of(self, other: "DenseSubspace") -> bool:
+        return all(other.contains(r) for r in self._rows)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DenseSubspace)
+            and (self.p, self.ambient) == (other.p, other.ambient)
+            and self.rows() == other.rows()
+        )
 
 
 # -- coinvariant-algebra model of the Chow ring -------------------------------
@@ -480,11 +545,29 @@ def steinberg_by_descent_sets(group: WeylGroup):
     return tuple(rhos), tuple(classes)
 
 
+# -- divisor products one root pairing at a time -----------------------------
+
+
+def chevalley_by_pairing(chow: ChowRing, cls: SchubertClass, lam,
+                         p: int | None = None) -> SchubertClass:
+    """sigma_u * c_1(L(lam)) summed over the covers u * s_alpha of every u,
+    each weighted by <lam, alpha^vee> from ``rs.pairing``, reduced mod p
+    only at the end."""
+    rs = chow.rs
+    out: dict[int, int] = {}
+    for u, cu in cls.terms.items():
+        for ri, t in chow.group.covers(u):
+            c = cu * rs.pairing(lam, rs.positive_roots[ri])
+            out[t] = out.get(t, 0) + c
+    out = {k: v % p if p else v for k, v in out.items()}
+    return SchubertClass(cls.degree + 1, {k: v for k, v in out.items() if v})
+
+
 # -- restriction image without any of the library's shortcuts -----------------
 
 
 def restriction_span_bruteforce(chow: ChowRing, model,
-                                m: int) -> SubspaceBasis:
+                                m: int) -> DenseSubspace:
     """Span of every generator of the degree-m image piece.
 
     Generators are products over multisets of parts (w, a), a >= 1 and
@@ -497,7 +580,7 @@ def restriction_span_bruteforce(chow: ChowRing, model,
     """
     p = model.p
     rhos, classes = steinberg_by_descent_sets(chow.group)
-    span = SubspaceBasis(p, chow.basis_dim(m))
+    span = DenseSubspace(p, chow.basis_dim(m))
     size = len(rhos)
 
     def feed(scalar: int, weights: list) -> None:
@@ -545,7 +628,7 @@ def restriction_image_unfiltered(engine, top: int):
 
     images = {}
     for m in range(1, top + 1):
-        sub = SubspaceBasis(p, chow.basis_dim(m))
+        sub = DenseSubspace(p, chow.basis_dim(m))
         pivots = []
 
         def feed(scalar: int, weights: tuple) -> None:
@@ -573,7 +656,7 @@ def restriction_image_unfiltered(engine, top: int):
 
     ideals = {}
     for m in range(1, top + 1):
-        sub = SubspaceBasis(p, chow.basis_dim(m))
+        sub = DenseSubspace(p, chow.basis_dim(m))
         for row in images[m][0].rows():
             sub.insert(row)
         for j in range(1, m):
@@ -608,12 +691,12 @@ def power_coordinates(v: tuple[int, ...], j: int, p: int,
 
 
 def sym_part_span(parts, model, j: int,
-                  coords: tuple[tuple[int, ...], ...]) -> SubspaceBasis:
+                  coords: tuple[tuple[int, ...], ...]) -> DenseSubspace:
     """Span of binom(i, j) (rho . h)^j mod p over every (rho, class) pair of
     parts, i the model's index of the class: all parts of size j, none
     dropped and no early exit."""
     p = model.p
-    span = SubspaceBasis(p, len(coords))
+    span = DenseSubspace(p, len(coords))
     for rho, cls in parts:
         b = math.comb(model.index_of(cls), j) % p
         if b:
@@ -624,10 +707,10 @@ def sym_part_span(parts, model, j: int,
 
 @lru_cache(maxsize=None)
 def sym_power_span(rows: tuple[tuple[int, ...], ...], n: int, j: int, p: int,
-                   coords: tuple[tuple[int, ...], ...]) -> SubspaceBasis:
+                   coords: tuple[tuple[int, ...], ...]) -> DenseSubspace:
     """Span of (v . h)^j over every vector v of the F_p-span of rows in
     F_p^n, each of the p^len(rows) vectors listed."""
-    span = SubspaceBasis(p, len(coords))
+    span = DenseSubspace(p, len(coords))
     for coeffs in product(range(p), repeat=len(rows)):
         v = tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % p
                   for i in range(n))

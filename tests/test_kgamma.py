@@ -191,7 +191,7 @@ def test_image_matches_bruteforce_span(name, p, ind_exp):
     for m in range(1, min(p, 3) + 1):
         expected = restriction_span_bruteforce(
             engine.chow, engine.model, m)
-        assert engine.image(m).subspace == expected
+        assert engine.image(m).subspace.rows() == expected.rows()
 
 
 def test_image_matches_bruteforce_on_nonuniform_model():
@@ -206,7 +206,7 @@ def test_image_matches_bruteforce_on_nonuniform_model():
     engine = RestrictionImage(chow, table, model, lat)
     for m in (1, 2):
         expected = restriction_span_bruteforce(chow, model, m)
-        assert engine.image(m).subspace == expected
+        assert engine.image(m).subspace.rows() == expected.rows()
 
 
 def _index_models(fg, p):
@@ -279,7 +279,7 @@ def _assert_sound_ceilings(engine, parts):
         for rho_p, b in engine._parts(j):
             kept.insert([b * x % p
                          for x in power_coordinates(rho_p, j, p, coords)])
-        assert kept == full
+        assert kept.rows() == full.rows()
 
 
 def _full_walk_parts(table, p) -> set:

@@ -6,6 +6,8 @@ divisor classes must satisfy exactly the linear relations that hold among
 the corresponding polynomial images.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,8 @@ from gammaflag import (
 )
 from oracles import (
     CoinvariantRing,
+    DenseSubspace,
+    chevalley_by_pairing,
     index_of_word,
     left_kernel,
     monomials,
@@ -51,6 +55,22 @@ def test_degree_zero_and_one():
     h1, h2 = ring.h(1), ring.h(2)
     assert ring.vector(h1) == (1, 0)
     assert ring.vector(h2) == (0, 1)
+
+
+def test_vector_rejects_terms_outside_the_degree():
+    ring = chow("A2")
+    for terms in ({0: 1}, {3: 7}):  # the identity; an element of length 2
+        cls = SchubertClass(1, terms)
+        for read in (ring.vector, ring.coords):
+            with pytest.raises(ValueError, match="not of length 1"):
+                read(cls)
+
+
+def test_coords_are_the_nonzero_positions_of_the_vector():
+    ring = chow("B2", cap=3)
+    cls = ring.monomial([(1, 1), (2, -1)])
+    vec = ring.vector(cls)
+    assert ring.coords(cls) == {i: x for i, x in enumerate(vec) if x}
 
 
 def test_zero_classes_do_not_share_terms():
@@ -120,6 +140,61 @@ def test_a2_top_degree_duality():
     h1, h2 = ring.h(1), ring.h(2)
     assert ring.chevalley(ring.chevalley(h1, (0, 1)), (1, 0)).terms \
         == {top: 1}
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 0, 5), (1.5, 0), "ab"])
+def test_chevalley_rejects_a_bad_weight(lam):
+    ring = chow("A2")
+    with pytest.raises(ValueError, match="weight"):
+        ring.chevalley(ring.h(1), lam)
+
+
+# -- the divisor rule against one root pairing at a time --------------------
+
+RANK_LE_6 = [
+    "A1", "A2", "A3", "A4", "A5", "A6",
+    "B2", "B3", "B4", "B5", "B6",
+    "C3", "C4", "C5", "C6",
+    "D4", "D5", "D6",
+    "E6", "F4", "G2",
+]
+
+
+@pytest.mark.parametrize("name", RANK_LE_6)
+def test_chevalley_matches_the_pairing_oracle(name):
+    ring = chow(name, cap=3)
+    n = ring.rs.rank
+    weights = [
+        tuple((1, -2, 3, -1, 2, -3)[:n]),
+        tuple((-1, 0, 2, 0, -5, 1)[:n]),
+        tuple((0, 4, -1, -1, 0, 7)[:n]),
+        ring.rs.fundamental_weight(n),
+    ]
+    classes = [ring.single(u) for m in range(3) for u in ring.basis(m)]
+    for m in range(1, 3):
+        b = ring.basis(m)
+        classes.append(SchubertClass(
+            m, {u: (-1) ** k * (k + 2) for k, u in enumerate(b)}))
+    for cls in classes:
+        for lam in weights:
+            for p in (None, 2, 3):
+                assert ring.chevalley(cls, lam, p) \
+                    == chevalley_by_pairing(ring, cls, lam, p)
+
+
+@given(st.sampled_from(["A3", "B3", "C3", "G2", "D4"]), st.data())
+def test_chevalley_matches_the_pairing_oracle_on_random_classes(name, data):
+    ring = chow(name, cap=3)
+    n = ring.rs.rank
+    m = data.draw(st.integers(0, 2))
+    coeff = st.integers(-4, 4)
+    terms = {u: c for u in ring.basis(m) if (c := data.draw(coeff))}
+    cls = SchubertClass(m, terms)
+    lam = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n,
+                                   max_size=n)))
+    p = data.draw(st.sampled_from([None, 2, 3, 5, 997]))
+    assert ring.chevalley(cls, lam, p) \
+        == chevalley_by_pairing(ring, cls, lam, p)
 
 
 # -- algebraic laws -----------------------------------------------------------
@@ -224,6 +299,27 @@ def test_char_ideal_is_multiplicatively_closed():
                 assert target.contains(ring.vector(prod, p))
 
 
+# sha256 of repr(rows()) of the adjoint E6 characteristic ideal mod 3, as
+# the dense-row elimination gave them
+E6_CHAR_IDEAL_P3 = {
+    1: "24cef3336a372e7246137eb83869da2dea4fac1b9ca36fcd3b6073957c783880",
+    2: "6ea5084a6eb5d71086b420c860f1aa7ee04e27f8ca0b99d85b37fe099b8ff79d",
+    3: "822a980fe7a9635bbb58ae854e97df5bce4d505b7e3be5d7361632227b8445f1",
+    4: "5ecf4f1037c8468400cb29c1e0551b6dac7a94f5df73fb08be330096ac3b1749",
+    5: "dfb783030f3c4eb2f4c1a9f7e0f4d8856aafd97d4d6eeaad5abaa35d1a10b90f",
+    6: "08d770d5a3b78f87c040756f71d39480a44650a6e10ad6e6c71c8e14d287a0c4",
+}
+
+
+def test_e6_char_ideal_rows_are_pinned():
+    rs = root_system("E6")
+    ring = ChowRing(weyl_group(rs), degree_cap=6)
+    lat = CharacterLattice(rs, "adjoint")
+    for m, want in E6_CHAR_IDEAL_P3.items():
+        rows = ring.char_ideal(lat, m, 3).rows()
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == want
+
+
 def test_char_ideal_rejects_degree_zero():
     ring = chow("A2")
     lat = CharacterLattice(root_system("A2"), "adjoint")
@@ -234,8 +330,12 @@ def test_char_ideal_rejects_degree_zero():
 # -- echelon subspaces --------------------------------------------------------
 
 
-def test_subspace_insert_and_contains():
-    sub = SubspaceBasis(3, 3)
+BOTH = pytest.mark.parametrize("Subspace", [SubspaceBasis, DenseSubspace])
+
+
+@BOTH
+def test_subspace_insert_and_contains(Subspace):
+    sub = Subspace(3, 3)
     assert sub.insert((1, 2, 0))
     assert not sub.insert((2, 4, 0))  # scalar multiple mod 3
     assert sub.insert((0, 0, 1))
@@ -244,20 +344,22 @@ def test_subspace_insert_and_contains():
     assert not sub.contains((0, 1, 0))
 
 
-def test_subspace_equality_is_row_space_equality():
-    a = SubspaceBasis(5, 2)
+@BOTH
+def test_subspace_equality_is_row_space_equality(Subspace):
+    a = Subspace(5, 2)
     a.insert((1, 2))
-    b = SubspaceBasis(5, 2)
+    b = Subspace(5, 2)
     b.insert((3, 1))  # 3 * (1, 2) = (3, 6) = (3, 1) mod 5
     assert a == b
     assert a.is_subspace_of(b)
-    c = SubspaceBasis(5, 2)
+    c = Subspace(5, 2)
     c.insert((1, 0))
     assert a != c
 
 
-def test_subspace_rows_are_reduced_echelon():
-    sub = SubspaceBasis(7, 4)
+@BOTH
+def test_subspace_rows_are_reduced_echelon(Subspace):
+    sub = Subspace(7, 4)
     sub.insert((2, 1, 0, 3))
     sub.insert((0, 5, 1, 1))
     rows = sub.rows()
@@ -270,3 +372,66 @@ def test_subspace_rows_are_reduced_echelon():
                 assert other[j] == 0
         pivots.append(j)
     assert pivots == sorted(pivots)
+
+
+def test_subspace_rejects_a_negative_ambient_dimension():
+    with pytest.raises(ValueError, match="ambient"):
+        SubspaceBasis(3, -1)
+
+
+@pytest.mark.parametrize("vec", [(1.0, 0), (0.0, 1), (1, "a"), {0: 1.5}])
+def test_subspace_rejects_non_integer_entries(vec):
+    sub = SubspaceBasis(3, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        sub.insert(vec)
+
+
+@pytest.mark.parametrize("vec", [(1, 0, 0), {2: 1}, {-1: 1}, {0.0: 1}])
+def test_subspace_rejects_vectors_outside_the_ambient_space(vec):
+    sub = SubspaceBasis(3, 2)
+    with pytest.raises(ValueError, match="ambient space"):
+        sub.contains(vec)
+
+
+def _as_dict(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+@given(st.sampled_from([2, 3, 5, 997]), st.integers(0, 12), st.data())
+def test_sparse_subspace_matches_the_dense_oracle(p, n, data):
+    # random vectors, sparse ones and combinations of those fed before,
+    # each given dense or as a dict
+    entry = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    vectors = st.lists(entry, min_size=n, max_size=n)
+    sparse, dense = SubspaceBasis(p, n), DenseSubspace(p, n)
+    fed = []
+    for _ in range(data.draw(st.integers(0, n + 4))):
+        if fed and data.draw(st.booleans()):
+            cs = data.draw(st.lists(st.integers(0, p - 1), min_size=len(fed),
+                                    max_size=len(fed)))
+            vec = [sum(c * v[i] for c, v in zip(cs, fed)) for i in range(n)]
+        else:
+            vec = data.draw(vectors)
+        given_as = _as_dict(vec) if data.draw(st.booleans()) else vec
+        assert sparse.insert(given_as) == dense.insert(vec)
+        assert sparse.dim == dense.dim
+        assert sparse.rows() == dense.rows()
+        fed.append(vec)
+    probe = data.draw(vectors)
+    assert sparse.contains(probe) == dense.contains(probe)
+    assert sparse.contains(_as_dict(probe)) == dense.contains(probe)
+    for v in fed:
+        assert sparse.contains(v) and sparse.contains(_as_dict(v))
+    # the first half fed in reverse, and everything fed in reverse
+    half, half_dense = SubspaceBasis(p, n), DenseSubspace(p, n)
+    again = SubspaceBasis(p, n)
+    for k, v in enumerate(reversed(fed)):
+        again.insert(v)
+        if k >= len(fed) // 2:
+            half.insert(v)
+            half_dense.insert(v)
+    assert again == sparse
+    assert half.rows() == half_dense.rows()
+    assert (half == sparse) == (half_dense == dense)
+    assert half.is_subspace_of(sparse) and half_dense.is_subspace_of(dense)
+    assert sparse.is_subspace_of(half) == dense.is_subspace_of(half_dense)

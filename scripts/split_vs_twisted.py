@@ -84,8 +84,12 @@ def main() -> None:
     args = parser.parse_args()
     if args.degree_cap < 1:
         parser.error("--degree-cap must be positive")
-    run(CompareConfig(types=tuple(args.types), primes=tuple(args.primes),
-                      degree_cap=args.degree_cap, lattice_kind=args.lattice))
+    try:
+        run(CompareConfig(types=tuple(args.types), primes=tuple(args.primes),
+                          degree_cap=args.degree_cap,
+                          lattice_kind=args.lattice))
+    except (ValueError, LookupError) as e:  # bad type or prime, size guard
+        parser.error(str(e))
 
 
 if __name__ == "__main__":

@@ -27,10 +27,29 @@ from .weyl import weyl_group
 __all__ = ["ScenarioConfig", "UsageError", "parse_config", "run", "main"]
 
 _FORMATS = ("json", "tsv", "pretty")
-_CONFIG_KEYS = {
-    "type", "lattice", "prime", "brauer", "index", "degree",
-    "max_degree", "format", "kac",
+
+# Every config-file key with its default.  The flag of the same name (its
+# dest) wins over the file; ScenarioConfig has a field of the same name.
+_CONFIG = {
+    "type": "E6",
+    "lattice": "adjoint",   # a keyword or a list of weight lists
+    "prime": 3,
+    "brauer": None,         # {"ind": {label: index}}, per-class indices
+    "index": None,          # one index for every non-identity class
+    "degree": None, "max_degree": None,
+    "kac": None,            # {"degrees": [...], "exponents": [...]}
+    "format": "pretty",
 }
+# The inputs only a flag gives, with their defaults.
+_FLAG_ONLY = {
+    "no_banner": False, "count_by_length": False, "max_length": None,
+    "basis": False, "products": False, "verify": None,
+    "max_i": None, "max_n": None, "max_bundles": None, "max_mult": None,
+}
+# One fully validated invocation: the command, then every input above.
+ScenarioConfig = namedtuple(
+    "ScenarioConfig", ["command", *_CONFIG, *_FLAG_ONLY],
+    defaults=[*_CONFIG.values(), *_FLAG_ONLY.values()])
 
 # Inclusive (least, largest) value of every integer input.  The oracle caps
 # keep a run under a second (at the caps on a 2-vCPU Xeon: gammatoc 0.33 s,
@@ -56,25 +75,6 @@ _E6_REFERENCE_J1 = {1: (0,), 3: (1,), 9: (2,), 27: (2,)}
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
 
-
-# One fully validated invocation: the command, then every field below
-# with its default.
-_DEFAULTS = {
-    "dynkin": "E6",
-    "lattice": "adjoint",   # a keyword or a tuple of weight tuples
-    "prime": 3,
-    "index_map": None,      # per-class Brauer indices
-    "uniform_index": None,  # shorthand: one value everywhere
-    "degree": None, "max_degree": None,
-    "kac": None,            # {"degrees": [...], "exponents": [...]}
-    "fmt": "pretty", "no_banner": False,
-    "count_by_length": False, "max_length": None,
-    "show_basis": False, "show_products": False,
-    "oracle_kind": None, "max_i": None, "max_n": None, "max_bundles": None,
-    "max_mult": None,
-}
-ScenarioConfig = namedtuple("ScenarioConfig", ["command", *_DEFAULTS],
-                            defaults=_DEFAULTS.values())
 
 
 class Report:
@@ -121,7 +121,7 @@ def _read_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: top level must be a JSON object")
     for key in data:
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG:
             raise UsageError(f"config {path}: unknown key {key!r}")
     return data
 
@@ -136,7 +136,7 @@ def _check_index_map(brauer) -> dict[str, int]:
             for label, value in ind.items()}
 
 
-def _check_kac(kac) -> dict:
+def _check_kac(kac) -> None:
     if (not isinstance(kac, dict) or set(kac) != {"degrees", "exponents"}
             or not all(isinstance(kac[k], list) and kac[k]
                        for k in ("degrees", "exponents"))):
@@ -146,39 +146,34 @@ def _check_kac(kac) -> dict:
     for key, values in kac.items():
         for j, x in enumerate(values):
             _check_int(f"kac.{key}[{j}]", x, "degree")
-    return kac
 
 
 def parse_config(args: argparse.Namespace) -> ScenarioConfig:
-    """Merge a JSON config file with flags (flags win) and validate."""
-    data = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    """Merge the defaults, a JSON config file and the flags given (flags
+    win; a null counts as a key left out) into one dict and validate it."""
+    given = dict(vars(args))
+    path = given.pop("config", None)
+    data = _read_config_file(path) if path else {}
+    cfg = dict(_CONFIG)
+    for source in (data, given):
+        cfg.update((k, v) for k, v in source.items() if v is not None)
 
-    def pick(name: str, key: str, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return data.get(key, default)
-
-    fmt = pick("format", "format", "pretty")
-    if fmt not in _FORMATS:
-        raise UsageError(f"unknown format {fmt!r}: expected one of {_FORMATS}")
+    if cfg["format"] not in _FORMATS:
+        raise UsageError(
+            f"unknown format {cfg['format']!r}: expected one of {_FORMATS}")
 
     # every integer input; the oracle ones never come from a config file
-    ints = {name: pick(name, name, None) for name in _INT_BOUNDS}
-    for name, value in ints.items():
-        if value is not None:
-            _check_int(name, value)
-    if ints["prime"] is None:
-        ints["prime"] = 3
-    prime = ints["prime"]
+    for name in _INT_BOUNDS:
+        if cfg.get(name) is not None:
+            _check_int(name, cfg[name])
+    prime = cfg["prime"]
     if not is_prime(prime):
         raise UsageError("p must be prime")
 
-    dynkin = pick("dynkin", "type", "E6")
-    if not isinstance(dynkin, str):
+    if not isinstance(cfg["type"], str):
         raise UsageError('config field "type" must be a string like "E6"')
 
-    lattice = pick("lattice", "lattice", "adjoint")
+    lattice = cfg["lattice"]
     if isinstance(lattice, list):
         if not all(isinstance(w, list) and all(
                 isinstance(x, int) and not isinstance(x, bool) for x in w)
@@ -187,43 +182,27 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
                 'config field "lattice" must be a keyword or a list of '
                 "integer weight vectors"
             )
-        lattice = tuple(tuple(w) for w in lattice)
+        cfg["lattice"] = tuple(tuple(w) for w in lattice)
     elif not isinstance(lattice, str):
         raise UsageError('config field "lattice" must be a string or a list')
 
-    index_map = None
-    if "brauer" in data:
-        index_map = _check_index_map(data["brauer"])
-    if index_map is not None and ints["index"] is not None:
-        raise UsageError("give either a uniform index or a brauer map, not both")
+    if cfg["brauer"] is not None:
+        cfg["brauer"] = _check_index_map(cfg["brauer"])
+        if cfg["index"] is not None:
+            raise UsageError(
+                "give either a uniform index or a brauer map, not both")
 
-    kac = _check_kac(data["kac"]) if "kac" in data else None
+    if cfg["kac"] is not None:
+        _check_kac(cfg["kac"])
 
     # ideal comparisons happen in degrees <= p, where (m-1)! is a unit
-    if args.command in ("restriction-image", "verify-theorem"):
-        cap = ints["degree" if args.command == "restriction-image"
-                   else "max_degree"]
-        if cap is not None and cap > prime:
-            raise UsageError(
-                f"degree cap {cap} exceeds p = {prime}; ideal comparisons "
-                "need degree <= p"
-            )
+    cap = {"restriction-image": cfg["degree"],
+           "verify-theorem": cfg["max_degree"]}.get(args.command)
+    if cap is not None and cap > prime:
+        raise UsageError(f"degree cap {cap} exceeds p = {prime}; ideal "
+                         "comparisons need degree <= p")
 
-    return ScenarioConfig(
-        command=args.command,
-        dynkin=dynkin,
-        lattice=lattice,
-        index_map=index_map,
-        uniform_index=ints.pop("index"),
-        kac=kac,
-        fmt=fmt,
-        no_banner=bool(getattr(args, "no_banner", False)),
-        count_by_length=bool(getattr(args, "count_by_length", False)),
-        show_basis=bool(getattr(args, "basis", False)),
-        show_products=bool(getattr(args, "products", False)),
-        oracle_kind=getattr(args, "verify", None),
-        **ints,  # prime, degree, max_degree, max_length, max_i, ...
-    )
+    return ScenarioConfig(**cfg)
 
 
 # -- shared builders ---------------------------------------------------------
@@ -231,17 +210,17 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def _model(cfg: ScenarioConfig, rs: RootSystem) -> BrauerModel:
     fg = rs.fundamental_group()
-    if cfg.index_map is not None:
-        model = BrauerModel.from_labels(fg, cfg.index_map, cfg.prime)
-    elif cfg.uniform_index is not None:
-        model = BrauerModel.uniform(fg, cfg.uniform_index, cfg.prime)
+    if cfg.brauer is not None:
+        model = BrauerModel.from_labels(fg, cfg.brauer, cfg.prime)
+    elif cfg.index is not None:
+        model = BrauerModel.uniform(fg, cfg.index, cfg.prime)
     else:
         model = BrauerModel.split(fg, cfg.prime)
     return model.require_valid()
 
 
 def _engine(cfg: ScenarioConfig, degree_cap: int) -> RestrictionImage:
-    rs = root_system(cfg.dynkin)
+    rs = root_system(cfg.type)
     group = weyl_group(rs)
     chow = ChowRing(group, degree_cap=degree_cap)
     lattice = CharacterLattice(rs, cfg.lattice)
@@ -257,7 +236,7 @@ def _sigma(word) -> str:
 
 
 def _cmd_rootinfo(cfg: ScenarioConfig) -> Report:
-    rs = root_system(cfg.dynkin)
+    rs = root_system(cfg.type)
     lattice = CharacterLattice(rs, cfg.lattice)
     fg = rs.fundamental_group()
     g = fg.quotient
@@ -311,19 +290,12 @@ def _cmd_rootinfo(cfg: ScenarioConfig) -> Report:
 
 
 def _cmd_weyl(cfg: ScenarioConfig) -> Report:
-    rs = root_system(cfg.dynkin)
+    rs = root_system(cfg.type)
     group = weyl_group(rs, max_length=cfg.max_length)
-    payload = {
-        "type": rs.name,
-        "complete": group.is_full,
-        "elements": len(group),
-        "degree_product": rs.weyl_order,
-    }
-    rows = [
-        ("type", rs.name),
-        ("elements", len(group)),
-        ("complete", group.is_full),
-    ]
+    payload = {"type": rs.name, "complete": group.is_full,
+               "elements": len(group), "degree_product": rs.weyl_order}
+    rows = [("type", rs.name), ("elements", len(group)),
+            ("complete", group.is_full)]
     lines = [f"type {rs.name}: {len(group)} elements"
              + ("" if group.is_full else f" (truncated at length {cfg.max_length})")]
     if group.is_full:
@@ -341,28 +313,24 @@ def _cmd_weyl(cfg: ScenarioConfig) -> Report:
 
 def _cmd_chow(cfg: ScenarioConfig) -> Report:
     degree = cfg.degree if cfg.degree is not None else 3
-    rs = root_system(cfg.dynkin)
+    rs = root_system(cfg.type)
     group = weyl_group(rs, max_length=degree)
     chow = ChowRing(group, degree_cap=degree)
     dims = [(m, chow.basis_dim(m)) for m in range(0, chow.degree_cap + 1)]
-    payload = {
-        "type": rs.name,
-        "degree": chow.degree_cap,
-        "dims": dims,
-    }
+    payload = {"type": rs.name, "degree": chow.degree_cap, "dims": dims}
     rows = [("degree", "dim"), *dims]
     lines = [f"type {rs.name}, degrees 0..{chow.degree_cap}"]
     lines.extend(f"dim CH^{m} = {d}" for m, d in dims)
     top = chow.degree_cap
     word = functools.cache(group.word)  # an element is listed up to 3 times
 
-    if cfg.show_basis:
+    if cfg.basis:
         payload["basis"] = [
             {"index": k, "word": word(k)} for k in chow.basis(top)
         ]
         lines.append(f"basis of CH^{top}:")
         lines.extend(f"  {_sigma(word(k))}" for k in chow.basis(top))
-    if cfg.show_products:
+    if cfg.products:
         products = []
         lines.append(f"divisor products into CH^{top}:")
         for i in range(1, rs.rank + 1):
@@ -397,33 +365,33 @@ def _steinberg_elements(table: SteinbergTable):
 
 
 def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
-    group = weyl_group(root_system(cfg.dynkin))
+    group = weyl_group(root_system(cfg.type))
     table = SteinbergTable(group)
     name, order, n = group.rs.name, group.order, group.rs.rank
     unpack, label = group.packer.unpack, functools.cache(
         table.fg.quotient.label)
     report = Report({}, (), ())
 
-    def elements():
-        # packed weights are equal exactly when the weights are, so only
-        # they are kept for the collision check, decided after the last row
-        seen = set()
-        for word, rho, cls in _steinberg_elements(table):
-            seen.add(rho)
-            yield word, unpack(rho), label(cls)
-        report.failed = len(seen) < order
-
-    if cfg.fmt == "tsv":
+    if cfg.format == "tsv":
         rho_text = " ".join(["%d"] * n)
-        report.rows = itertools.chain(
-            [("word", "rho", "class")],
-            ((word or "-", rho_text % rho, cls)
-             for word, rho, cls in elements()))
+
+        def rows():
+            # packed weights are equal exactly when the weights are, so only
+            # they are kept for the collision check, decided after the last row
+            yield "word", "rho", "class"
+            seen = set()
+            for word, rho, cls in _steinberg_elements(table):
+                seen.add(rho)
+                yield word or "-", rho_text % unpack(rho), label(cls)
+            report.failed = len(seen) < order
+
+        report.rows = rows()
         return report
     # json and pretty state the verdict before any element: a first pass
     # over the weights alone
     distinct = len({rho for _, _, rhos, _ in table.lengths()
                     for rho in rhos}) == order
+    report.failed = not distinct
     # one digit per letter (rank <= 8): the digits' values, commas dropped
     digits = bytes.maketrans(b"123456789", bytes(range(1, 10)))
     report.payload = {
@@ -432,16 +400,16 @@ def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
         "distinct": distinct,
         "entries": (
             {"index": k, "word": list(word.encode().translate(digits, b",")),
-             "rho": rho, "class": cls}
-            for k, (word, rho, cls) in enumerate(elements())
+             "rho": unpack(rho), "class": label(cls)}
+            for k, (word, rho, cls) in enumerate(_steinberg_elements(table))
         ),
     }
     rho_text = ", ".join(["%d"] * n)
     report.lines = itertools.chain(
         [f"type {name}: {order} elements, "
          + ("all weights distinct" if distinct else "WEIGHT COLLISION")],
-        (f"  sigma[{word}]  rho=({rho_text % rho})  class {cls}"
-         for word, rho, cls in elements()),
+        (f"  sigma[{word}]  rho=({rho_text % unpack(rho)})  class {label(cls)}"
+         for word, rho, cls in _steinberg_elements(table)),
     )
     return report
 
@@ -482,12 +450,11 @@ def _cmd_restriction_image(cfg: ScenarioConfig) -> Report:
 def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
     from .jinv import j1_constraints, kac_presentation
 
-    rs = root_system(cfg.dynkin)
+    rs = root_system(cfg.type)
     lattice = CharacterLattice(rs, cfg.lattice)
     model = _model(cfg, rs)
-    user_data = None
-    if cfg.kac is not None:
-        user_data = {f"{rs.name}:{lattice.kind}:{cfg.prime}": cfg.kac}
+    user_data = (None if cfg.kac is None
+                 else {f"{rs.name}:{lattice.kind}:{cfg.prime}": cfg.kac})
     pres = kac_presentation(rs, lattice, cfg.prime, user_data)
     report, constraints = j1_constraints(model, lattice, pres)
     s = pres.degree_one_count()
@@ -497,16 +464,12 @@ def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
         for j, (d, k) in enumerate(
             zip(pres.degrees[s:], pres.exponents[s:]))
     ]
-    crosscheck = None
-    if (rs.name, lattice.kind, cfg.prime) == ("E6", "adjoint", 3):
-        expected = (_E6_REFERENCE_J1.get(report.value)
-                    if report.defined else None)
-        if expected is not None:
-            crosscheck = {
-                "applied": True,
-                "expected": expected,
-                "matches": constraints[0].admissible == expected,
-            }
+    frozen = (rs.name, lattice.kind, cfg.prime) == ("E6", "adjoint", 3)
+    expected = (_E6_REFERENCE_J1.get(report.value)
+                if frozen and report.defined else None)
+    crosscheck = None if expected is None else {
+        "applied": True, "expected": expected,
+        "matches": constraints[0].admissible == expected}
     payload = {
         "type": rs.name,
         "lattice": lattice.kind,
@@ -598,80 +561,75 @@ def _cmd_verify_theorem(cfg: ScenarioConfig) -> Report:
 
 
 def _gammatoc_cases(max_bundles: int, max_mult: int, max_i: int):
-    """Multiplicity multisets with entries <= max_mult summing <= max_bundles,
-    paired with every chern degree i <= max_i."""
-    def multisets(largest: int, budget: int):
-        yield ()
-        for first in range(1, min(largest, budget) + 1):
-            for rest in multisets(first, budget - first):
-                yield (first,) + rest
-
-    for mults in multisets(max_mult, max_bundles):
-        if not mults:
-            continue
-        for i in range(1, max_i + 1):
-            yield mults, i
+    """Multiplicity multisets (non-increasing, entries <= max_mult, sum <=
+    max_bundles, in lexicographic order), each paired with every chern
+    degree i <= max_i."""
+    top = min(max_mult, max_bundles)
+    multisets = sorted(
+        m for k in range(1, max_bundles + 1)
+        for m in itertools.combinations_with_replacement(range(top, 0, -1), k)
+        if sum(m) <= max_bundles)
+    return ((m, i) for m in multisets for i in range(1, max_i + 1))
 
 
-def _cmd_oracle(cfg: ScenarioConfig) -> Report:
+def _oracle_cases(cfg: ScenarioConfig):
+    """(payload case, tsv label, pretty label, verdict text) of every case
+    of the chosen identity family, in order."""
     from .formal_bundles import (
         binomial_gamma_expansion,
         check_gamma1_product_chern,
         check_gamma_chern_scaling,
     )
 
-    kind = cfg.oracle_kind
-    cases = []
-    rows = [("case", "ok")]
-    lines = []
-    if kind == "firsteq":
+    def verdict(out) -> str:
+        return "pass" if out.ok else f"FAIL {out.detail}"
+
+    if cfg.verify == "firsteq":
         max_i = cfg.max_i if cfg.max_i is not None else 5
         max_n = cfg.max_n if cfg.max_n is not None else 6
         for i in range(1, max_i + 1):
             for n in range(i, max_n + 1):
                 out = check_gamma1_product_chern(i, n)
-                cases.append({"i": i, "n": n, "ok": out.ok,
-                              "label": out.label})
-                rows.append((f"i={i},n={n}", out.ok))
-                lines.append(f"  i={i} n={n}: "
-                             + ("pass" if out.ok else f"FAIL {out.detail}"))
-    elif kind == "gammatoc":
+                yield ({"i": i, "n": n, "ok": out.ok, "label": out.label},
+                       f"i={i},n={n}", f"i={i} n={n}", verdict(out))
+    elif cfg.verify == "gammatoc":
         max_bundles = cfg.max_bundles if cfg.max_bundles is not None else 6
         max_mult = cfg.max_mult if cfg.max_mult is not None else 3
         max_i = cfg.max_i if cfg.max_i is not None else 4
         for mults, i in _gammatoc_cases(max_bundles, max_mult, max_i):
             n = len(mults)
-            lines_in = [tuple(int(k == a) for k in range(n))
-                        for a, m in enumerate(mults) for _ in range(m)]
-            out = check_gamma_chern_scaling(n, lines_in, i)
+            lines = [tuple(int(k == a) for k in range(n))
+                     for a, m in enumerate(mults) for _ in range(m)]
+            out = check_gamma_chern_scaling(n, lines, i)
             name = "+".join(str(m) for m in mults)
-            cases.append({"multiplicities": mults, "i": i,
-                          "ok": out.ok, "label": out.label})
-            rows.append((f"mults={name},i={i}", out.ok))
-            lines.append(f"  mults ({name}) i={i}: "
-                         + ("pass" if out.ok else f"FAIL {out.detail}"))
-    elif kind == "binomial":
+            yield ({"multiplicities": mults, "i": i, "ok": out.ok,
+                    "label": out.label},
+                   f"mults={name},i={i}", f"mults ({name}) i={i}", verdict(out))
+    elif cfg.verify == "binomial":
         top = cfg.max_mult if cfg.max_mult is not None else 6
         for mult in range(0, top + 1):
             try:
                 coeffs = binomial_gamma_expansion(mult)
-                ok = True
-                detail = ",".join(str(c) for c in coeffs)
+                ok, text = True, f"pass [{','.join(map(str, coeffs))}]"
             except AssertionError as e:
-                ok, detail = False, str(e)
-                coeffs = None
-            cases.append({"multiplicity": mult, "ok": ok,
-                          "binomials": coeffs})
-            rows.append((f"mult={mult}", ok))
-            lines.append(f"  mult={mult}: "
-                         + (f"pass [{detail}]" if ok else f"FAIL {detail}"))
+                ok, coeffs, text = False, None, f"FAIL {e}"
+            yield ({"multiplicity": mult, "ok": ok, "binomials": coeffs},
+                   f"mult={mult}", f"mult={mult}", text)
     else:
-        raise UsageError(f"unknown oracle {kind!r}")
+        raise UsageError(f"unknown oracle {cfg.verify!r}")
+
+
+def _cmd_oracle(cfg: ScenarioConfig) -> Report:
+    cases, rows, lines = [], [("case", "ok")], []
+    for case, tsv_label, pretty_label, text in _oracle_cases(cfg):
+        cases.append(case)
+        rows.append((tsv_label, case["ok"]))
+        lines.append(f"  {pretty_label}: {text}")
     passed = sum(1 for c in cases if c["ok"])
     failed = len(cases) - passed
-    payload = {"check": kind, "cases": cases,
+    payload = {"check": cfg.verify, "cases": cases,
                "passed": passed, "failed": failed}
-    lines.insert(0, f"oracle {kind}: {passed} passed, {failed} failed")
+    lines.insert(0, f"oracle {cfg.verify}: {passed} passed, {failed} failed")
     return Report(payload, rows, lines, failed=failed > 0)
 
 
@@ -744,7 +702,7 @@ def run(cfg: ScenarioConfig, out=None) -> int:
         report = _COMMANDS[cfg.command](cfg)
     except (ValueError, LookupError) as e:
         raise UsageError(str(e))
-    _render(report, cfg.fmt, out)
+    _render(report, cfg.format, out)
     return 1 if report.failed else 0
 
 
@@ -768,7 +726,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="FILE",
                         help="JSON config file; flags override its fields")
-        sp.add_argument("--type", dest="dynkin", metavar="XN",
+        sp.add_argument("--type", metavar="XN",
                         help="Dynkin type, e.g. E6 (default E6)")
         sp.add_argument("--lattice", metavar="KIND",
                         help="adjoint (default) or simply_connected")

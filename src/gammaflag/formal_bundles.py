@@ -52,11 +52,6 @@ class FormalBundle:
             raise ValueError("exponent vector has the wrong arity")
         return cls(n, {a: 1})
 
-    @classmethod
-    def variable(cls, n: int, j: int) -> "FormalBundle":
-        """[L_j] itself (1-based j)."""
-        return cls.line(n, tuple(1 if k == j - 1 else 0 for k in range(n)))
-
     def _check(self, other: "FormalBundle") -> None:
         if self.n != other.n:
             raise ValueError("mixed arities")
@@ -316,22 +311,19 @@ def check_gamma_chern_scaling(n: int, lines, i: int) -> CheckOutcome:
     )
 
 
-def binomial_gamma_expansion(mult: int, cap: int | None = None) -> list[int]:
+def binomial_gamma_expansion(mult: int) -> list[int]:
     """Total gamma class of the mult-fold sum of one line bundle.
 
     gamma_k of L + ... + L (mult copies) equals binom(mult, k) gamma_1(L)^k;
     both sides are computed in the formal ring and compared before the
-    binomial coefficients are returned (k = 0..min(mult, cap)).
+    binomial coefficients are returned (k = 0..mult).
     """
     if mult < 0:
         raise ValueError("multiplicity must be >= 0")
-    if cap is not None and cap < 0:
-        raise ValueError("cap must be >= 0")
-    top = mult if cap is None else min(mult, cap)
     g1 = gamma1(1, (1,))
     g1_k = FormalBundle.one(1)  # gamma_1(L)^k
     out = []
-    for k, e_k in enumerate(_elementary(1, [(1,)] * mult, top)):
+    for k, e_k in enumerate(_elementary(1, [(1,)] * mult, mult)):
         b = math.comb(mult, k)
         if e_k != g1_k.scaled(b):
             raise AssertionError(

@@ -326,21 +326,6 @@ class FiniteAbelianGroup:
             raise ValueError(f"label {s!r} out of range for factors {self.factors}")
         return tuple(vals)
 
-    def subgroup_generated(self, gens) -> frozenset:
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    s = self.add(e, g)
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return frozenset(seen)
-
 
 class CharacterLattice:
     """An intermediate lattice T* with root lattice <= T* <= weight lattice.
@@ -430,11 +415,6 @@ class CharacterLattice:
         w = self.rs.check_weight(w)
         y = intmat.mat_vec(self._u, w)
         return tuple(y[i] % p for i in self._qpositions if self._d[i] % p == 0)
-
-    def subgroup_in_fundamental_group(self) -> frozenset:
-        """Image of T* in Lambda/Lambda_r."""
-        fg = self.rs.fundamental_group()
-        return fg.quotient.subgroup_generated(fg.class_of(b) for b in self.basis)
 
 
 def _lattice_basis(gens: list[Weight], n: int) -> tuple[Weight, ...]:

@@ -317,6 +317,55 @@ def test_flags_override_config_fields(tmp_path, capsys):
     assert json.loads(out)["type"] == "B2"
 
 
+# Each config key that has a flag, a value other than its default and a
+# command whose output shows it.
+_KEYS_WITH_FLAGS = {
+    "type": ("B2", ["rootinfo"]),
+    "lattice": ("simply_connected", ["rootinfo", "--type", "A2"]),
+    "prime": (2, ["restriction-image", "--type", "A2"]),
+    "index": (9, ["restriction-image", "--type", "A2", "--degree", "2"]),
+    "degree": (2, ["chow", "--type", "A2"]),
+    "max_degree": (2, ["verify-theorem", "--type", "A2", "--index", "9"]),
+    "format": ("json", ["rootinfo", "--type", "A2"]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS_WITH_FLAGS))
+def test_a_config_key_and_its_flag_give_the_same_output(tmp_path, capsys,
+                                                        key):
+    value, argv = _KEYS_WITH_FLAGS[key]
+    cfg = tmp_path / "one_key.json"
+    cfg.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    _, default, _ = run_cli(capsys, *argv, "--no-banner")
+    code, from_flag, _ = run_cli(capsys, *argv, flag, str(value),
+                                 "--no-banner")
+    assert code == 0 and from_flag != default
+    code, from_file, _ = run_cli(capsys, *argv, "--config", str(cfg),
+                                 "--no-banner")
+    assert code == 0 and from_file == from_flag
+
+
+def test_flags_and_config_keys_are_scenario_config_fields():
+    # one name per input: a flag's dest, its config key and its field
+    fields = set(cli.ScenarioConfig._fields)
+    assert set(cli._CONFIG) <= fields
+    parser = cli._build_parser()
+    for command in cli._COMMANDS:
+        extra = ["--verify", "firsteq"] if command == "oracle" else []
+        dests = set(vars(parser.parse_args([command, *extra]))) - {"config"}
+        assert dests <= fields, command
+
+
+def test_a_null_config_value_counts_as_left_out(tmp_path, capsys):
+    cfg = tmp_path / "nulls.json"
+    cfg.write_text(json.dumps({key: None for key in cli._CONFIG}))
+    argv = ("verify-theorem", "--type", "A2", "--no-banner")
+    _, without, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and out == without
+
+
 def test_wrong_kac_config_fails_the_crosscheck(tmp_path, capsys):
     cfg = tmp_path / "badkac.json"
     cfg.write_text(json.dumps({
@@ -481,6 +530,43 @@ def test_oversized_integer_in_config(tmp_path, capsys):
     expect_usage_error(
         capsys, "chow", "--config", str(cfg), "--no-banner",
         needle="Exceeds the limit")
+
+
+# sha256 of the option lines of every --help page at COLUMNS=80: the
+# indented lines after the usage, whose layout does not depend on the
+# Python version (the section headers and usage wrapping do).  Recorded
+# before flags, config keys and ScenarioConfig fields shared one name.
+HELP_OPTION_DIGESTS = {
+    "--help":
+        "dc29c724db6baff8fc61a4fff3a4abaef70603c5450d6992509cf35cd27653cf",
+    "rootinfo --help":
+        "2017e771a5ec0dbb818ffac4ee887c516d46fb96138cbaf333c419722dee18a1",
+    "weyl --help":
+        "2ccad71cf873482513ae2f6d2617bef40aefb94c0565760cc41417bfa99f435c",
+    "chow --help":
+        "c421d3486446138364740ec5270657f1aed121fdb48ac8f247c1c009e4d5baf6",
+    "steinberg --help":
+        "2017e771a5ec0dbb818ffac4ee887c516d46fb96138cbaf333c419722dee18a1",
+    "restriction-image --help":
+        "f1f5db49f4b34179be8d529665fda452dec925e5fb6bd3e7238f550896972920",
+    "jconstrain --help":
+        "cb1d7318f16b6068c21ad7639a88f11f4c628eea72c97ee7e201b3eddb4a8143",
+    "verify-theorem --help":
+        "d338ef081379c1c9e70bca01e119aed8de39224a6e2718ec7533073ff613cfeb",
+    "oracle --help":
+        "d97be73c584910083c54071b292cf1d3774e54e51e30ddab56c7122e669687ae",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_OPTION_DIGESTS))
+def test_help_option_lines_keep_their_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(argv.split())
+    body = capsys.readouterr().out.split("\n\n", 1)[1]
+    lines = [line for line in body.splitlines() if line.startswith("  ")]
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == HELP_OPTION_DIGESTS[argv])
 
 
 def test_help_states_the_caps(capsys):

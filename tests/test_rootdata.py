@@ -161,13 +161,6 @@ def test_group_rejects_trivial_factors(factors):
         FiniteAbelianGroup(factors)
 
 
-def test_subgroup_generated():
-    g = FiniteAbelianGroup((2, 2))
-    assert len(g.subgroup_generated([(1, 0)])) == 2
-    assert len(g.subgroup_generated([(1, 0), (0, 1)])) == 4
-    assert g.subgroup_generated([]) == frozenset({(0, 0)})
-
-
 # -- character lattices -------------------------------------------------------
 
 
@@ -232,10 +225,3 @@ def test_lattice_keyword_aliases_and_errors():
     assert CharacterLattice(rs, "sc").kind == "simply_connected"
     with pytest.raises(ValueError):
         CharacterLattice(rs, "maximal")
-
-
-def test_subgroup_in_fundamental_group():
-    rs = root_system("A3")
-    mid = CharacterLattice(rs, [(2, 0, 0)])
-    sub = mid.subgroup_in_fundamental_group()
-    assert len(sub) == 2  # index-2 subgroup of Z/4

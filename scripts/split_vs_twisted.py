@@ -46,7 +46,9 @@ def twist_index(fg, p: int) -> int:
 
 
 def run(cfg: CompareConfig) -> None:
-    print("type\tp\tindex\tdegree\tdim split\tdim twisted")
+    # every type and prime is checked before the first line is printed,
+    # so a bad one leaves stdout empty; the engines compute nothing yet
+    pairs = []
     for name in cfg.types:
         rs = root_system(name)
         group = weyl_group(rs)
@@ -60,10 +62,13 @@ def run(cfg: CompareConfig) -> None:
                 chow, table, BrauerModel.uniform(fg, 1, p), lattice)
             twisted = RestrictionImage(
                 chow, table, BrauerModel.uniform(fg, index, p), lattice)
-            for m in range(1, min(p, cfg.degree_cap) + 1):
-                dim_s = split.image(m).subspace.dim
-                dim_t = twisted.image(m).subspace.dim
-                print(f"{name}\t{p}\t{index}\t{m}\t{dim_s}\t{dim_t}")
+            pairs.append((name, p, index, split, twisted))
+    print("type\tp\tindex\tdegree\tdim split\tdim twisted")
+    for name, p, index, split, twisted in pairs:
+        for m in range(1, min(p, cfg.degree_cap) + 1):
+            dim_s = split.image(m).subspace.dim
+            dim_t = twisted.image(m).subspace.dim
+            print(f"{name}\t{p}\t{index}\t{m}\t{dim_s}\t{dim_t}")
     print()
     print("index 1 means the fundamental group has no p-part, so both "
           "models are split and the columns agree by construction")

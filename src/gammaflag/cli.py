@@ -5,7 +5,8 @@ config and package version the bytes on stdout are identical across runs.
 The only environment-dependent output is a version banner on stderr,
 suppressed with --no-banner.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure or a stdout closed by its
+reader, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -212,10 +214,8 @@ def _model(cfg: ScenarioConfig, rs: RootSystem) -> BrauerModel:
     fg = rs.fundamental_group()
     if cfg.brauer is not None:
         model = BrauerModel.from_labels(fg, cfg.brauer, cfg.prime)
-    elif cfg.index is not None:
-        model = BrauerModel.uniform(fg, cfg.index, cfg.prime)
-    else:
-        model = BrauerModel.split(fg, cfg.prime)
+    else:  # no index given: split, index 1 everywhere
+        model = BrauerModel.uniform(fg, cfg.index or 1, cfg.prime)
     return model.require_valid()
 
 
@@ -664,8 +664,8 @@ def _cell(value) -> str:
 class _JsonArray(list):
     """json ``default`` for any other iterable: a list holding its first
     item only, so it is empty exactly when the iterable is, whose iteration
-    draws the rest.  With an indent json.dump encodes and writes chunk by
-    chunk, so each item is drawn only as it is written."""
+    draws the rest.  With an indent the encoder yields chunk by chunk, so
+    each item is drawn only as it is encoded."""
 
     def __init__(self, items):
         self._rest = iter(items)
@@ -675,21 +675,38 @@ class _JsonArray(list):
         return itertools.chain(super().__iter__(), self._rest)
 
 
+# Characters gathered per out.write: one write(2) each to an unbuffered
+# stdout, instead of one per tsv row, pretty line or json chunk.
+_BLOCK = 8192
+
+
+def _tsv_line(row) -> str:
+    try:  # text cells need no _cell
+        return "\t".join(row) + "\n"
+    except TypeError:
+        return "\t".join(map(_cell, row)) + "\n"
+
+
 def _render(report: Report, fmt: str, out) -> None:
-    """Write the report in one format to ``out`` as it is produced."""
-    if fmt == "json":
-        json.dump(report.payload, out, indent=2, sort_keys=True,
-                  default=_JsonArray)
-        out.write("\n")
+    """Write the report in one format to ``out`` as it is produced, in
+    blocks of at least _BLOCK characters (the last one may be shorter)."""
+    if fmt == "json":  # the encoder and chunks json.dump would write
+        encoder = json.JSONEncoder(indent=2, sort_keys=True,
+                                   default=_JsonArray)
+        pieces = itertools.chain(encoder.iterencode(report.payload), ["\n"])
     elif fmt == "tsv":
-        for row in report.rows:
-            try:  # text cells need no _cell
-                line = "\t".join(row)
-            except TypeError:
-                line = "\t".join(map(_cell, row))
-            out.write(line + "\n")
+        pieces = map(_tsv_line, report.rows)
     else:
-        out.writelines(line + "\n" for line in report.lines)
+        pieces = (line + "\n" for line in report.lines)
+    block, size = [], 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= _BLOCK:
+            out.write("".join(block))
+            block, size = [], 0
+    if block:
+        out.write("".join(block))
 
 
 def run(cfg: ScenarioConfig, out=None) -> int:
@@ -787,10 +804,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args)
-        return run(cfg)
+        code = run(cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: send what is left,
+        # the flush at exit included, to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

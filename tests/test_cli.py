@@ -90,13 +90,18 @@ def test_larger_steinberg_listings_keep_their_bytes(capsys, dynkin, fmt):
 
 
 class HashSink(io.TextIOBase):
-    """A stdout that keeps only the sha256 of what is written to it."""
+    """A stdout that keeps only the sha256 of what is written to it and
+    the size of each write."""
 
     def __init__(self):
         self.digest = hashlib.sha256()
+        self.sizes = []  # of each write
+        self.chars = 0
 
     def write(self, text):
         self.digest.update(text.encode())
+        self.sizes.append(len(text))
+        self.chars += len(text)
         return len(text)
 
 
@@ -161,6 +166,18 @@ def test_steinberg_reports_a_weight_collision(capsys, monkeypatch, collide):
     assert payload["distinct"] is not collide
 
 
+def test_the_e6_listing_is_written_in_blocks():
+    sink = HashSink()
+    with contextlib.redirect_stdout(sink):
+        code = main(["steinberg", "--type", "E6", "--format", "tsv",
+                     "--no-banner"])
+    # one write per row would be 51,841; every write but the last is a
+    # whole block, and none holds more than a block and one row
+    assert code == 0 and sink.chars > 2 * 10**6
+    assert len(sink.sizes) <= sink.chars // cli._BLOCK + 1
+    assert max(sink.sizes) < cli._BLOCK + 100
+
+
 def test_json_entries_are_drawn_as_they_are_written(monkeypatch):
     elements, drawn = cli._steinberg_elements, []
 
@@ -170,21 +187,28 @@ def test_json_entries_are_drawn_as_they_are_written(monkeypatch):
             yield item
 
     class Sink(io.StringIO):
-        # how many entries were drawn when the first one reached the output
-        at_first = None
+        # per write: (entries drawn by then, entries begun in the output)
+        marks, written = [], 0
 
         def write(self, text):
-            if self.at_first is None and '"index"' in text:
-                self.at_first = len(drawn)
+            self.written += text.count('"class"')  # an entry's first key
+            self.marks.append((len(drawn), self.written))
             return super().write(text)
 
     monkeypatch.setattr(cli, "_steinberg_elements", counted)
     sink = Sink()
     with contextlib.redirect_stdout(sink):
-        code = main(["steinberg", "--type", "A2", "--format", "json",
+        code = main(["steinberg", "--type", "D5", "--format", "json",
                      "--no-banner"])
-    assert code == 0 and len(json.loads(sink.getvalue())["entries"]) == 6
-    assert sink.at_first == 1 and len(drawn) == 6
+    assert code == 0 and len(json.loads(sink.getvalue())["entries"]) == 1920
+    assert len(drawn) == 1920
+    # no entry is drawn before the one ahead of it has reached the output,
+    # so no write waits on more than its own block of entries
+    assert all(d <= w + 1 for d, w in sink.marks)
+    # and a D5 entry takes over 100 characters: the first block holds a few
+    # dozen, far from the last
+    first = next(d for d, w in sink.marks if w)
+    assert first <= cli._BLOCK // 100 < 1920 // 10
 
 
 def test_the_frozen_catalogue_replays_in_process():
@@ -587,14 +611,59 @@ def test_missing_presentation_is_a_usage_error(capsys):
 # -- module entry point ---------------------------------------------------------
 
 
-def test_python_dash_m_matches_in_process_output():
-    env = dict(os.environ)
+def module_env(**extra):
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gammaflag", "steinberg", "--type", "A2",
-         "--format", "tsv", "--no-banner"],
-        capture_output=True, text=True, timeout=60, env=env)
+    return env
+
+
+def run_module(*argv, env=None, **kwargs):
+    return subprocess.run([sys.executable, "-m", "gammaflag", *argv],
+                          capture_output=True, timeout=60,
+                          env=env or module_env(), **kwargs)
+
+
+def test_python_dash_m_matches_in_process_output():
+    proc = run_module("steinberg", "--type", "A2", "--format", "tsv",
+                      "--no-banner", text=True)
     assert proc.returncode == 0
     assert proc.stdout == A2_STEINBERG_TSV
     assert proc.stderr == ""
+
+
+def test_an_unbuffered_pipe_gets_the_listing_bytes():
+    proc = run_module("steinberg", "--type", "D5", "--format", "tsv",
+                      "--no-banner", env=module_env(PYTHONUNBUFFERED="1"))
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (
+        STEINBERG_DIGESTS["D5", "tsv"])
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv,first_line", [
+    # 2.7 MB, far past what the pipe holds: the reader leaves as `head -1` does
+    (("steinberg", "--type", "E6", "--format", "tsv"), b"word\trho\tclass\n"),
+    # a few hundred bytes: buffered, they wait for the flush to find no reader
+    (("rootinfo", "--type", "A2"), None),
+], ids=["e6-listing", "a2-rootinfo"])
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly(
+        argv, first_line, unbuffered):
+    read_end, write_end = os.pipe()
+    if first_line is None:
+        os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gammaflag", *argv, "--no-banner"],
+        stdout=write_end, stderr=subprocess.PIPE,
+        env=module_env(PYTHONUNBUFFERED=unbuffered))
+    os.close(write_end)
+    try:
+        if first_line is not None:
+            with open(read_end, "rb") as reader:
+                assert reader.readline() == first_line
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()

@@ -36,8 +36,11 @@ def test_script_runs_and_prints_its_header(script, args, header):
     (["--types", "A2", "--primes", "4"], "modulus 4 is not prime"),
     (["--types", "Q9"], "unknown type letter 'Q'"),
     (["--types", "E8"], "exceeds the size guard"),
+    # a bad entry after a good one still prints nothing
+    (["--types", "A2", "Q9"], "unknown type letter 'Q'"),
+    (["--types", "A2", "--primes", "3", "4"], "modulus 4 is not prime"),
 ])
 def test_split_vs_twisted_names_a_bad_input_and_exits_2(args, reason):
     proc = run_script("split_vs_twisted.py", *args, "--degree-cap", "1")
-    assert proc.returncode == 2
+    assert proc.returncode == 2 and proc.stdout == ""
     assert reason in proc.stderr and "Traceback" not in proc.stderr

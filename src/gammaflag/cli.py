@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+from array import array
 from collections import namedtuple
 
 from . import __version__
@@ -350,13 +351,50 @@ def _cmd_chow(cfg: ScenarioConfig) -> Report:
     return Report(payload, rows, lines)
 
 
-def _steinberg_elements(table: SteinbergTable):
+# The buckets of _WeightCount, one per low byte of a shifted weight.
+_BUCKETS = 256
+
+
+class _WeightCount:
+    """Counts the distinct packed weights of rank n <= 8 it is given, in
+    16 bytes each instead of a set of ints (about 72).  A packed weight
+    sum_j v_j 2^(16 j) plus the packer's bias sum_j 2^(16 j + 15) has the
+    fields v_j + 2^15 in [0, 2^16), so it is an int in [0, 2^128), kept
+    exactly as its two unsigned 64-bit halves.  The halves go to one of
+    _BUCKETS bucket pairs by their low byte, and the distinct pairs are
+    counted one bucket at a time, so the set that counts them holds one
+    bucket."""
+
+    def __init__(self, n: int):
+        if not 1 <= n <= 8:
+            raise ValueError(f"rank {n} outside 1..8")
+        self._bias = sum(1 << 16 * j + 15 for j in range(n))
+        self._buckets = [(array("Q"), array("Q")) for _ in range(_BUCKETS)]
+
+    def add(self, weights) -> None:
+        bias, buckets = self._bias, self._buckets
+        for x in weights:
+            x += bias
+            hi, lo = buckets[x & _BUCKETS - 1]
+            hi.append(x >> 64)
+            lo.append(x & 0xFFFFFFFFFFFFFFFF)
+
+    def __len__(self) -> int:
+        return sum(len(set(zip(hi, lo))) for hi, lo in self._buckets)
+
+
+def _steinberg_elements(table: SteinbergTable,
+                        seen: _WeightCount | None = None):
     """(word, packed rho_w, class) of every element in order.  A word is
     its letters joined by commas, "" for the identity, built as its
-    parent's word, "," and its letter; one length's words are kept."""
+    parent's word, "," and its letter; one length's words are kept.
+    Each length's weights are added to ``seen``, if given, before any of
+    its elements is yielded."""
     after = [f",{i}" for i in range(table.rs.rank + 1)]
     words = [""]
     for m, (parents, letters, rhos, classes) in enumerate(table.lengths()):
+        if seen is not None:
+            seen.add(rhos)
         if m == 1:
             words = [str(i) for i in letters]
         elif m:
@@ -377,11 +415,11 @@ def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
 
         def rows():
             # packed weights are equal exactly when the weights are, so only
-            # they are kept for the collision check, decided after the last row
+            # they are counted for the collision check, decided after the
+            # last row
             yield "word", "rho", "class"
-            seen = set()
-            for word, rho, cls in _steinberg_elements(table):
-                seen.add(rho)
+            seen = _WeightCount(n)
+            for word, rho, cls in _steinberg_elements(table, seen):
                 yield word or "-", rho_text % unpack(rho), label(cls)
             report.failed = len(seen) < order
 
@@ -389,8 +427,10 @@ def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
         return report
     # json and pretty state the verdict before any element: a first pass
     # over the weights alone
-    distinct = len({rho for _, _, rhos, _ in table.lengths()
-                    for rho in rhos}) == order
+    seen = _WeightCount(n)
+    for _, _, rhos, _ in table.lengths():
+        seen.add(rhos)
+    distinct = len(seen) == order
     report.failed = not distinct
     # one digit per letter (rank <= 8): the digits' values, commas dropped
     digits = bytes.maketrans(b"123456789", bytes(range(1, 10)))

@@ -163,8 +163,7 @@ class RestrictionImage:
             raise ValueError("Chow ring and Steinberg table disagree on W")
         model.require_valid()
         model.check_group(steinberg.fg)
-        if lattice.rs != chow.rs:
-            raise ValueError("lattice belongs to a different root system")
+        chow._check_lattice(lattice)
         p = model.p
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
@@ -325,11 +324,17 @@ class RestrictionImage:
         def vectors():
             yield from top.subspace.rows()
             for j in range(1, m):
-                piece = self.image(j)
+                # a pivot's scalar is a unit; each of its weights' coroot
+                # pairings are taken once, not once per u
+                pivots = [wts for _, wts in self.image(j).pivots]
+                pairings = {w: chow._pairings(w, p)
+                            for w in set(itertools.chain(*pivots))}
                 for u in chow.basis(m - j):
                     su = chow.single(u)
-                    for _, wts in piece.pivots:  # its scalar is a unit
-                        cls = chow.extend_by_weights(su, wts, p)
+                    for wts in pivots:
+                        cls = su
+                        for w in wts:
+                            cls = chow._times(cls, pairings[w], p)
                         if not cls.is_zero():
                             yield chow.coords(cls)
 

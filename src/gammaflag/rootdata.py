@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cache, lru_cache
+from itertools import repeat
 
 from . import intmat
 
@@ -179,7 +180,7 @@ class RootSystem:
 
     def check_weight(self, w) -> Weight:
         w = tuple(w)
-        if len(w) != self.rank or not all(isinstance(x, int) for x in w):
+        if len(w) != self.rank or not all(map(isinstance, w, repeat(int))):
             raise ValueError(
                 f"weight must be a tuple of {self.rank} integers, got {w!r}"
             )

@@ -17,6 +17,7 @@ p argument) or at the subspace level, never through floats.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 
 from .rootdata import CharacterLattice, RootSystem, Weight
 from .weyl import WeylGroup
@@ -98,7 +99,12 @@ class ChowRing:
     def coords(self, cls: SchubertClass) -> dict[int, int]:
         """Nonzero coordinates {position in basis(cls.degree): value}."""
         b = self.basis(cls.degree)
-        if not all(k in b for k in cls.terms):
+        terms = cls.terms
+        if all(map(isinstance, terms, repeat(int))):
+            fits = not terms or b.start <= min(terms) and max(terms) < b.stop
+        else:  # 3.0 is in a range as well
+            fits = all(k in b for k in terms)
+        if not fits:
             raise ValueError(f"class has terms not of length {cls.degree}")
         return {k - b.start: v for k, v in cls.terms.items()}
 
@@ -128,17 +134,29 @@ class ChowRing:
     def chevalley(self, cls: SchubertClass, lam: Weight,
                   p: int | None = None) -> SchubertClass:
         """Multiply by c_1(L(lam)) via the divisor rule."""
-        m = cls.degree
-        if m + 1 > self.degree_cap:
+        if cls.degree + 1 > self.degree_cap:
             raise ValueError(
-                f"product degree {m + 1} exceeds the degree cap {self.degree_cap}"
+                f"product degree {cls.degree + 1} exceeds the degree cap "
+                f"{self.degree_cap}"
             )
+        return self._times(cls, self._pairings(lam, p), p)
+
+    def _pairings(self, lam: Weight, p: int | None = None) -> list[int]:
+        """<lam, alpha^vee> for every positive root alpha, in root order
+        (mod p when p is given): the coefficients of the divisor rule."""
         coeffs = [0] * len(self.rs.positive_roots)
         for x, row in zip(self.rs.check_weight(lam), self._coroot_rows):
             if x:
                 coeffs = [c + x * d for c, d in zip(coeffs, row)]
         if p:
             coeffs = [c % p for c in coeffs]
+        return coeffs
+
+    def _times(self, cls: SchubertClass, coeffs: list[int],
+               p: int | None = None) -> SchubertClass:
+        """cls times the divisor whose pairings are coeffs (``_pairings``);
+        the caller checks the product's degree."""
+        m = cls.degree
         out: dict[int, int] = {}
         for u, cu in cls.terms.items():
             for ri, t in self.covers(u):
@@ -192,10 +210,11 @@ class ChowRing:
         is only defined on characters of the torus actually present).
         """
         lam = self.rs.check_weight(lam)
-        if lattice is not None and not lattice.contains(lam):
-            raise ValueError(
-                f"weight {lam} is not in the {lattice.kind} character lattice"
-            )
+        if lattice is not None:
+            self._check_lattice(lattice)
+            if not lattice.contains(lam):
+                raise ValueError(f"weight {lam} is not in the {lattice.kind} "
+                                 "character lattice")
         terms = {}
         for i, a in enumerate(lam, start=1):
             if a:
@@ -207,14 +226,20 @@ class ChowRing:
         """Degree-m piece (mod p) of the ideal generated by the image of the
         characteristic map: the row space of sigma_u * c_1(L(b)) over basis
         characters b and length-(m-1) elements u."""
+        self._check_lattice(lattice)
         if m < 1:
             raise ValueError("ideal degrees start at 1")
         sub = SubspaceBasis(p, self.basis_dim(m))
+        pairings = [self._pairings(b, p) for b in lattice.basis]
         for u in self.basis(m - 1):
             su = self.single(u)
-            for b in lattice.basis:
-                sub.insert(self.coords(self.chevalley(su, b, p)))
+            for coeffs in pairings:
+                sub.insert(self.coords(self._times(su, coeffs, p)))
         return sub
+
+    def _check_lattice(self, lattice: CharacterLattice) -> None:
+        if lattice.rs != self.rs:
+            raise ValueError("lattice belongs to a different root system")
 
 
 class SubspaceBasis:
@@ -247,13 +272,14 @@ class SubspaceBasis:
         pivots give the combination."""
         n = self.ambient
         if isinstance(vec, dict):
-            fits = all(isinstance(c, int) and 0 <= c < n for c in vec)
+            fits = all(map(isinstance, vec, repeat(int))) and (
+                not vec or 0 <= min(vec) and max(vec) < n)
         else:
             vec = dict(enumerate(vec))
             fits = len(vec) == n
         if not fits:
             raise ValueError("vector does not lie in the ambient space")
-        if not all(isinstance(x, int) for x in vec.values()):
+        if not all(map(isinstance, vec.values(), repeat(int))):
             raise ValueError("vector entries must be integers")
         v = {c: x for c, x in vec.items() if x}
         rows = self._rows

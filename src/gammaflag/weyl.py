@@ -12,9 +12,11 @@ have distinct keys.  Every query comes from that weight:
   coordinates of v (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 4).
 
 Keys are packed into one int each (``Packer``); packing is Z-linear, so
-s_i(v) is one multiply-subtract on that int.  Each coordinate of a key is
-plus or minus the height of a coroot, so the highest coroot bounds it,
-and the constructor checks that this bound fits a packed field.
+s_i(v) is one multiply-subtract on that int.  The BFS step reads the
+ascents of a key off its sign bits and each v_i off its biased field, so
+it unpacks no key.  Each coordinate of a key is plus or minus the height
+of a coroot, so the highest coroot bounds it, and the constructor checks
+that this bound fits a packed field.
 
 The breadth-first closure under right multiplication by simple
 reflections follows ascents only and fixes a deterministic order: by
@@ -121,6 +123,13 @@ class WeylGroup:
         self.packer = packer = Packer(n)
         self._alphas = [packer.pack(rs.simple_root(i))
                         for i in range(1, n + 1)]
+        # the sign bits of a key v -> its ascents, the i with v_i > 0, each
+        # as (i, the shift of field i, alpha_i); at most 2^n patterns
+        self._ascents = {
+            sum(s << 16 * j + 15 for j, s in enumerate(signs)):
+                tuple((j + 1, 16 * j, self._alphas[j])
+                      for j, s in enumerate(signs) if s)
+            for signs in itertools.product((0, 1), repeat=n)}
         self._root_keys = {r.omega_coords: packer.pack(r.omega_coords)
                            for r in rs.positive_roots}
         self._keys = [packer.pack((1,) * n)]  # rho
@@ -133,18 +142,19 @@ class WeylGroup:
         """One ascents-only BFS step: from the keys of one whole length, in
         order, the keys of the next length in BFS order, each with its
         parent's position in ``keys`` and its letter i (w = u s_i)."""
-        unpack, alphas = self.packer.unpack, self._alphas
+        bias, ascents = self.packer._bias, self._ascents
         new: dict[int, None] = {}
         parents, letters = array("i"), bytearray()
-        # every s_i(v) with v_i > 0 is one length longer
+        # every s_i(v) with v_i > 0 is one length longer; field i of the
+        # biased key x + bias is v_i + 2^15, so no key is unpacked
         for pos, x in enumerate(keys):
-            for i, c in enumerate(unpack(x), 1):
-                if c > 0:
-                    y = x - c * alphas[i - 1]
-                    if y not in new:
-                        new[y] = None
-                        parents.append(pos)
-                        letters.append(i)
+            b = x + bias
+            for i, shift, alpha in ascents[b & bias]:
+                y = x - ((b >> shift & 0xFFFF) - 0x8000) * alpha
+                if y not in new:
+                    new[y] = None
+                    parents.append(pos)
+                    letters.append(i)
         return list(new), parents, letters
 
     def grow(self, m: int) -> None:

@@ -13,9 +13,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gammaflag import SteinbergTable, WeylGroup, cli, root_system
 from gammaflag.cli import main
+from gammaflag.weyl import Packer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,6 +128,52 @@ def test_the_e6_listing_streams_in_bounded_memory(monkeypatch):
     assert len(cli.weyl_group(root_system("E6"))._keys) == 1
 
 
+def test_the_e6_listing_checks_its_weights_in_16_bytes_each(monkeypatch):
+    # a cache of its own, so the group the listing builds is fresh
+    monkeypatch.setattr(cli, "weyl_group", functools.cache(WeylGroup))
+    sink = HashSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["steinberg", "--type", "E6", "--format", "tsv",
+                         "--no-banner"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a set of the 51,840 packed weights peaks at about 5.8 MiB; 16 bytes
+    # each, about 3.3 MiB
+    assert code == 0
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# the ends of a packed field, and any field
+EDGE_FIELDS = st.one_of(
+    st.sampled_from([-2**15, -(2**15 - 1), -1, 0, 1, 2**15 - 1]),
+    st.integers(-2**15, 2**15 - 1))
+
+
+@given(st.integers(1, 8), st.data())
+def test_the_weight_count_is_the_number_of_distinct_weights(n, data):
+    packer = Packer(n)
+    weights = data.draw(st.lists(
+        st.lists(EDGE_FIELDS, min_size=n, max_size=n), max_size=40))
+    values = [packer.pack(w) for w in weights]
+    if values:
+        values += data.draw(st.lists(st.sampled_from(values), max_size=20))
+        values = data.draw(st.permutations(values))
+    count = cli._WeightCount(n)
+    cut = data.draw(st.integers(0, len(values)))  # added as two lengths
+    count.add(values[:cut])
+    count.add(values[cut:])
+    assert len(count) == len(set(values))
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_the_weight_count_refuses_ranks_past_two_halves(n):
+    with pytest.raises(ValueError, match="outside 1..8"):
+        cli._WeightCount(n)
+
+
 def test_weyl_counts_by_length_enumerate_nothing(capsys, monkeypatch):
     # a cache of its own, so the group the command builds is fresh
     monkeypatch.setattr(cli, "weyl_group", functools.cache(WeylGroup))
@@ -137,15 +186,21 @@ def test_weyl_counts_by_length_enumerate_nothing(capsys, monkeypatch):
     assert len(group._keys) == 1
 
 
-@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("collide", [False, True, "across lengths"])
 def test_steinberg_reports_a_weight_collision(capsys, monkeypatch, collide):
     lengths = SteinbergTable.lengths
+    across = collide == "across lengths"
 
     def repeating(self):
-        # the second element of length 1 gets the first one's weight
+        # the second element of length 1 gets the first one's weight or,
+        # across lengths, the first element of length 2 does
         for m, (parents, letters, rhos, classes) in enumerate(lengths(self)):
             if m == 1:
-                rhos = [rhos[0], *rhos[:-1]]
+                first = rhos[0]
+                if not across:
+                    rhos = [first, *rhos[:-1]]
+            elif m == 2 and across:
+                rhos = [first, *rhos[1:]]
             yield parents, letters, rhos, classes
 
     if collide:
@@ -155,7 +210,9 @@ def test_steinberg_reports_a_weight_collision(capsys, monkeypatch, collide):
     code, out, _ = run_cli(capsys, *args, "tsv")
     rows = out.splitlines()
     assert code == want and len(rows) == 7
-    assert (rows[2].split("\t")[1] == rows[3].split("\t")[1]) == collide
+    # rows[k + 1] is element k: elements 1, 2 have length 1 and 3, 4 length 2
+    other = rows[4 if across else 3]
+    assert (rows[2].split("\t")[1] == other.split("\t")[1]) == bool(collide)
     code, out, _ = run_cli(capsys, *args, "pretty")
     assert code == want
     assert out.splitlines()[0] == "type A2: 6 elements, " + (

@@ -21,6 +21,7 @@ from gammaflag.kgamma import _unit_monomials
 from gammaflag.schubert import SubspaceBasis
 from kgamma_helpers import engine_for
 from oracles import (
+    chevalley_by_pairing,
     power_coordinates,
     restriction_image_unfiltered,
     restriction_span_bruteforce,
@@ -255,6 +256,38 @@ def test_filtered_generators_match_the_unfiltered_stream(name, p):
         engine = RestrictionImage(chow, SteinbergTable(group), model,
                                   lattice)
         _assert_matches_unfiltered(engine, min(p, 3))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_ideal_takes_each_pivot_weight_pairing_once(name, p):
+    # CH^(m-j) * image(j) from pairing rows taken once per pivot weight is
+    # the span of the products through chevalley and through the oracle
+    rs = root_system(name)
+    group = weyl_group(rs)
+    chow = ChowRing(group, degree_cap=min(p, 3))
+    lattice = CharacterLattice(rs, "adjoint")
+    for model in _index_models(rs.fundamental_group(), p):
+        engine = RestrictionImage(chow, SteinbergTable(group), model,
+                                  lattice)
+        for m in range(1, min(p, 3) + 1):
+            by_rule, by_pairing = (
+                SubspaceBasis(p, chow.basis_dim(m)) for _ in range(2))
+            for row in engine.image(m).subspace.rows():
+                by_rule.insert(row)
+                by_pairing.insert(row)
+            for j in range(1, m):
+                for u in chow.basis(m - j):
+                    for _, wts in engine.image(j).pivots:
+                        cls = chow.extend_by_weights(chow.single(u), wts, p)
+                        oracle = chow.single(u)
+                        for w in wts:
+                            oracle = chevalley_by_pairing(chow, oracle, w, p)
+                        assert cls == oracle
+                        by_rule.insert(chow.coords(cls))
+                        by_pairing.insert(chow.coords(oracle))
+            rows = engine.ideal(m).rows()
+            assert rows == by_rule.rows() == by_pairing.rows()
 
 
 # split: Sym^1 is full at element 9; index 3: Sym^3 is full at element 10

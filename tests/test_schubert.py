@@ -9,13 +9,16 @@ the corresponding polynomial images.
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gammaflag import (
+    BrauerModel,
     CharacterLattice,
     ChowRing,
+    RestrictionImage,
     SchubertClass,
+    SteinbergTable,
     SubspaceBasis,
     root_system,
     weyl_group,
@@ -95,6 +98,24 @@ def test_divisor_class_checks_lattice_membership():
     with pytest.raises(ValueError) as exc:
         ring.divisor_class((1, 0), adjoint)
     assert "adjoint" in str(exc.value)
+
+
+def test_a_lattice_of_another_root_system_is_refused():
+    # B3 and C3 have the same rank, so a B3 lattice fits a C3 ring's vectors
+    ring = chow("C3", cap=3)
+    lattice = CharacterLattice(root_system("B3"), "adjoint")
+    with pytest.raises(ValueError,
+                       match="lattice belongs to a different root system"):
+        ring.char_ideal(lattice, 2, 3)
+    with pytest.raises(ValueError,
+                       match="lattice belongs to a different root system"):
+        ring.divisor_class(lattice.basis[0], lattice)
+    model = BrauerModel.uniform(ring.rs.fundamental_group(), 1, 3)
+    with pytest.raises(ValueError,
+                       match="lattice belongs to a different root system"):
+        RestrictionImage(ring, SteinbergTable(ring.group), model, lattice)
+    ring.divisor_class(ring.rs.simple_root(1),
+                       CharacterLattice(ring.rs, "adjoint"))
 
 
 # -- frozen products in A2 ----------------------------------------------------
@@ -195,6 +216,29 @@ def test_chevalley_matches_the_pairing_oracle_on_random_classes(name, data):
     p = data.draw(st.sampled_from([None, 2, 3, 5, 997]))
     assert ring.chevalley(cls, lam, p) \
         == chevalley_by_pairing(ring, cls, lam, p)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+def test_char_ideal_takes_each_pairing_row_once(name):
+    # the ideal built from pairing rows taken once per basis weight is the
+    # one built product by product through chevalley and the oracle
+    ring = chow(name, cap=3)
+    for kind in ("adjoint", "simply_connected"):
+        lattice = CharacterLattice(ring.rs, kind)
+        for p in (2, 3):
+            for m in (1, 2, 3):
+                by_rule, by_pairing = (
+                    SubspaceBasis(p, ring.basis_dim(m)) for _ in range(2))
+                for u in ring.basis(m - 1):
+                    for b in lattice.basis:
+                        got = ring._times(ring.single(u),
+                                          ring._pairings(b, p), p)
+                        assert got == ring.chevalley(ring.single(u), b, p)
+                        by_rule.insert(ring.coords(got))
+                        by_pairing.insert(ring.coords(chevalley_by_pairing(
+                            ring, ring.single(u), b, p)))
+                ideal = ring.char_ideal(lattice, m, p)
+                assert ideal.rows() == by_rule.rows() == by_pairing.rows()
 
 
 # -- algebraic laws -----------------------------------------------------------
@@ -391,6 +435,102 @@ def test_subspace_rejects_vectors_outside_the_ambient_space(vec):
     sub = SubspaceBasis(3, 2)
     with pytest.raises(ValueError, match="ambient space"):
         sub.contains(vec)
+
+
+# The input checks as generator expressions, one Python step per item.
+
+
+def _reduce_error(vec, n):
+    if isinstance(vec, dict):
+        fits = all(isinstance(c, int) and 0 <= c < n for c in vec)
+    else:
+        vec = dict(enumerate(vec))
+        fits = len(vec) == n
+    if not fits:
+        return "vector does not lie in the ambient space"
+    if not all(isinstance(x, int) for x in vec.values()):
+        return "vector entries must be integers"
+    return None
+
+
+def _coords_error(terms, b, m):
+    if not all(k in b for k in terms):
+        return f"class has terms not of length {m}"
+    return None
+
+
+def _weight_error(w, n):
+    w = tuple(w)
+    if len(w) != n or not all(isinstance(x, int) for x in w):
+        return f"weight must be a tuple of {n} integers, got {w!r}"
+    return None
+
+
+def _error(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+ITEMS = st.one_of(st.integers(-3, 14), st.sampled_from(
+    [True, False, 0.0, 3.0, 2.5, -1.0, "a", None, 10**30, -10**30]))
+
+
+def _near(start, stop):
+    """Positions in and around start..stop-1, as ints, floats (3.0 is in
+    a range too) and bools, and other items."""
+    near = st.integers(start - 2, stop + 1)
+    return st.one_of(near, near.map(float), st.booleans(), ITEMS)
+
+
+def _vectors(n):
+    return st.tuples(st.just(n), st.one_of(
+        st.dictionaries(_near(0, n), ITEMS, max_size=6),
+        st.lists(ITEMS, max_size=8).map(tuple)))
+
+
+@given(st.integers(0, 6).flatmap(_vectors))
+@example((2, {0: 1})).via("the least column")
+@example((2, {1: 1})).via("the last column")
+@example((2, {2: 1})).via("one past the last column")
+@example((2, {1.0: 1})).via("a float column")
+@example((2, {True: 1})).via("a bool column")
+@example((2, {1: 1.0})).via("an entry not an int")
+def test_the_subspace_input_checks_match_the_generator_checks(case):
+    n, vec = case
+    sub = SubspaceBasis(5, n)
+    assert _error(lambda: sub.contains(vec)) == _reduce_error(vec, n)
+
+
+def _classes(name_and_degree):
+    name, m = name_and_degree
+    b = chow(name, cap=3).basis(m)
+    return st.tuples(st.just(name), st.just(m), st.dictionaries(
+        _near(b.start, b.stop), st.integers(1, 3), max_size=6))
+
+
+@given(st.tuples(st.sampled_from(["A2", "B2", "G2", "A3"]),
+                 st.integers(0, 3)).flatmap(_classes))
+@example(("A2", 1, {1: 1, 2: 1})).via("the whole basis")
+@example(("A2", 1, {3: 1})).via("one past the basis")
+@example(("A2", 2, {3.0: 1})).via("a float in the basis")
+@example(("A2", 1, {True: 1})).via("a bool in the basis")
+def test_the_coords_check_matches_the_generator_check(case):
+    name, m, terms = case
+    ring = chow(name, cap=3)
+    want = _coords_error(terms, ring.basis(m), m)
+    assert _error(lambda: ring.coords(SchubertClass(m, terms))) == want
+
+
+@given(st.sampled_from(["A1", "A2", "B3", "D4"]), st.lists(ITEMS, max_size=6))
+@example("A2", [1, 2.0]).via("a float coordinate")
+@example("A2", [1, True]).via("a bool coordinate")
+def test_the_weight_check_matches_the_generator_check(name, w):
+    rs = root_system(name)
+    want = _weight_error(w, rs.rank)
+    assert _error(lambda: rs.check_weight(w)) == want
 
 
 def _as_dict(vec):

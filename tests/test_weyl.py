@@ -256,6 +256,34 @@ def test_parents_are_the_words_less_their_last_letter(name):
         assert g.inv_rho(k) == g.rs.reflect(word[-1], g.inv_rho(t))
 
 
+def step_by_unpacking(g, keys):
+    """The BFS step with every key unpacked: s_i(v) for each v_i > 0."""
+    pack, unpack = g.packer.pack, g.packer.unpack
+    alphas = [pack(g.rs.simple_root(i)) for i in range(1, g.rs.rank + 1)]
+    new, parents, letters = {}, [], []
+    for pos, x in enumerate(keys):
+        for i, c in enumerate(unpack(x), 1):
+            if c > 0 and (y := x - c * alphas[i - 1]) not in new:
+                new[y] = None
+                parents.append(pos)
+                letters.append(i)
+    return list(new), parents, letters
+
+
+@pytest.mark.parametrize("name,max_length", [
+    ("A1", None), ("A2", None), ("B2", None), ("G2", None), ("B3", None),
+    ("C3", None), ("D4", None), ("F4", None), ("E6", None), ("A8", 8),
+    ("E7", 7), ("E8", 6)])
+def test_the_sign_bit_step_matches_unpacking_every_key(name, max_length):
+    g = WeylGroup(root_system(name), max_length=max_length)
+    keys = g._keys[:1]
+    for _ in range(g.longest_length):
+        new, parents, letters = g.step(keys)
+        assert (new, list(parents), list(letters)) == step_by_unpacking(
+            g, keys)
+        keys = new
+
+
 def test_packing_refuses_weights_past_a_field():
     # a stand-in root system whose highest coroot height cannot be packed
     rs = SimpleNamespace(name="X1", weyl_order=1, cartan=((2,),),
@@ -365,16 +393,18 @@ def test_an_interrupted_bfs_keeps_only_whole_lengths(monkeypatch):
     rs = root_system("D4")
     g = WeylGroup(rs)
     g.grow(2)
-    unpack, calls = Packer.unpack, []
+    calls = []
 
-    def interrupted(self, x):
-        # the fifth key read is partway through the nine of length 2
-        calls.append(x)
-        if len(calls) == 5:
-            raise KeyboardInterrupt
-        return unpack(self, x)
+    class Interrupted(dict):
+        # the step reads the ascents of every key by its sign bits: the
+        # fifth read is partway through the nine keys of length 2
+        def __getitem__(self, signs):
+            calls.append(signs)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return super().__getitem__(signs)
 
-    monkeypatch.setattr(Packer, "unpack", interrupted)
+    monkeypatch.setattr(g, "_ascents", Interrupted(g._ascents))
     with pytest.raises(KeyboardInterrupt):
         g.grow(4)
     monkeypatch.undo()

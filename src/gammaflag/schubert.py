@@ -134,10 +134,10 @@ class ChowRing:
     def chevalley(self, cls: SchubertClass, lam: Weight,
                   p: int | None = None) -> SchubertClass:
         """Multiply by c_1(L(lam)) via the divisor rule."""
-        if cls.degree + 1 > self.degree_cap:
+        m = cls.degree
+        if m + 1 > self.degree_cap:
             raise ValueError(
-                f"product degree {cls.degree + 1} exceeds the degree cap "
-                f"{self.degree_cap}"
+                f"product degree {m + 1} exceeds the degree cap {self.degree_cap}"
             )
         return self._times(cls, self._pairings(lam, p), p)
 

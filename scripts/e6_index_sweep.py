@@ -17,7 +17,6 @@ from gammaflag import (
     CharacterLattice,
     ChowRing,
     RestrictionImage,
-    SteinbergTable,
     common_index,
     degree1_generators,
     ideal_equality_report,
@@ -38,9 +37,7 @@ def run(cfg: SweepConfig) -> None:
     rs = root_system("E6")
     p = 3
     t0 = time.perf_counter()
-    group = weyl_group(rs)
-    chow = ChowRing(group, degree_cap=cfg.degree_cap)
-    table = SteinbergTable(group)
+    chow = ChowRing(weyl_group(rs), degree_cap=cfg.degree_cap)
     lattice = CharacterLattice(rs, "adjoint")
     fg = rs.fundamental_group()
     pres = kac_presentation(rs, lattice, p)
@@ -58,7 +55,7 @@ def run(cfg: SweepConfig) -> None:
         found = common_index(model, fg, gens)
         _, constraints = j1_constraints(model, lattice, pres)
         j1 = "/".join(str(v) for v in constraints[0].admissible)
-        engine = RestrictionImage(chow, table, model, lattice)
+        engine = RestrictionImage(chow, model, lattice)
         outcome = ideal_equality_report(engine, max_degree=cfg.degree_cap)
         cells = [str(index), str(found.value), j1]
         for entry in outcome.degrees:

@@ -18,7 +18,6 @@ from gammaflag import (
     CharacterLattice,
     ChowRing,
     RestrictionImage,
-    SteinbergTable,
     root_system,
     vp,
     weyl_group,
@@ -51,17 +50,15 @@ def run(cfg: CompareConfig) -> None:
     pairs = []
     for name in cfg.types:
         rs = root_system(name)
-        group = weyl_group(rs)
-        chow = ChowRing(group, degree_cap=cfg.degree_cap)
-        table = SteinbergTable(group)
+        chow = ChowRing(weyl_group(rs), degree_cap=cfg.degree_cap)
         lattice = CharacterLattice(rs, cfg.lattice_kind)
         fg = rs.fundamental_group()
         for p in cfg.primes:
             index = twist_index(fg, p)
             split = RestrictionImage(
-                chow, table, BrauerModel.uniform(fg, 1, p), lattice)
+                chow, BrauerModel.uniform(fg, 1, p), lattice)
             twisted = RestrictionImage(
-                chow, table, BrauerModel.uniform(fg, index, p), lattice)
+                chow, BrauerModel.uniform(fg, index, p), lattice)
             pairs.append((name, p, index, split, twisted))
     print("type\tp\tindex\tdegree\tdim split\tdim twisted")
     for name, p, index, split, twisted in pairs:

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .rootdata import CharacterLattice, Weight
+from .rootdata import CharacterLattice
 
 __all__ = ["BrauerModel", "CommonIndexReport", "common_index", "is_prime", "vp"]
 
@@ -96,14 +96,6 @@ class BrauerModel(namedtuple("BrauerModel", "group ind p")):
                 f"fundamental group {fg.quotient.factors} of the root system"
             )
 
-    def index_of(self, e: tuple[int, ...]) -> int:
-        return self.ind[e]
-
-    def tits_index(self, fg: CharacterLattice, w: Weight) -> int:
-        """Index of the Tits algebra attached to a weight's class."""
-        self.check_group(fg)
-        return self.ind[fg.class_of(w)]
-
     def max_valuation(self) -> int:
         return max(vp(v, self.p) for v in self.ind.values())
 
@@ -137,10 +129,6 @@ class CommonIndexReport(namedtuple(
     """
 
     __slots__ = ()
-
-    @property
-    def vacuous(self) -> bool:
-        return not self.defined
 
 
 def common_index(model: BrauerModel, fg: CharacterLattice,

@@ -222,11 +222,9 @@ def _model(cfg: ScenarioConfig, rs: RootSystem) -> BrauerModel:
 
 def _engine(cfg: ScenarioConfig, degree_cap: int) -> RestrictionImage:
     rs = root_system(cfg.type)
-    group = weyl_group(rs)
-    chow = ChowRing(group, degree_cap=degree_cap)
+    chow = ChowRing(weyl_group(rs), degree_cap=degree_cap)
     lattice = CharacterLattice(rs, cfg.lattice)
-    return RestrictionImage(chow, SteinbergTable(group), _model(cfg, rs),
-                            lattice)
+    return RestrictionImage(chow, _model(cfg, rs), lattice)
 
 
 def _sigma(word) -> str:
@@ -351,8 +349,9 @@ def _cmd_chow(cfg: ScenarioConfig) -> Report:
     return Report(payload, rows, lines)
 
 
-# The buckets of _WeightCount, one per low byte of a shifted weight.
-_BUCKETS = 256
+# The buckets of _WeightCount, one per residue of a shifted weight: a
+# prime, so that every coordinate moves the residue.
+_BUCKETS = 251
 
 
 class _WeightCount:
@@ -361,9 +360,9 @@ class _WeightCount:
     sum_j v_j 2^(16 j) plus the packer's bias sum_j 2^(16 j + 15) has the
     fields v_j + 2^15 in [0, 2^16), so it is an int in [0, 2^128), kept
     exactly as its two unsigned 64-bit halves.  The halves go to one of
-    _BUCKETS bucket pairs by their low byte, and the distinct pairs are
-    counted one bucket at a time, so the set that counts them holds one
-    bucket."""
+    _BUCKETS bucket pairs by the int's residue mod _BUCKETS, and the
+    distinct pairs are counted one bucket at a time, so the set that
+    counts them holds one bucket."""
 
     def __init__(self, n: int):
         if not 1 <= n <= 8:
@@ -375,7 +374,7 @@ class _WeightCount:
         bias, buckets = self._bias, self._buckets
         for x in weights:
             x += bias
-            hi, lo = buckets[x & _BUCKETS - 1]
+            hi, lo = buckets[x % _BUCKETS]
             hi.append(x >> 64)
             lo.append(x & 0xFFFFFFFFFFFFFFFF)
 
@@ -405,7 +404,7 @@ def _steinberg_elements(table: SteinbergTable,
 def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
     group = weyl_group(root_system(cfg.type))
     table = SteinbergTable(group)
-    name, order, n = group.rs.name, group.order, group.rs.rank
+    name, order, n = group.rs.name, len(group), group.rs.rank
     unpack, label = group.packer.unpack, functools.cache(
         table.fg.quotient.label)
     report = Report({}, (), ())

@@ -88,13 +88,6 @@ class FormalBundle:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    @property
-    def rank(self) -> int:
-        return sum(self.terms.values())
-
     def __repr__(self) -> str:
         return f"FormalBundle(n={self.n}, {self.terms})"
 
@@ -115,18 +108,6 @@ class TruncatedChowPoly:
     @classmethod
     def one(cls, n: int, cap: int) -> "TruncatedChowPoly":
         return cls(n, cap, {(0,) * n: 1})
-
-    @classmethod
-    def linear(cls, n: int, cap: int, a) -> "TruncatedChowPoly":
-        """sum_j a_j t_j for an exponent vector a."""
-        a = tuple(a)
-        if len(a) != n:
-            raise ValueError("exponent vector has the wrong arity")
-        terms = {}
-        for j, c in enumerate(a):
-            if c:
-                terms[tuple(1 if k == j else 0 for k in range(n))] = c
-        return cls(n, cap, terms)
 
     def _check(self, other: "TruncatedChowPoly") -> None:
         if (self.n, self.cap) != (other.n, other.cap):
@@ -159,11 +140,6 @@ class TruncatedChowPoly:
                     k = tuple(map(operator.add, a, b))
                     out[k] = out.get(k, 0) + x * y
         return TruncatedChowPoly(self.n, cap, out)
-
-    def scaled(self, c: int) -> "TruncatedChowPoly":
-        return TruncatedChowPoly(
-            self.n, self.cap, {k: c * v for k, v in self.terms.items()}
-        )
 
     def component(self, i: int) -> dict[tuple[int, ...], int]:
         return {k: v for k, v in self.terms.items() if sum(k) == i}

@@ -1,4 +1,4 @@
-"""Exact integer matrix arithmetic: products, determinants, Smith normal form.
+"""Exact integer matrix arithmetic: Smith normal form, unimodular inverses.
 
 Everything here works on tuples of tuples of Python ints.  No floating
 point is used anywhere; unimodular transforms are tracked explicitly so
@@ -13,9 +13,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "identity",
-    "mat_mul",
     "mat_vec",
-    "det",
     "snf",
     "unimodular_inverse",
 ]
@@ -25,40 +23,8 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in a]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _swap_rows(m: list[list[int]], i: int, j: int) -> None:

@@ -57,8 +57,8 @@ unit (polarization), and V_j itself in the pure powers h_i^p at j = p,
 where v_i^p = v_i.  When p divides |Lambda/Lambda_r| the root lattice mod
 p is a proper subspace, so V_j can be too.  Each engine walks the
 Steinberg stream on demand, one whole BFS length at a time as the passes
-read keys, from a window of its own; it stops short of W once every pass
-reaches its ceiling or has all-zero binomials.
+read keys, from a table and a window of its own; it stops short of W
+once every pass reaches its ceiling or has all-zero binomials.
 """
 
 from __future__ import annotations
@@ -154,13 +154,13 @@ class RestrictionImage:
     """Degree-by-degree mod-p image of restriction from a twisted form.
 
     Also assembles the ideal generated by all lower-degree images, the
-    object the index hypothesis constrains.
+    object the index hypothesis constrains.  The Steinberg table is the
+    engine's own, over the Chow ring's group, which must be full.
     """
 
-    def __init__(self, chow: ChowRing, steinberg: SteinbergTable,
-                 model: BrauerModel, lattice: CharacterLattice):
-        if chow.group is not steinberg.group:
-            raise ValueError("Chow ring and Steinberg table disagree on W")
+    def __init__(self, chow: ChowRing, model: BrauerModel,
+                 lattice: CharacterLattice):
+        steinberg = SteinbergTable(chow.group)
         model.require_valid()
         model.check_group(steinberg.fg)
         chow._check_lattice(lattice)

@@ -120,7 +120,7 @@ class RootSystem:
 
     __slots__ = (
         "letter", "rank", "cartan", "degrees", "weyl_order",
-        "positive_roots", "_omega_index",
+        "positive_roots",
     )
 
     def __init__(self, letter: str, rank: int):
@@ -140,10 +140,6 @@ class RootSystem:
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "weyl_order", math.prod(degrees))
         object.__setattr__(self, "positive_roots", self._close_roots())
-        object.__setattr__(
-            self, "_omega_index",
-            {r.omega_coords: k for k, r in enumerate(self.positive_roots)},
-        )
 
     def __setattr__(self, *_):
         raise AttributeError("RootSystem is immutable")
@@ -186,18 +182,6 @@ class RootSystem:
             )
         return w
 
-    def reflect(self, i: int, w: Weight) -> Weight:
-        """Simple reflection s_i acting on a weight."""
-        self._check_index(i)
-        w = self.check_weight(w)
-        c = w[i - 1]
-        alpha = self.simple_root(i)
-        return tuple(x - c * a for x, a in zip(w, alpha))
-
-    def pairing(self, w: Weight, root: PositiveRoot) -> int:
-        """Pairing <w, alpha^vee> against a positive root's coroot."""
-        return sum(x * d for x, d in zip(w, root.coroot_coords))
-
     # -- positive roots ------------------------------------------------
 
     def _close_roots(self) -> tuple[PositiveRoot, ...]:
@@ -232,14 +216,6 @@ class RootSystem:
                 roots.append(PositiveRoot(a, omega, d))
         roots.sort(key=lambda r: (r.height, r.alpha_coords))
         return tuple(roots)
-
-    def root_sign(self, omega_coords: Weight) -> int:
-        """+1 / -1 for a (positive/negative) root, else raises."""
-        if omega_coords in self._omega_index:
-            return 1
-        if tuple(-x for x in omega_coords) in self._omega_index:
-            return -1
-        raise ValueError(f"{omega_coords} is not a root")
 
     # -- fundamental group ---------------------------------------------
 
@@ -395,11 +371,6 @@ class CharacterLattice:
     @property
     def index_in_weight_lattice(self) -> int:
         return math.prod(self._d)
-
-    def contains(self, w: Weight) -> bool:
-        w = self.rs.check_weight(w)
-        y = intmat.mat_vec(self._u, w)
-        return all(x % d == 0 for x, d in zip(y, self._d))
 
     def class_of(self, w: Weight) -> tuple[int, ...]:
         """Class of a weight in Lambda/T*."""

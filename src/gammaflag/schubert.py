@@ -38,27 +38,6 @@ class SchubertClass(namedtuple("SchubertClass", "degree terms")):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scaled(self, c: int) -> "SchubertClass":
-        if c == 0:
-            return SchubertClass(self.degree, {})
-        return SchubertClass(self.degree, {k: c * v for k, v in self.terms.items()})
-
-    def plus(self, other: "SchubertClass") -> "SchubertClass":
-        if self.degree != other.degree:
-            raise ValueError("cannot add classes of different degrees")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SchubertClass(self.degree, out)
-
-    def reduced(self, p: int) -> "SchubertClass":
-        out = {k: v % p for k, v in self.terms.items()}
-        return SchubertClass(self.degree, {k: v for k, v in out.items() if v})
-
 
 class ChowRing:
     """Degree-capped Chow groups of G/B with the divisor product rule.
@@ -108,19 +87,8 @@ class ChowRing:
             raise ValueError(f"class has terms not of length {cls.degree}")
         return {k - b.start: v for k, v in cls.terms.items()}
 
-    def vector(self, cls: SchubertClass, p: int | None = None) -> tuple[int, ...]:
-        """Coordinates of a class against the degree-(cls.degree) basis."""
-        out = [0] * self.basis_dim(cls.degree)
-        for i, v in self.coords(cls).items():
-            out[i] = v % p if p else v
-        return tuple(out)
-
     def single(self, k: int) -> SchubertClass:
         return SchubertClass(self.group.length(k), {k: 1})
-
-    def h(self, i: int) -> SchubertClass:
-        """Schubert divisor sigma_{s_i}."""
-        return self.single(self.group.right_mul(0, i))
 
     # -- products ----------------------------------------------------------
 
@@ -193,33 +161,7 @@ class ChowRing:
         self._monomial_cache[key] = out
         return out
 
-    def extend_by_weights(self, cls: SchubertClass, weights,
-                          p: int | None = None) -> SchubertClass:
-        out = cls
-        for w in weights:
-            out = self.chevalley(out, w, p)
-        return out
-
     # -- characteristic map -------------------------------------------------
-
-    def divisor_class(self, lam: Weight,
-                      lattice: CharacterLattice | None = None) -> SchubertClass:
-        """Degree-1 image sum a_i * sigma_{s_i} of lam = sum a_i omega_i.
-
-        When a character lattice is given, lam must belong to it (the map
-        is only defined on characters of the torus actually present).
-        """
-        lam = self.rs.check_weight(lam)
-        if lattice is not None:
-            self._check_lattice(lattice)
-            if not lattice.contains(lam):
-                raise ValueError(f"weight {lam} is not in the {lattice.kind} "
-                                 "character lattice")
-        terms = {}
-        for i, a in enumerate(lam, start=1):
-            if a:
-                terms[self.group.right_mul(0, i)] = a
-        return SchubertClass(1, terms)
 
     def char_ideal(self, lattice: CharacterLattice, m: int,
                    p: int) -> "SubspaceBasis":
@@ -326,10 +268,6 @@ class SubspaceBasis:
                 row[col] = x
             out.append(tuple(row))
         return tuple(out)
-
-    def is_subspace_of(self, other: "SubspaceBasis") -> bool:
-        return all(other.contains({q: 1, **row})
-                   for q, row in self._rows.items())
 
     def __eq__(self, other) -> bool:
         return (

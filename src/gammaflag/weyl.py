@@ -82,7 +82,7 @@ class WeylGroup:
     The enumeration refuses to start when the number of elements it could
     visit (known beforehand from the degrees of the invariants) exceeds
     ``DEFAULT_SIZE_GUARD``; the full E7 and E8 trip it.  A truncated group
-    contains every element of length <= max_length.  ``len``, ``order``,
+    contains every element of length <= max_length.  ``len``,
     ``longest_length`` and ``is_full`` come from the degrees; a query about
     an element grows the BFS as far as it needs.  ``_keys[k]`` is the
     packed w_k^-1(rho); the identity's parent is -1.
@@ -181,10 +181,6 @@ class WeylGroup:
     # -- basic queries ---------------------------------------------------
 
     def __len__(self) -> int:
-        return self._starts[-1]
-
-    @property
-    def order(self) -> int:
         return self._starts[-1]
 
     def length(self, k: int) -> int:

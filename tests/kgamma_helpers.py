@@ -5,7 +5,6 @@ from gammaflag import (
     CharacterLattice,
     ChowRing,
     RestrictionImage,
-    SteinbergTable,
     root_system,
     weyl_group,
 )
@@ -15,9 +14,7 @@ def engine_for(name: str, lattice_kind, p: int, index: int,
                cap: int | None = None) -> RestrictionImage:
     """Uniform-index engine over the full flag variety of the given type."""
     rs = root_system(name)
-    group = weyl_group(rs)
-    chow = ChowRing(group, degree_cap=cap if cap is not None else p)
-    table = SteinbergTable(group)
+    chow = ChowRing(weyl_group(rs), degree_cap=cap if cap is not None else p)
     model = BrauerModel.uniform(rs.fundamental_group(), index, p)
     lattice = CharacterLattice(rs, lattice_kind)
-    return RestrictionImage(chow, table, model, lattice)
+    return RestrictionImage(chow, model, lattice)

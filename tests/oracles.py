@@ -162,15 +162,91 @@ class DenseSubspace:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self._rows)
 
-    def is_subspace_of(self, other: "DenseSubspace") -> bool:
-        return all(other.contains(r) for r in self._rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DenseSubspace)
             and (self.p, self.ambient) == (other.p, other.ambient)
             and self.rows() == other.rows()
         )
+
+
+def is_subspace_of(sub, other) -> bool:
+    """Every row of sub lies in other (either a SubspaceBasis or a
+    DenseSubspace)."""
+    return all(other.contains(r) for r in sub.rows())
+
+
+# -- weights, roots, lattices and matrices by their definitions --------------
+
+
+def reflect(rs: RootSystem, i: int, w) -> tuple[int, ...]:
+    """Simple reflection s_i acting on a weight: w - w_i * alpha_i."""
+    c = w[i - 1]
+    return tuple(x - c * a for x, a in zip(w, rs.simple_root(i)))
+
+
+def pairing(w, root) -> int:
+    """Pairing <w, alpha^vee> against a positive root's coroot."""
+    return sum(x * d for x, d in zip(w, root.coroot_coords))
+
+
+@lru_cache(maxsize=None)
+def _positive_omega_coords(rs: RootSystem) -> frozenset:
+    return frozenset(r.omega_coords for r in rs.positive_roots)
+
+
+def root_sign(rs: RootSystem, omega_coords) -> int:
+    """+1 / -1 for a (positive/negative) root, else raises."""
+    positive = _positive_omega_coords(rs)
+    if omega_coords in positive:
+        return 1
+    if tuple(-x for x in omega_coords) in positive:
+        return -1
+    raise ValueError(f"{omega_coords} is not a root")
+
+
+def lattice_contains(lattice, w) -> bool:
+    """w is an integer combination of the lattice's basis: its coordinates
+    in that basis, solved over Q, are integers."""
+    n = len(w)
+    mat = [[Fraction(lattice.basis[j][i]) for j in range(n)]
+           for i in range(n)]
+    inv = _fraction_inverse(mat)
+    return all(sum(inv[i][j] * w[j] for j in range(n)).denominator == 1
+               for i in range(n))
+
+
+def mat_mul_rows(a, b) -> tuple[tuple[int, ...], ...]:
+    """Product of two integer matrices given as tuples of rows."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in a)
+
+
+# -- Schubert classes as dense vectors ----------------------------------------
+
+
+def vector(chow: ChowRing, cls: SchubertClass,
+           p: int | None = None) -> tuple[int, ...]:
+    """Coordinates of a class against the degree-(cls.degree) basis,
+    reduced mod p when p is given."""
+    out = [0] * chow.basis_dim(cls.degree)
+    for i, v in chow.coords(cls).items():
+        out[i] = v % p if p else v
+    return tuple(out)
+
+
+def schubert_divisor(chow: ChowRing, i: int) -> SchubertClass:
+    """The Schubert divisor sigma_{s_i}."""
+    return chow.single(chow.group.right_mul(0, i))
+
+
+def extend_by_weights(chow: ChowRing, cls: SchubertClass, weights,
+                      p: int | None = None) -> SchubertClass:
+    """cls times c_1(L(w)) for each weight w in turn."""
+    for w in weights:
+        cls = chow.chevalley(cls, w, p)
+    return cls
 
 
 # -- coinvariant-algebra model of the Chow ring -------------------------------
@@ -216,7 +292,7 @@ class CoinvariantRing:
         for j in range(1, n + 1):
             images = []
             for i in range(1, n + 1):
-                w = rs.reflect(j, rs.fundamental_weight(i))
+                w = reflect(rs, j, rs.fundamental_weight(i))
                 images.append({
                     tuple(1 if k == t else 0 for k in range(n)): Fraction(c)
                     for t, c in enumerate(w) if c
@@ -468,7 +544,7 @@ def inversion_count(group: WeylGroup, k: int) -> int:
     """Positive roots sent to negative ones; the definition of length."""
     rs = group.rs
     return sum(
-        rs.root_sign(act(group, k, r.omega_coords)) < 0
+        root_sign(rs, act(group, k, r.omega_coords)) < 0
         for r in rs.positive_roots
     )
 
@@ -485,7 +561,7 @@ def word_columns(rs: RootSystem, word: tuple[int, ...],
             j = word[-1]
             cols = list(u)
             cols[j - 1] = columns_act(
-                u, rs.reflect(j, rs.fundamental_weight(j)))
+                u, reflect(rs, j, rs.fundamental_weight(j)))
             cols = tuple(cols)
         else:
             cols = tuple(rs.fundamental_weight(i)
@@ -506,7 +582,7 @@ def columns_act(cols, lam) -> tuple[int, ...]:
 
 def _descents(rs: RootSystem, cols, alphas) -> frozenset[int]:
     return frozenset(i for i, alpha in enumerate(alphas, 1)
-                     if rs.root_sign(columns_act(cols, alpha)) < 0)
+                     if root_sign(rs, columns_act(cols, alpha)) < 0)
 
 
 def descent_set_by_roots(group: WeylGroup, k: int) -> frozenset[int]:
@@ -551,13 +627,13 @@ def steinberg_by_descent_sets(group: WeylGroup):
 def chevalley_by_pairing(chow: ChowRing, cls: SchubertClass, lam,
                          p: int | None = None) -> SchubertClass:
     """sigma_u * c_1(L(lam)) summed over the covers u * s_alpha of every u,
-    each weighted by <lam, alpha^vee> from ``rs.pairing``, reduced mod p
+    each weighted by <lam, alpha^vee> from ``pairing``, reduced mod p
     only at the end."""
     rs = chow.rs
     out: dict[int, int] = {}
     for u, cu in cls.terms.items():
         for ri, t in chow.group.covers(u):
-            c = cu * rs.pairing(lam, rs.positive_roots[ri])
+            c = cu * pairing(lam, rs.positive_roots[ri])
             out[t] = out.get(t, 0) + c
     out = {k: v % p if p else v for k, v in out.items()}
     return SchubertClass(cls.degree + 1, {k: v for k, v in out.items() if v})
@@ -588,7 +664,7 @@ def restriction_span_bruteforce(chow: ChowRing, model,
         if not scalar:
             return
         cls = chow.monomial(tuple(weights), p)
-        vec = tuple(x * scalar % p for x in chow.vector(cls, p))
+        vec = tuple(x * scalar % p for x in vector(chow, cls, p))
         span.insert(vec)
 
     def rec(start: int, left: int, scalar: int, weights: list) -> None:
@@ -597,7 +673,7 @@ def restriction_span_bruteforce(chow: ChowRing, model,
             return
         # parts ordered by element index, elements repeatable across parts
         for w in range(start, size):
-            iw = model.index_of(classes[w])
+            iw = model.ind[classes[w]]
             rho = rhos[w]
             for a in range(1, left + 1):
                 c = math.comb(iw, a) % p
@@ -619,7 +695,7 @@ def restriction_image_unfiltered(engine, top: int):
     chow, model, p = engine.chow, engine.model, engine.p
     seen = {}
     for rho, cls in zip(*steinberg_by_descent_sets(chow.group)):
-        i_w = model.index_of(cls)
+        i_w = model.ind[cls]
         binoms = tuple(math.comb(i_w, j) % p
                        for j in range(1, engine.max_degree + 1))
         if any(binoms):
@@ -638,7 +714,7 @@ def restriction_image_unfiltered(engine, top: int):
             cls = chow.monomial(weights, p)
             if cls.is_zero():
                 return
-            vec = tuple(x * scalar % p for x in chow.vector(cls, p))
+            vec = tuple(x * scalar % p for x in vector(chow, cls, p))
             if sub.insert(vec):
                 pivots.append((scalar, weights))
 
@@ -662,9 +738,9 @@ def restriction_image_unfiltered(engine, top: int):
         for j in range(1, m):
             for u in chow.basis(m - j):
                 for scalar, wts in images[j][1]:
-                    cls = chow.extend_by_weights(chow.single(u), wts, p)
+                    cls = extend_by_weights(chow, chow.single(u), wts, p)
                     sub.insert(tuple(x * scalar % p
-                                     for x in chow.vector(cls, p)))
+                                     for x in vector(chow, cls, p)))
         ideals[m] = sub
     return images, ideals
 
@@ -698,7 +774,7 @@ def sym_part_span(parts, model, j: int,
     p = model.p
     span = DenseSubspace(p, len(coords))
     for rho, cls in parts:
-        b = math.comb(model.index_of(cls), j) % p
+        b = math.comb(model.ind[cls], j) % p
         if b:
             vec = power_coordinates(tuple(x % p for x in rho), j, p, coords)
             span.insert([b * x % p for x in vec])
@@ -751,8 +827,9 @@ def total_chern_by_products(x: FormalBundle, cap: int) -> TruncatedChowPoly:
     n = x.n
     out = TruncatedChowPoly.one(n, cap)
     for a, m in sorted(x.terms.items()):
-        base = TruncatedChowPoly.one(n, cap) + TruncatedChowPoly.linear(
-            n, cap, a)
+        linear = {tuple(int(k == j) for k in range(n)): c
+                  for j, c in enumerate(a) if c}  # a.t
+        base = TruncatedChowPoly(n, cap, {(0,) * n: 1, **linear})
         if m < 0:
             base, m = inverse_of_one_plus(base), -m
         out = out * truncated_power(base, m)

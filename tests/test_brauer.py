@@ -128,10 +128,11 @@ def test_check_group_mismatch():
 
 
 def test_tits_index_of_weight():
+    # a weight's Tits index is the model's index at the weight's class
     f = fg("A2")
     model = BrauerModel.from_labels(f, {"0": 1, "1": 3, "2": 3}, 3)
-    assert model.tits_index(f, (1, 0)) == 3
-    assert model.tits_index(f, (1, 1)) == 1  # root lattice class
+    assert model.ind[f.class_of((1, 0))] == 3
+    assert model.ind[f.class_of((1, 1))] == 1  # root lattice class
 
 
 # -- common index ----------------------------------------------------------------
@@ -155,7 +156,7 @@ def test_common_index_with_no_generators_is_vacuous():
     f = rs.fundamental_group()
     model = BrauerModel.uniform(f, 9, 3)
     report = common_index(model, f, ())
-    assert report.vacuous
+    assert not report.defined
     assert report.value is None
     assert report.witness is None
 

@@ -10,13 +10,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gammaflag import SteinbergTable, WeylGroup, cli, root_system
+from gammaflag import SteinbergTable, WeylGroup, cli, root_system, weyl_group
 from gammaflag.cli import main
 from gammaflag.weyl import Packer
 
@@ -108,42 +109,58 @@ class HashSink(io.TextIOBase):
         return len(text)
 
 
-def test_the_e6_listing_streams_in_bounded_memory(monkeypatch):
-    # a cache of its own, so the group the listing builds is fresh
-    monkeypatch.setattr(cli, "weyl_group", functools.cache(WeylGroup))
+TracedListing = namedtuple("TracedListing", "code digest peak group")
+
+
+@pytest.fixture(scope="module")
+def traced_e6_listing():
+    """One E6 tsv listing under tracemalloc, shared by the tests that read
+    its output, its peak and the group it was listed from."""
+    with pytest.MonkeyPatch.context() as mp:
+        # a cache of its own, so the group the listing builds is fresh
+        mp.setattr(cli, "weyl_group", functools.cache(WeylGroup))
+        sink = HashSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["steinberg", "--type", "E6", "--format", "tsv",
+                             "--no-banner"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        group = cli.weyl_group(root_system("E6"))
+    return TracedListing(code, sink.digest.hexdigest(), peak, group)
+
+
+def test_the_e6_listing_streams_in_bounded_memory(traced_e6_listing):
+    code, digest, peak, group = traced_e6_listing
     catalogue = json.loads((ROOT / "perfbench" / "catalogue.json").read_text())
     frozen = catalogue["commands"]["steinberg --type E6 --format tsv"]
-    sink = HashSink()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(sink):
-            code = main(["steinberg", "--type", "E6", "--format", "tsv",
-                         "--no-banner"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, sink.digest.hexdigest()) == (frozen["rc"], frozen["sha256"])
+    assert (code, digest) == (frozen["rc"], frozen["sha256"])
     # a stored table of all 51,840 elements peaks at about 25 MiB
     assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert len(cli.weyl_group(root_system("E6"))._keys) == 1
+    assert len(group._keys) == 1
 
 
-def test_the_e6_listing_checks_its_weights_in_16_bytes_each(monkeypatch):
-    # a cache of its own, so the group the listing builds is fresh
-    monkeypatch.setattr(cli, "weyl_group", functools.cache(WeylGroup))
-    sink = HashSink()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(sink):
-            code = main(["steinberg", "--type", "E6", "--format", "tsv",
-                         "--no-banner"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_the_e6_listing_checks_its_weights_in_16_bytes_each(
+        traced_e6_listing):
+    code, _, peak, _ = traced_e6_listing
     # a set of the 51,840 packed weights peaks at about 5.8 MiB; 16 bytes
     # each, about 3.3 MiB
     assert code == 0
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_the_e6_weights_spread_over_every_bucket():
+    # by the low byte, 21 of 256 buckets filled and one held 10,351
+    count = cli._WeightCount(6)
+    table = SteinbergTable(weyl_group(root_system("E6")))
+    for _, _, rhos, _ in table.lengths():
+        count.add(rhos)
+    sizes = [len(hi) for hi, _ in count._buckets]
+    assert sum(sizes) == 51840 and min(sizes) > 0
+    # twice the mean, 51,840 / 251
+    assert max(sizes) <= 413, max(sizes)
 
 
 # the ends of a packed field, and any field

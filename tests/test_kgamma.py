@@ -22,12 +22,15 @@ from gammaflag.schubert import SubspaceBasis
 from kgamma_helpers import engine_for
 from oracles import (
     chevalley_by_pairing,
+    extend_by_weights,
+    is_subspace_of,
     power_coordinates,
     restriction_image_unfiltered,
     restriction_span_bruteforce,
     steinberg_by_descent_sets,
     sym_part_span,
     sym_power_span,
+    vector,
     weyl_by_matrices,
 )
 
@@ -78,7 +81,7 @@ def test_a2_table_frozen():
 def test_rhos_pairwise_distinct(name):
     table = SteinbergTable(weyl_group(root_system(name)))
     rhos = [rho for _, rho, _ in _elements(table)]
-    assert len(set(rhos)) == len(rhos) == table.group.order
+    assert len(set(rhos)) == len(rhos) == len(table.group)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "D4"])
@@ -115,12 +118,13 @@ def test_the_stream_steps_without_state():
 
 
 def test_tits_index_lookup():
+    # the class of each rho_w is the class the descent-set oracle gives w
     rs = root_system("A2")
     fg = rs.fundamental_group()
     model = BrauerModel.uniform(fg, 3, 3)
     rhos, classes = steinberg_by_descent_sets(weyl_group(rs))
-    assert [model.tits_index(fg, rho) for rho in rhos] == [1, 3, 3, 3, 3, 1]
-    assert [model.index_of(cls) for cls in classes] == [1, 3, 3, 3, 3, 1]
+    assert [model.ind[fg.class_of(rho)] for rho in rhos] == [1, 3, 3, 3, 3, 1]
+    assert [model.ind[cls] for cls in classes] == [1, 3, 3, 3, 3, 1]
 
 
 def test_an_interrupted_walk_resumes_in_full(monkeypatch):
@@ -200,11 +204,8 @@ def test_image_matches_bruteforce_on_nonuniform_model():
     fg = rs.fundamental_group()
     model = BrauerModel.from_labels(
         fg, {"0": 1, "1": 4, "2": 2, "3": 4}, 2).require_valid()
-    group = weyl_group(rs)
-    chow = ChowRing(group, degree_cap=2)
-    table = SteinbergTable(group)
-    lat = CharacterLattice(rs, "adjoint")
-    engine = RestrictionImage(chow, table, model, lat)
+    chow = ChowRing(weyl_group(rs), degree_cap=2)
+    engine = RestrictionImage(chow, model, CharacterLattice(rs, "adjoint"))
     for m in (1, 2):
         expected = restriction_span_bruteforce(chow, model, m)
         assert engine.image(m).subspace.rows() == expected.rows()
@@ -253,8 +254,7 @@ def test_filtered_generators_match_the_unfiltered_stream(name, p):
     models = list(_index_models(rs.fundamental_group(), p))
     assert models
     for model in models:
-        engine = RestrictionImage(chow, SteinbergTable(group), model,
-                                  lattice)
+        engine = RestrictionImage(chow, model, lattice)
         _assert_matches_unfiltered(engine, min(p, 3))
 
 
@@ -268,8 +268,7 @@ def test_the_ideal_takes_each_pivot_weight_pairing_once(name, p):
     chow = ChowRing(group, degree_cap=min(p, 3))
     lattice = CharacterLattice(rs, "adjoint")
     for model in _index_models(rs.fundamental_group(), p):
-        engine = RestrictionImage(chow, SteinbergTable(group), model,
-                                  lattice)
+        engine = RestrictionImage(chow, model, lattice)
         for m in range(1, min(p, 3) + 1):
             by_rule, by_pairing = (
                 SubspaceBasis(p, chow.basis_dim(m)) for _ in range(2))
@@ -279,7 +278,7 @@ def test_the_ideal_takes_each_pivot_weight_pairing_once(name, p):
             for j in range(1, m):
                 for u in chow.basis(m - j):
                     for _, wts in engine.image(j).pivots:
-                        cls = chow.extend_by_weights(chow.single(u), wts, p)
+                        cls = extend_by_weights(chow, chow.single(u), wts, p)
                         oracle = chow.single(u)
                         for w in wts:
                             oracle = chevalley_by_pairing(chow, oracle, w, p)
@@ -307,7 +306,7 @@ def _assert_sound_ceilings(engine, parts):
         full = sym_part_span(parts, engine.model, j, coords)
         ceiling = sym_power_span(engine._rho_space(j).rows(), n, j, p, coords)
         assert engine._ceiling(j) == ceiling.dim
-        assert full.is_subspace_of(ceiling)
+        assert is_subspace_of(full, ceiling)
         kept = SubspaceBasis(p, len(coords))
         for rho_p, b in engine._parts(j):
             kept.insert([b * x % p
@@ -337,8 +336,7 @@ def test_each_sym_pass_stops_at_a_sound_ceiling(name, p):
     chow = ChowRing(group, degree_cap=min(p, 3))
     lattice = CharacterLattice(rs, "adjoint")
     for model in _index_models(table.fg, p):
-        _assert_sound_ceilings(
-            RestrictionImage(chow, table, model, lattice), parts)
+        _assert_sound_ceilings(RestrictionImage(chow, model, lattice), parts)
 
 
 def test_each_sym_pass_stops_at_a_sound_ceiling_on_e6():
@@ -357,9 +355,8 @@ def _walked(engine) -> int:
 def _fresh_e6_engine(p, index, degree) -> RestrictionImage:
     # an uncached group, so what it enumerated is what this engine read
     rs = root_system("E6")
-    group = WeylGroup(rs)
     return RestrictionImage(
-        ChowRing(group, degree_cap=degree), SteinbergTable(group),
+        ChowRing(WeylGroup(rs), degree_cap=degree),
         BrauerModel.uniform(rs.fundamental_group(), index, p),
         CharacterLattice(rs, "adjoint"))
 
@@ -404,8 +401,7 @@ def test_the_walk_stops_only_at_the_sym_ceiling(name, p, labels, degree,
     g = fg.quotient
     model = BrauerModel.from_labels(
         fg, {g.label(e): i for e, i in zip(g.elements(), labels)}, p)
-    engine = RestrictionImage(ChowRing(group, degree_cap=degree),
-                              SteinbergTable(group), model,
+    engine = RestrictionImage(ChowRing(group, degree_cap=degree), model,
                               CharacterLattice(rs, "adjoint"))
     assert len(engine._parts(degree)) == kept
     assert engine._ceiling(degree) == ceiling
@@ -416,22 +412,22 @@ def test_the_walk_stops_only_at_the_sym_ceiling(name, p, labels, degree,
 
 
 @pytest.mark.parametrize("first", [9, 1])
-def test_engines_sharing_a_partly_walked_table(first):
+def test_engines_on_one_chow_ring_equal_fresh_ones(first):
     rs = root_system("E6")
-    group = weyl_group(rs)
-    chow = ChowRing(group, degree_cap=3)
     fg = rs.fundamental_group()
     lattice = CharacterLattice(rs, "adjoint")
 
-    def engine(table, index):
-        model = BrauerModel.uniform(fg, index, 3)
-        return RestrictionImage(chow, table, model, lattice)
+    def engine(chow, index):
+        return RestrictionImage(chow, BrauerModel.uniform(fg, index, 3),
+                                lattice)
 
-    # each engine walks the stream from a window of its own
-    shared = SteinbergTable(group)
+    # the second engine is built on the ring the first has computed in;
+    # each walks the Steinberg stream from a table of its own
+    shared = ChowRing(weyl_group(rs), degree_cap=3)
     for index in (first, 10 - first):
-        assert (_pieces(engine(shared, index), 3)
-                == _pieces(engine(SteinbergTable(group), index), 3))
+        fresh = ChowRing(WeylGroup(rs), degree_cap=3)
+        assert _pieces(engine(shared, index), 3) == _pieces(
+            engine(fresh, index), 3)
 
 
 def test_e6_at_p5_fills_every_degree_through_five():
@@ -464,14 +460,14 @@ def test_image_pieces_are_cached_and_consistent():
     assert piece.subspace.dim <= engine.chow.basis_dim(2)
     # every recorded pivot generator really lies in the subspace
     for scalar, wts in piece.pivots:
-        cls = engine.chow.monomial(wts, 3).scaled(scalar)
-        assert piece.subspace.contains(engine.chow.vector(cls, 3))
+        vec = vector(engine.chow, engine.chow.monomial(wts, 3), 3)
+        assert piece.subspace.contains([scalar * x for x in vec])
 
 
 def test_image_is_contained_in_the_ideal():
     engine = engine_for("B2", "adjoint", 2, 2, cap=2)
     for m in (1, 2):
-        assert engine.image(m).subspace.is_subspace_of(engine.ideal(m))
+        assert is_subspace_of(engine.image(m).subspace, engine.ideal(m))
 
 
 def test_ideal_is_multiplicatively_stable():
@@ -488,23 +484,24 @@ def test_ideal_is_multiplicatively_stable():
             )
             for i in range(1, rs.rank + 1):
                 prod = chow.chevalley(cls, rs.fundamental_weight(i), 3)
-                assert target.contains(chow.vector(prod, 3))
+                assert target.contains(vector(chow, prod, 3))
 
 
 def test_engine_rejects_mismatched_pieces():
-    from gammaflag import WeylGroup
-
     rs = root_system("A2")
-    group = weyl_group(rs)
-    chow = ChowRing(group, degree_cap=2)
-    table = SteinbergTable(WeylGroup(rs))  # fresh, distinct enumeration
-    model = BrauerModel.uniform(rs.fundamental_group(), 3, 3)
-    lat = CharacterLattice(rs, "adjoint")
-    with pytest.raises(ValueError):
-        RestrictionImage(chow, table, model, lat)
-    table2 = SteinbergTable(group)
+    chow = ChowRing(weyl_group(rs), degree_cap=2)
     with pytest.raises(ValueError) as exc:
-        RestrictionImage(chow, table2,
+        RestrictionImage(chow,
                          BrauerModel.uniform(rs.fundamental_group(), 3, 4),
-                         lat)
+                         CharacterLattice(rs, "adjoint"))
     assert "not prime" in str(exc.value)
+
+
+def test_engine_over_a_truncated_group_is_refused():
+    # the Chow ring needs only lengths up to its cap; the Steinberg basis
+    # needs all of W
+    rs = root_system("A2")
+    chow = ChowRing(weyl_group(rs, max_length=2), degree_cap=2)
+    model = BrauerModel.uniform(rs.fundamental_group(), 3, 3)
+    with pytest.raises(ValueError, match="full Weyl enumeration"):
+        RestrictionImage(chow, model, CharacterLattice(rs, "adjoint"))

@@ -1,6 +1,8 @@
 """The package surface: lazily resolved public names, immutable records,
 and the modules a command loads at start-up."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -96,3 +98,13 @@ def test_verify_theorem_loads_jinv_only():
         "verify-theorem", "--type", "A2", "--prime", "3", "--index", "3")
     assert "gammaflag.jinv" in loaded
     assert "gammaflag.formal_bundles" not in loaded
+
+
+def test_the_readme_library_example_prints_true():
+    # the python block of README.md's "## Library" section, run as it is
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue() == "True\n"

@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gammaflag import CharacterLattice, FiniteAbelianGroup, root_system
-from oracles import fundamental_group_by_cartan_snf, quotient_group_structure
+from oracles import (
+    fundamental_group_by_cartan_snf,
+    lattice_contains,
+    pairing,
+    quotient_group_structure,
+    reflect,
+    root_sign,
+)
 
 SUPPORTED_TYPES = (
     [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
@@ -42,12 +49,13 @@ def test_positive_root_count(name, count):
 def test_root_pairs_to_two_with_own_coroot(name):
     rs = root_system(name)
     for r in rs.positive_roots:
-        assert rs.pairing(r.omega_coords, r) == 2
+        assert pairing(r.omega_coords, r) == 2
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
 def test_simple_reflection_formula(name):
-    # s_i(w) = w - w_i * alpha_i, and w_i is the pairing with alpha_i-check
+    # s_i(omega_j) = omega_j - delta_ij * alpha_i, as the reflect oracle
+    # that the coinvariant model and the descent-set oracle build on
     rs = root_system(name)
     for i in range(1, rs.rank + 1):
         alpha = rs.simple_root(i)
@@ -56,23 +64,23 @@ def test_simple_reflection_formula(name):
             expected = tuple(
                 x - (1 if i == j else 0) * a for x, a in zip(w, alpha)
             )
-            assert rs.reflect(i, w) == expected
+            assert reflect(rs, i, w) == expected
 
 
 @given(weights, st.sampled_from(["A2", "B2", "G2"]), st.integers(1, 2))
 def test_reflection_is_an_involution(w, name, i):
     rs = root_system(name)
-    assert rs.reflect(i, rs.reflect(i, w)) == w
+    assert reflect(rs, i, reflect(rs, i, w)) == w
 
 
 def test_root_sign():
     rs = root_system("A2")
     alpha1 = rs.simple_root(1)
-    assert rs.root_sign(alpha1) == 1
-    assert rs.root_sign(tuple(-x for x in alpha1)) == -1
-    assert rs.root_sign((1, 1)) == 1  # highest root alpha_1 + alpha_2
+    assert root_sign(rs, alpha1) == 1
+    assert root_sign(rs, tuple(-x for x in alpha1)) == -1
+    assert root_sign(rs, (1, 1)) == 1  # highest root alpha_1 + alpha_2
     with pytest.raises(ValueError):
-        rs.root_sign((2, 0))
+        root_sign(rs, (2, 0))
 
 
 def test_heights_start_at_one_and_cover_simples():
@@ -173,16 +181,16 @@ def test_lattice_extremes(name):
     assert adjoint.index_in_weight_lattice == fg.order
     assert sc.index_in_weight_lattice == 1
     for i in range(1, rs.rank + 1):
-        assert adjoint.contains(rs.simple_root(i))
-        assert sc.contains(rs.simple_root(i))
-        assert sc.contains(rs.fundamental_weight(i))
+        assert lattice_contains(adjoint, rs.simple_root(i))
+        assert lattice_contains(sc, rs.simple_root(i))
+        assert lattice_contains(sc, rs.fundamental_weight(i))
 
 
 def test_adjoint_excludes_nontrivial_weight_classes():
     rs = root_system("A2")
     adjoint = CharacterLattice(rs, "adjoint")
-    assert not adjoint.contains(rs.fundamental_weight(1))
-    assert adjoint.contains((1, 1))  # alpha_1 + alpha_2
+    assert not lattice_contains(adjoint, rs.fundamental_weight(1))
+    assert lattice_contains(adjoint, (1, 1))  # alpha_1 + alpha_2
 
 
 def test_intermediate_lattice_a3():
@@ -190,8 +198,8 @@ def test_intermediate_lattice_a3():
     mid = CharacterLattice(rs, [(2, 0, 0)])  # adds 2*omega_1, class of order 2
     assert mid.kind == "explicit"
     assert mid.index_in_weight_lattice == 2
-    assert mid.contains((2, 0, 0))
-    assert not mid.contains((1, 0, 0))
+    assert lattice_contains(mid, (2, 0, 0))
+    assert not lattice_contains(mid, (1, 0, 0))
     assert mid.quotient.factors == (2,)
 
 
@@ -201,13 +209,14 @@ def test_explicit_root_generators_give_adjoint():
     adjoint = CharacterLattice(rs, "adjoint")
     assert explicit.index_in_weight_lattice == adjoint.index_in_weight_lattice
     for i in range(1, 3):
-        assert explicit.contains(rs.simple_root(i))
+        assert lattice_contains(explicit, rs.simple_root(i))
 
 
 @given(weights)
 def test_class_of_zero_iff_member(w):
     lat = CharacterLattice(root_system("A2"), "adjoint")
-    assert (lat.class_of(w) == lat.quotient.identity()) == lat.contains(w)
+    member = lat.class_of(w) == lat.quotient.identity()
+    assert member == lattice_contains(lat, w)
 
 
 def test_fp_dims_frozen():

@@ -16,8 +16,6 @@ import itertools
 import math
 from collections import namedtuple
 
-from .rootdata import CharacterLattice
-
 __all__ = ["BrauerModel", "CommonIndexReport", "common_index", "is_prime", "vp"]
 
 

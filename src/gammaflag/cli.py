@@ -5,6 +5,11 @@ config and package version the bytes on stdout are identical across runs.
 The only environment-dependent output is a version banner on stderr,
 suppressed with --no-banner.
 
+This module is the part every command shares: the parser, the config, the
+renderers and the entry points.  Each command's report is built by its
+own module in ``gammaflag.commands``, imported only when the command runs,
+so a process compiles no other command's code.
+
 Exit codes: 0 success, 1 verification failure or a stdout closed by its
 reader, 2 usage or config error.
 """
@@ -17,15 +22,10 @@ import itertools
 import json
 import os
 import sys
-from array import array
 from collections import namedtuple
 
 from . import __version__
 from .brauer import BrauerModel, is_prime
-from .kgamma import RestrictionImage, SteinbergTable
-from .rootdata import CharacterLattice, RootSystem, root_system
-from .schubert import ChowRing
-from .weyl import weyl_group
 
 __all__ = ["ScenarioConfig", "UsageError", "parse_config", "run", "main"]
 
@@ -69,10 +69,6 @@ _INT_BOUNDS = {
     "max_bundles": (1, 6),
     "max_mult": (1, 24),
 }
-
-# Frozen classification values for the E6 adjoint family at p = 3, keyed by
-# the common index; jconstrain cross-checks its derived output against them.
-_E6_REFERENCE_J1 = {1: (0,), 3: (1,), 9: (2,), 27: (2,)}
 
 
 class UsageError(Exception):
@@ -221,466 +217,28 @@ def _model(cfg: ScenarioConfig, rs: RootSystem) -> BrauerModel:
 
 
 def _engine(cfg: ScenarioConfig, degree_cap: int) -> RestrictionImage:
+    from .kgamma import RestrictionImage
+    from .rootdata import CharacterLattice, root_system
+    from .schubert import ChowRing
+    from .weyl import weyl_group
+
     rs = root_system(cfg.type)
     chow = ChowRing(weyl_group(rs), degree_cap=degree_cap)
     lattice = CharacterLattice(rs, cfg.lattice)
     return RestrictionImage(chow, _model(cfg, rs), lattice)
 
 
-def _sigma(word) -> str:
-    return f"sigma[{','.join(map(str, word))}]"
-
-
-# -- subcommands -------------------------------------------------------------
-
-
-def _cmd_rootinfo(cfg: ScenarioConfig) -> Report:
-    rs = root_system(cfg.type)
-    lattice = CharacterLattice(rs, cfg.lattice)
-    fg = rs.fundamental_group()
-    g = fg.quotient
-    omega_labels = {
-        str(i): g.label(fg.omega_classes[i - 1]) for i in range(1, rs.rank + 1)
-    }
-    payload = {
-        "type": rs.name,
-        "rank": rs.rank,
-        "cartan": rs.cartan,
-        "positive_roots": len(rs.positive_roots),
-        "degrees": rs.degrees,
-        "weyl_order": rs.weyl_order,
-        "fundamental_group": {
-            "factors": g.factors,
-            "elements": [g.label(e) for e in g.elements()],
-        },
-        "omega_classes": omega_labels,
-        "lattice": {
-            "kind": lattice.kind,
-            "index_in_weight_lattice": lattice.index_in_weight_lattice,
-            "quotient_factors": lattice.quotient.factors,
-        },
-    }
-    rows = [
-        ("type", rs.name),
-        ("rank", rs.rank),
-        ("positive_roots", len(rs.positive_roots)),
-        ("weyl_order", rs.weyl_order),
-        ("fundamental_group", g.factors or 1),
-        ("lattice_kind", lattice.kind),
-        ("lattice_index", lattice.index_in_weight_lattice),
-    ]
-    deg = "*".join(str(d) for d in rs.degrees)
-    lines = [
-        f"type {rs.name}  rank {rs.rank}",
-        "cartan:",
-        *(f"  {' '.join(f'{x:3d}' for x in row)}" for row in rs.cartan),
-        f"positive roots: {len(rs.positive_roots)}",
-        f"weyl order: {rs.weyl_order} = {deg}",
-        "fundamental group: "
-        + (" x ".join(f"Z/{f}" for f in g.factors) or "trivial")
-        + f"  elements: {', '.join(g.label(e) for e in g.elements())}",
-        "omega classes: "
-        + ", ".join(f"omega_{i} -> {omega_labels[str(i)]}"
-                    for i in range(1, rs.rank + 1)),
-        f"lattice {lattice.kind}: index {lattice.index_in_weight_lattice} "
-        f"in the weight lattice",
-    ]
-    return Report(payload, rows, lines)
-
-
-def _cmd_weyl(cfg: ScenarioConfig) -> Report:
-    rs = root_system(cfg.type)
-    group = weyl_group(rs, max_length=cfg.max_length)
-    payload = {"type": rs.name, "complete": group.is_full,
-               "elements": len(group), "degree_product": rs.weyl_order}
-    rows = [("type", rs.name), ("elements", len(group)),
-            ("complete", group.is_full)]
-    lines = [f"type {rs.name}: {len(group)} elements"
-             + ("" if group.is_full else f" (truncated at length {cfg.max_length})")]
-    if group.is_full:
-        payload["order"] = len(group)
-        lines.append(f"order {len(group)}  (degree product {rs.weyl_order})")
-    if cfg.count_by_length:
-        counts = [(m, len(group.range_of_length(m)))  # none enumerated
-                  for m in range(group.longest_length + 1)]
-        payload["count_by_length"] = counts
-        rows = [("length", "count"), *counts]
-        lines.append("length  count")
-        lines.extend(f"{l:6d}  {c}" for l, c in counts)
-    return Report(payload, rows, lines)
-
-
-def _cmd_chow(cfg: ScenarioConfig) -> Report:
-    degree = cfg.degree if cfg.degree is not None else 3
-    rs = root_system(cfg.type)
-    group = weyl_group(rs, max_length=degree)
-    chow = ChowRing(group, degree_cap=degree)
-    dims = [(m, chow.basis_dim(m)) for m in range(0, chow.degree_cap + 1)]
-    payload = {"type": rs.name, "degree": chow.degree_cap, "dims": dims}
-    rows = [("degree", "dim"), *dims]
-    lines = [f"type {rs.name}, degrees 0..{chow.degree_cap}"]
-    lines.extend(f"dim CH^{m} = {d}" for m, d in dims)
-    top = chow.degree_cap
-    word = functools.cache(group.word)  # an element is listed up to 3 times
-
-    if cfg.basis:
-        payload["basis"] = [
-            {"index": k, "word": word(k)} for k in chow.basis(top)
-        ]
-        lines.append(f"basis of CH^{top}:")
-        lines.extend(f"  {_sigma(word(k))}" for k in chow.basis(top))
-    if cfg.products:
-        products = []
-        lines.append(f"divisor products into CH^{top}:")
-        for i in range(1, rs.rank + 1):
-            for k in chow.basis(top - 1):
-                res = chow.chevalley(
-                    chow.single(k), rs.fundamental_weight(i))
-                terms = sorted(res.terms.items())
-                products.append({
-                    "h": i,
-                    "word": word(k),
-                    "result": [(c, word(j)) for j, c in terms],
-                })
-                rhs = " + ".join(
-                    f"{c}*{_sigma(word(j))}" for j, c in terms) or "0"
-                lines.append(f"  h_{i} * {_sigma(word(k))} = {rhs}")
-        payload["products"] = products
-    return Report(payload, rows, lines)
-
-
-# The buckets of _WeightCount, one per residue of a shifted weight: a
-# prime, so that every coordinate moves the residue.
-_BUCKETS = 251
-
-
-class _WeightCount:
-    """Counts the distinct packed weights of rank n <= 8 it is given, in
-    16 bytes each instead of a set of ints (about 72).  A packed weight
-    sum_j v_j 2^(16 j) plus the packer's bias sum_j 2^(16 j + 15) has the
-    fields v_j + 2^15 in [0, 2^16), so it is an int in [0, 2^128), kept
-    exactly as its two unsigned 64-bit halves.  The halves go to one of
-    _BUCKETS bucket pairs by the int's residue mod _BUCKETS, and the
-    distinct pairs are counted one bucket at a time, so the set that
-    counts them holds one bucket."""
-
-    def __init__(self, n: int):
-        if not 1 <= n <= 8:
-            raise ValueError(f"rank {n} outside 1..8")
-        self._bias = sum(1 << 16 * j + 15 for j in range(n))
-        self._buckets = [(array("Q"), array("Q")) for _ in range(_BUCKETS)]
-
-    def add(self, weights) -> None:
-        bias, buckets = self._bias, self._buckets
-        for x in weights:
-            x += bias
-            hi, lo = buckets[x % _BUCKETS]
-            hi.append(x >> 64)
-            lo.append(x & 0xFFFFFFFFFFFFFFFF)
-
-    def __len__(self) -> int:
-        return sum(len(set(zip(hi, lo))) for hi, lo in self._buckets)
-
-
-def _steinberg_elements(table: SteinbergTable,
-                        seen: _WeightCount | None = None):
-    """(word, packed rho_w, class) of every element in order.  A word is
-    its letters joined by commas, "" for the identity, built as its
-    parent's word, "," and its letter; one length's words are kept.
-    Each length's weights are added to ``seen``, if given, before any of
-    its elements is yielded."""
-    after = [f",{i}" for i in range(table.rs.rank + 1)]
-    words = [""]
-    for m, (parents, letters, rhos, classes) in enumerate(table.lengths()):
-        if seen is not None:
-            seen.add(rhos)
-        if m == 1:
-            words = [str(i) for i in letters]
-        elif m:
-            words = [words[j] + after[i] for j, i in zip(parents, letters)]
-        yield from zip(words, rhos, classes)
-
-
-def _cmd_steinberg(cfg: ScenarioConfig) -> Report:
-    group = weyl_group(root_system(cfg.type))
-    table = SteinbergTable(group)
-    name, order, n = group.rs.name, len(group), group.rs.rank
-    unpack, label = group.packer.unpack, functools.cache(
-        table.fg.quotient.label)
-    report = Report({}, (), ())
-
-    if cfg.format == "tsv":
-        rho_text = " ".join(["%d"] * n)
-
-        def rows():
-            # packed weights are equal exactly when the weights are, so only
-            # they are counted for the collision check, decided after the
-            # last row
-            yield "word", "rho", "class"
-            seen = _WeightCount(n)
-            for word, rho, cls in _steinberg_elements(table, seen):
-                yield word or "-", rho_text % unpack(rho), label(cls)
-            report.failed = len(seen) < order
-
-        report.rows = rows()
-        return report
-    # json and pretty state the verdict before any element: a first pass
-    # over the weights alone
-    seen = _WeightCount(n)
-    for _, _, rhos, _ in table.lengths():
-        seen.add(rhos)
-    distinct = len(seen) == order
-    report.failed = not distinct
-    # one digit per letter (rank <= 8): the digits' values, commas dropped
-    digits = bytes.maketrans(b"123456789", bytes(range(1, 10)))
-    report.payload = {
-        "type": name,
-        "order": order,
-        "distinct": distinct,
-        "entries": (
-            {"index": k, "word": list(word.encode().translate(digits, b",")),
-             "rho": unpack(rho), "class": label(cls)}
-            for k, (word, rho, cls) in enumerate(_steinberg_elements(table))
-        ),
-    }
-    rho_text = ", ".join(["%d"] * n)
-    report.lines = itertools.chain(
-        [f"type {name}: {order} elements, "
-         + ("all weights distinct" if distinct else "WEIGHT COLLISION")],
-        (f"  sigma[{word}]  rho=({rho_text % unpack(rho)})  class {label(cls)}"
-         for word, rho, cls in _steinberg_elements(table)),
-    )
-    return report
-
-
-def _cmd_restriction_image(cfg: ScenarioConfig) -> Report:
-    degree = cfg.degree if cfg.degree is not None else 1
-    engine = _engine(cfg, degree_cap=degree)
-    piece = engine.image(degree)
-    ideal = engine.ideal(degree)
-    ambient = engine.chow.basis_dim(degree)
-    name, kind = engine.chow.rs.name, engine.lattice.kind
-    payload = {
-        "type": name,
-        "lattice": kind,
-        "prime": engine.p,
-        "degree": degree,
-        "ambient_dim": ambient,
-        "image_dim": piece.subspace.dim,
-        "ideal_dim": ideal.dim,
-        "image_basis": piece.subspace.rows(),
-        "ideal_basis": ideal.rows(),
-        "pivots": [{"scalar": s, "weights": ws} for s, ws in piece.pivots],
-    }
-    rows = [("degree", "ambient", "image_dim", "ideal_dim"),
-            (degree, ambient, piece.subspace.dim, ideal.dim)]
-    lines = [
-        f"type {name} lattice {kind} p={engine.p}",
-        f"degree {degree}: ambient dim {ambient}, "
-        f"image dim {piece.subspace.dim}, ideal dim {ideal.dim}",
-    ]
-    if piece.subspace.dim:
-        lines.append("image basis rows (mod p):")
-        lines.extend("  " + " ".join(map(str, r))
-                     for r in piece.subspace.rows())
-    return Report(payload, rows, lines)
-
-
-def _cmd_jconstrain(cfg: ScenarioConfig) -> Report:
-    from .jinv import j1_constraints, kac_presentation
-
-    rs = root_system(cfg.type)
-    lattice = CharacterLattice(rs, cfg.lattice)
-    model = _model(cfg, rs)
-    user_data = (None if cfg.kac is None
-                 else {f"{rs.name}:{lattice.kind}:{cfg.prime}": cfg.kac})
-    pres = kac_presentation(rs, lattice, cfg.prime, user_data)
-    report, constraints = j1_constraints(model, lattice, pres)
-    s = pres.degree_one_count()
-    higher = [
-        {"position": s + j + 1, "degree": d, "k": k,
-         "admissible_range": list(range(0, k + 1))}
-        for j, (d, k) in enumerate(
-            zip(pres.degrees[s:], pres.exponents[s:]))
-    ]
-    frozen = (rs.name, lattice.kind, cfg.prime) == ("E6", "adjoint", 3)
-    expected = (_E6_REFERENCE_J1.get(report.value)
-                if frozen and report.defined else None)
-    crosscheck = None if expected is None else {
-        "applied": True, "expected": expected,
-        "matches": constraints[0].admissible == expected}
-    payload = {
-        "type": rs.name,
-        "lattice": lattice.kind,
-        "prime": cfg.prime,
-        "presentation": pres._asdict(),
-        "common_index": report._asdict(),
-        "degree_one": [c._asdict() for c in constraints],
-        "higher": higher,
-        "crosscheck": crosscheck,
-    }
-
-    rows = [("position", "omega", "k", "admissible")]
-    rows.extend((c.position, c.omega_index, c.k, c.admissible)
-                for c in constraints)
-    rows.extend((h["position"], None, h["k"], h["admissible_range"])
-                for h in higher)
-    lines = [
-        f"type {rs.name} lattice {lattice.kind} p={cfg.prime}",
-        f"presentation degrees {list(pres.degrees)} "
-        f"exponents {list(pres.exponents)}",
-        "common index: "
-        + (f"{report.value} (valuation {report.valuation}, witness "
-           f"{list(report.witness)})" if report.defined else "undefined (no "
-           "degree-1 generators; constraints are vacuous)"),
-    ]
-    for c in constraints:
-        lines.append(
-            f"j_{c.position} (omega_{c.omega_index}, k={c.k}): "
-            f"admissible {set(c.admissible)}"
-        )
-        lines.extend(f"    {note}" for note in c.notes)
-    for h in higher:
-        lines.append(
-            f"j_{h['position']} (degree {h['degree']}, k={h['k']}): "
-            f"range {set(h['admissible_range'])} (no finer constraint)"
-        )
-    if crosscheck is not None:
-        lines.append(
-            "cross-check against the frozen E6 table: "
-            + ("match" if crosscheck["matches"] else
-               f"MISMATCH (expected {set(crosscheck['expected'])})")
-        )
-    failed = crosscheck is not None and not crosscheck["matches"]
-    return Report(payload, rows, lines, failed=failed)
-
-
-def _cmd_verify_theorem(cfg: ScenarioConfig) -> Report:
-    from .jinv import ideal_equality_report
-
-    cap = cfg.max_degree if cfg.max_degree is not None else cfg.prime
-    engine = _engine(cfg, degree_cap=min(cap, cfg.prime))
-    report = ideal_equality_report(engine, max_degree=cap)
-    name, kind = engine.chow.rs.name, engine.lattice.kind
-    payload = {
-        "type": name,
-        "lattice": kind,
-        "prime": report.prime,
-        "common_index": report.common._asdict(),
-        "degrees": [d._asdict() for d in report.degrees],
-        "vacuous": report.vacuous,
-        "verified": report.verified,
-        "failures": report.failures(),
-    }
-    rows = [("m", "applicable", "dim_char", "dim_twisted", "equal")]
-    rows.extend((d.m, d.applicable, d.dim_char, d.dim_twisted, d.equal)
-                for d in report.degrees)
-    ci = report.common
-    lines = [
-        f"type {name} lattice {kind} p={report.prime}",
-        "common index: "
-        + (f"{ci.value} (valuation {ci.valuation})"
-           if ci.defined else "undefined"),
-    ]
-    for d in report.degrees:
-        if not d.applicable:
-            lines.append(f"m={d.m}: not applicable (valuation too small)")
-        else:
-            verdict = "equal" if d.equal else "NOT EQUAL"
-            lines.append(
-                f"m={d.m}: dim I = {d.dim_char}, "
-                f"dim I_xi = {d.dim_twisted} -> {verdict}"
-            )
-    if report.vacuous:
-        lines.append("verdict: vacuous (no applicable degree)")
-    else:
-        lines.append("verdict: " + ("verified" if report.verified
-                                    else "FAILED"))
-    return Report(payload, rows, lines, failed=not report.verified)
-
-
-def _gammatoc_cases(max_bundles: int, max_mult: int, max_i: int):
-    """Multiplicity multisets (non-increasing, entries <= max_mult, sum <=
-    max_bundles, in lexicographic order), each paired with every chern
-    degree i <= max_i."""
-    top = min(max_mult, max_bundles)
-    multisets = sorted(
-        m for k in range(1, max_bundles + 1)
-        for m in itertools.combinations_with_replacement(range(top, 0, -1), k)
-        if sum(m) <= max_bundles)
-    return ((m, i) for m in multisets for i in range(1, max_i + 1))
-
-
-def _oracle_cases(cfg: ScenarioConfig):
-    """(payload case, tsv label, pretty label, verdict text) of every case
-    of the chosen identity family, in order."""
-    from .formal_bundles import (
-        binomial_gamma_expansion,
-        check_gamma1_product_chern,
-        check_gamma_chern_scaling,
-    )
-
-    def verdict(out) -> str:
-        return "pass" if out.ok else f"FAIL {out.detail}"
-
-    if cfg.verify == "firsteq":
-        max_i = cfg.max_i if cfg.max_i is not None else 5
-        max_n = cfg.max_n if cfg.max_n is not None else 6
-        for i in range(1, max_i + 1):
-            for n in range(i, max_n + 1):
-                out = check_gamma1_product_chern(i, n)
-                yield ({"i": i, "n": n, "ok": out.ok, "label": out.label},
-                       f"i={i},n={n}", f"i={i} n={n}", verdict(out))
-    elif cfg.verify == "gammatoc":
-        max_bundles = cfg.max_bundles if cfg.max_bundles is not None else 6
-        max_mult = cfg.max_mult if cfg.max_mult is not None else 3
-        max_i = cfg.max_i if cfg.max_i is not None else 4
-        for mults, i in _gammatoc_cases(max_bundles, max_mult, max_i):
-            n = len(mults)
-            lines = [tuple(int(k == a) for k in range(n))
-                     for a, m in enumerate(mults) for _ in range(m)]
-            out = check_gamma_chern_scaling(n, lines, i)
-            name = "+".join(str(m) for m in mults)
-            yield ({"multiplicities": mults, "i": i, "ok": out.ok,
-                    "label": out.label},
-                   f"mults={name},i={i}", f"mults ({name}) i={i}", verdict(out))
-    elif cfg.verify == "binomial":
-        top = cfg.max_mult if cfg.max_mult is not None else 6
-        for mult in range(0, top + 1):
-            try:
-                coeffs = binomial_gamma_expansion(mult)
-                ok, text = True, f"pass [{','.join(map(str, coeffs))}]"
-            except AssertionError as e:
-                ok, coeffs, text = False, None, f"FAIL {e}"
-            yield ({"multiplicity": mult, "ok": ok, "binomials": coeffs},
-                   f"mult={mult}", f"mult={mult}", text)
-    else:
-        raise UsageError(f"unknown oracle {cfg.verify!r}")
-
-
-def _cmd_oracle(cfg: ScenarioConfig) -> Report:
-    cases, rows, lines = [], [("case", "ok")], []
-    for case, tsv_label, pretty_label, text in _oracle_cases(cfg):
-        cases.append(case)
-        rows.append((tsv_label, case["ok"]))
-        lines.append(f"  {pretty_label}: {text}")
-    passed = sum(1 for c in cases if c["ok"])
-    failed = len(cases) - passed
-    payload = {"check": cfg.verify, "cases": cases,
-               "passed": passed, "failed": failed}
-    lines.insert(0, f"oracle {cfg.verify}: {passed} passed, {failed} failed")
-    return Report(payload, rows, lines, failed=failed > 0)
-
-
+# Each command with its module in gammaflag.commands, whose build(cfg)
+# gives the command's Report; run imports it only when it is dispatched.
 _COMMANDS = {
-    "rootinfo": _cmd_rootinfo,
-    "weyl": _cmd_weyl,
-    "chow": _cmd_chow,
-    "steinberg": _cmd_steinberg,
-    "restriction-image": _cmd_restriction_image,
-    "jconstrain": _cmd_jconstrain,
-    "verify-theorem": _cmd_verify_theorem,
-    "oracle": _cmd_oracle,
+    "rootinfo": "rootinfo",
+    "weyl": "weyl",
+    "chow": "chow",
+    "steinberg": "steinberg",
+    "restriction-image": "restriction_image",
+    "jconstrain": "jconstrain",
+    "verify-theorem": "verify_theorem",
+    "oracle": "oracle",
 }
 
 
@@ -755,7 +313,9 @@ def run(cfg: ScenarioConfig, out=None) -> int:
     if not cfg.no_banner:
         print(f"gammaflag {__version__}", file=sys.stderr)
     try:
-        report = _COMMANDS[cfg.command](cfg)
+        command = __import__(f"commands.{_COMMANDS[cfg.command]}",
+                             globals(), None, ["build"], 1)
+        report = command.build(cfg)
     except (ValueError, LookupError) as e:
         raise UsageError(str(e))
     _render(report, cfg.format, out)

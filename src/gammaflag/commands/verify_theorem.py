@@ -1,0 +1,49 @@
+"""``gammaflag verify-theorem``: the split and twisted ideals compared
+degree by degree."""
+
+from __future__ import annotations
+
+from ..cli import Report, ScenarioConfig, _engine
+from ..jinv import ideal_equality_report
+
+
+def build(cfg: ScenarioConfig) -> Report:
+    cap = cfg.max_degree if cfg.max_degree is not None else cfg.prime
+    engine = _engine(cfg, degree_cap=min(cap, cfg.prime))
+    report = ideal_equality_report(engine, max_degree=cap)
+    name, kind = engine.chow.rs.name, engine.lattice.kind
+    payload = {
+        "type": name,
+        "lattice": kind,
+        "prime": report.prime,
+        "common_index": report.common._asdict(),
+        "degrees": [d._asdict() for d in report.degrees],
+        "vacuous": report.vacuous,
+        "verified": report.verified,
+        "failures": report.failures(),
+    }
+    rows = [("m", "applicable", "dim_char", "dim_twisted", "equal")]
+    rows.extend((d.m, d.applicable, d.dim_char, d.dim_twisted, d.equal)
+                for d in report.degrees)
+    ci = report.common
+    lines = [
+        f"type {name} lattice {kind} p={report.prime}",
+        "common index: "
+        + (f"{ci.value} (valuation {ci.valuation})"
+           if ci.defined else "undefined"),
+    ]
+    for d in report.degrees:
+        if not d.applicable:
+            lines.append(f"m={d.m}: not applicable (valuation too small)")
+        else:
+            verdict = "equal" if d.equal else "NOT EQUAL"
+            lines.append(
+                f"m={d.m}: dim I = {d.dim_char}, "
+                f"dim I_xi = {d.dim_twisted} -> {verdict}"
+            )
+    if report.vacuous:
+        lines.append("verdict: vacuous (no applicable degree)")
+    else:
+        lines.append("verdict: " + ("verified" if report.verified
+                                    else "FAILED"))
+    return Report(payload, rows, lines, failed=not report.verified)

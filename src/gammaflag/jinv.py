@@ -17,9 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .brauer import BrauerModel, CommonIndexReport, common_index, vp
-from .kgamma import RestrictionImage
 from .rootdata import CharacterLattice, RootSystem
-from .schubert import ChowRing, SubspaceBasis
+from .schubert import SubspaceBasis
 
 __all__ = [
     "KacPresentation",

@@ -70,7 +70,6 @@ from collections import namedtuple
 from .brauer import BrauerModel, is_prime
 from .rootdata import CharacterLattice, Weight
 from .schubert import ChowRing, SubspaceBasis
-from .weyl import WeylGroup
 
 __all__ = [
     "SteinbergTable",

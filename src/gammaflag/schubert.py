@@ -20,7 +20,6 @@ from collections import namedtuple
 from itertools import repeat
 
 from .rootdata import CharacterLattice, RootSystem, Weight
-from .weyl import WeylGroup
 
 __all__ = ["SchubertClass", "ChowRing", "SubspaceBasis"]
 
@@ -255,9 +254,6 @@ class SubspaceBasis:
                 elif row.pop(col, None) is not None:
                     where[col].discard(q)
         return True
-
-    def contains(self, vec) -> bool:
-        return not self._reduce(vec)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         out = []

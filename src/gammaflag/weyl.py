@@ -121,13 +121,12 @@ class WeylGroup:
             length_counts(rs.degrees)[:self.longest_length + 1], initial=0))
         n = rs.rank
         self.packer = packer = Packer(n)
-        self._alphas = [packer.pack(rs.simple_root(i))
-                        for i in range(1, n + 1)]
+        alphas = [packer.pack(rs.simple_root(i)) for i in range(1, n + 1)]
         # the sign bits of a key v -> its ascents, the i with v_i > 0, each
         # as (i, the shift of field i, alpha_i); at most 2^n patterns
         self._ascents = {
             sum(s << 16 * j + 15 for j, s in enumerate(signs)):
-                tuple((j + 1, 16 * j, self._alphas[j])
+                tuple((j + 1, 16 * j, alphas[j])
                       for j, s in enumerate(signs) if s)
             for signs in itertools.product((0, 1), repeat=n)}
         self._root_keys = {r.omega_coords: packer.pack(r.omega_coords)
@@ -216,19 +215,6 @@ class WeylGroup:
     def elements_of_length(self, m: int) -> range:
         self.grow(m)
         return self.range_of_length(m)
-
-    def right_mul(self, k: int, i: int) -> int:
-        """Index of w_k * s_i."""
-        self.rs._check_index(i)
-        self.grow(self.length(k) + 1)
-        c = self.inv_rho(k)[i - 1]
-        t = self._index.get(self._keys[k] - c * self._alphas[i - 1])
-        if t is None:
-            raise ValueError(
-                f"w*s_{i} has length beyond the enumerated bound "
-                f"(max_length={self.max_length})"
-            )
-        return t
 
     def covers(self, k: int) -> tuple[tuple[int, int], ...]:
         """Pairs (root index, index of w_k * s_alpha) over the positive

@@ -170,10 +170,18 @@ class DenseSubspace:
         )
 
 
+def contains(sub, vec) -> bool:
+    """vec lies in sub, a SubspaceBasis (vec a sequence or a sparse dict
+    that reduces to zero against its rows) or a DenseSubspace."""
+    if isinstance(sub, DenseSubspace):
+        return sub.contains(vec)
+    return not sub._reduce(vec)
+
+
 def is_subspace_of(sub, other) -> bool:
     """Every row of sub lies in other (either a SubspaceBasis or a
     DenseSubspace)."""
-    return all(other.contains(r) for r in sub.rows())
+    return all(contains(other, r) for r in sub.rows())
 
 
 # -- weights, roots, lattices and matrices by their definitions --------------
@@ -238,7 +246,7 @@ def vector(chow: ChowRing, cls: SchubertClass,
 
 def schubert_divisor(chow: ChowRing, i: int) -> SchubertClass:
     """The Schubert divisor sigma_{s_i}."""
-    return chow.single(chow.group.right_mul(0, i))
+    return chow.single(right_mul(chow.group, 0, i))
 
 
 def extend_by_weights(chow: ChowRing, cls: SchubertClass, weights,
@@ -526,12 +534,28 @@ def reflection_matrix(root) -> tuple[int, ...]:
         int(r == c) - u[r] * d[c] for r in range(n) for c in range(n))
 
 
+def right_mul(group: WeylGroup, k: int, i: int) -> int:
+    """Index of w_k * s_i: the key (w_k s_i)^-1 rho = s_i w_k^-1 rho looked
+    up in the group's key index, grown one length past w_k."""
+    group.rs._check_index(i)
+    group.grow(group.length(k) + 1)
+    c = group.inv_rho(k)[i - 1]
+    alpha = group.packer.pack(group.rs.simple_root(i))
+    t = group._index.get(group._keys[k] - c * alpha)
+    if t is None:
+        raise ValueError(
+            f"w*s_{i} has length beyond the enumerated bound "
+            f"(max_length={group.max_length})"
+        )
+    return t
+
+
 def index_of_word(group: WeylGroup, word) -> int:
     """Index of the product of the simple reflections of word, left to
     right, one right multiplication at a time."""
     k = 0
     for i in word:
-        k = group.right_mul(k, i)
+        k = right_mul(group, k, i)
     return k
 
 

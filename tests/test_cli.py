@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from gammaflag import SteinbergTable, WeylGroup, cli, root_system, weyl_group
 from gammaflag.cli import main
+from gammaflag.commands import steinberg as steinberg_cmd
+from gammaflag.commands import weyl as weyl_cmd
 from gammaflag.weyl import Packer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,7 +120,7 @@ def traced_e6_listing():
     its output, its peak and the group it was listed from."""
     with pytest.MonkeyPatch.context() as mp:
         # a cache of its own, so the group the listing builds is fresh
-        mp.setattr(cli, "weyl_group", functools.cache(WeylGroup))
+        mp.setattr(steinberg_cmd, "weyl_group", functools.cache(WeylGroup))
         sink = HashSink()
         tracemalloc.start()
         try:
@@ -128,7 +130,7 @@ def traced_e6_listing():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        group = cli.weyl_group(root_system("E6"))
+        group = steinberg_cmd.weyl_group(root_system("E6"))
     return TracedListing(code, sink.digest.hexdigest(), peak, group)
 
 
@@ -153,7 +155,7 @@ def test_the_e6_listing_checks_its_weights_in_16_bytes_each(
 
 def test_the_e6_weights_spread_over_every_bucket():
     # by the low byte, 21 of 256 buckets filled and one held 10,351
-    count = cli._WeightCount(6)
+    count = steinberg_cmd._WeightCount(6)
     table = SteinbergTable(weyl_group(root_system("E6")))
     for _, _, rhos, _ in table.lengths():
         count.add(rhos)
@@ -178,7 +180,7 @@ def test_the_weight_count_is_the_number_of_distinct_weights(n, data):
     if values:
         values += data.draw(st.lists(st.sampled_from(values), max_size=20))
         values = data.draw(st.permutations(values))
-    count = cli._WeightCount(n)
+    count = steinberg_cmd._WeightCount(n)
     cut = data.draw(st.integers(0, len(values)))  # added as two lengths
     count.add(values[:cut])
     count.add(values[cut:])
@@ -188,18 +190,18 @@ def test_the_weight_count_is_the_number_of_distinct_weights(n, data):
 @pytest.mark.parametrize("n", [0, 9])
 def test_the_weight_count_refuses_ranks_past_two_halves(n):
     with pytest.raises(ValueError, match="outside 1..8"):
-        cli._WeightCount(n)
+        steinberg_cmd._WeightCount(n)
 
 
 def test_weyl_counts_by_length_enumerate_nothing(capsys, monkeypatch):
     # a cache of its own, so the group the command builds is fresh
-    monkeypatch.setattr(cli, "weyl_group", functools.cache(WeylGroup))
+    monkeypatch.setattr(weyl_cmd, "weyl_group", functools.cache(WeylGroup))
     code, out, _ = run_cli(capsys, "weyl", "--type", "E6", "--format", "tsv",
                            "--count-by-length", "--no-banner")
     rows = [row.split("\t") for row in out.splitlines()]
     assert code == 0 and rows[0] == ["length", "count"] and len(rows) == 38
     assert sum(int(c) for _, c in rows[1:]) == 51840
-    group = cli.weyl_group(root_system("E6"), max_length=None)
+    group = weyl_cmd.weyl_group(root_system("E6"), max_length=None)
     assert len(group._keys) == 1
 
 
@@ -253,7 +255,7 @@ def test_the_e6_listing_is_written_in_blocks():
 
 
 def test_json_entries_are_drawn_as_they_are_written(monkeypatch):
-    elements, drawn = cli._steinberg_elements, []
+    elements, drawn = steinberg_cmd._steinberg_elements, []
 
     def counted(table):
         for item in elements(table):
@@ -269,7 +271,7 @@ def test_json_entries_are_drawn_as_they_are_written(monkeypatch):
             self.marks.append((len(drawn), self.written))
             return super().write(text)
 
-    monkeypatch.setattr(cli, "_steinberg_elements", counted)
+    monkeypatch.setattr(steinberg_cmd, "_steinberg_elements", counted)
     sink = Sink()
     with contextlib.redirect_stdout(sink):
         code = main(["steinberg", "--type", "D5", "--format", "json",
@@ -673,6 +675,27 @@ def test_help_states_the_caps(capsys):
     out = capsys.readouterr().out
     assert "largest chern degree; 1 to 6" in out
     assert "prime modulus (default 3); 2 to 1000" in out
+
+
+def test_an_unknown_command_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bogus"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    choices = ", ".join(f"'{c}'" for c in (
+        "rootinfo", "weyl", "chow", "steinberg", "restriction-image",
+        "jconstrain", "verify-theorem", "oracle"))
+    assert f"invalid choice: 'bogus' (choose from {choices})" in err
+
+
+def test_a_bad_flag_names_its_command_in_the_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["steinberg", "--type", "A2", "--prime", "two"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.startswith("usage: gammaflag steinberg ")
+    assert ("gammaflag steinberg: error: argument --prime: invalid int "
+            "value: 'two'") in err
 
 
 def test_missing_presentation_is_a_usage_error(capsys):

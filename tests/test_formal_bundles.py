@@ -19,7 +19,7 @@ from gammaflag import (
     gamma_of_sum,
     total_chern,
 )
-from gammaflag.cli import _gammatoc_cases
+from gammaflag.commands.oracle import _gammatoc_cases
 from gammaflag.formal_bundles import _newton
 
 exponents = st.lists(st.integers(-2, 2), min_size=2, max_size=2).map(tuple)

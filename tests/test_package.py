@@ -80,24 +80,36 @@ def modules_loaded_by(*argv) -> set[str]:
 
 UNUSED_AT_START_UP = {
     "dataclasses", "inspect", "fractions", "pathlib", "typing",
-    "gammaflag.jinv", "gammaflag.formal_bundles",
+}
+
+# Loaded by every command: the package's name table, the front end, and
+# brauer, whose is_prime checks every config.
+FRONT_END = {"gammaflag", "gammaflag.cli", "gammaflag.brauer",
+             "gammaflag.commands"}
+ENGINE = {"rootdata", "intmat", "weyl", "schubert", "kgamma"}
+
+# Each command with the other gammaflag modules it loads: its own module
+# in gammaflag.commands and the library code it runs, nothing more.
+LOADS = {
+    ("restriction-image", "--type", "E6", "--prime", "5", "--index", "25",
+     "--degree", "2"): {"commands.restriction_image", *ENGINE},
+    ("steinberg", "--type", "A2"): {"commands.steinberg", *ENGINE},
+    ("verify-theorem", "--type", "A2", "--prime", "3", "--index", "3"):
+        {"commands.verify_theorem", "jinv", *ENGINE},
+    ("jconstrain", "--type", "E6", "--prime", "3", "--index", "9"):
+        {"commands.jconstrain", "jinv", "rootdata", "intmat", "schubert"},
+    ("rootinfo", "--type", "E6"): {"commands.rootinfo", "rootdata", "intmat"},
+    ("oracle", "--verify", "binomial"):
+        {"commands.oracle", "formal_bundles"},
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ("restriction-image", "--type", "E6", "--prime", "5", "--index", "25",
-     "--degree", "2"),
-    ("steinberg", "--type", "A2"),
-])
+@pytest.mark.parametrize("argv", list(LOADS))
 def test_commands_load_only_what_they_run(argv):
-    assert modules_loaded_by(*argv) & UNUSED_AT_START_UP == set()
-
-
-def test_verify_theorem_loads_jinv_only():
-    loaded = modules_loaded_by(
-        "verify-theorem", "--type", "A2", "--prime", "3", "--index", "3")
-    assert "gammaflag.jinv" in loaded
-    assert "gammaflag.formal_bundles" not in loaded
+    loaded = modules_loaded_by(*argv)
+    assert loaded & UNUSED_AT_START_UP == set()
+    ours = {m for m in loaded if m.split(".")[0] == "gammaflag"}
+    assert ours == FRONT_END | {f"gammaflag.{m}" for m in LOADS[argv]}
 
 
 def test_the_readme_library_example_prints_true():

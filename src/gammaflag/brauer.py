@@ -113,7 +113,13 @@ class BrauerModel(namedtuple("BrauerModel", "group ind p")):
     def from_labels(cls, fg: CharacterLattice, labelled: dict[str, int],
                     p: int) -> "BrauerModel":
         g = fg.quotient
-        ind = {g.parse_label(k): int(v) for k, v in labelled.items()}
+        ind, labels = {}, {}
+        for label, value in labelled.items():
+            e = g.parse_label(label)
+            if labels.setdefault(e, label) != label:
+                raise ValueError(f"labels {labels[e]!r} and {label!r} both "
+                                 f"name the class {g.label(e)}")
+            ind[e] = int(value)
         return cls(group=g, ind=ind, p=p)
 
 

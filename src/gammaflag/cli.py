@@ -105,6 +105,16 @@ def _check_int(name: str, value, bounds: str | None = None) -> int:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are all distinct, at any depth."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} given twice")
+        data[key] = value
+    return data
+
+
 def _read_config_file(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
@@ -112,10 +122,10 @@ def _read_config_file(path: str) -> dict:
     except OSError as e:
         raise UsageError(f"config {path}: {e.strerror or e}")
     try:
-        data = json.loads(text)  # decodes the bytes itself
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise UsageError(f"config {path}: line {e.lineno}: {e.msg}")
-    except ValueError as e:  # not UTF-8, or an integer past the digit limit
+    except ValueError as e:  # bytes not UTF-8, a repeated key, a huge int
         raise UsageError(f"config {path}: {e}")
     if not isinstance(data, dict):
         raise UsageError(f"config {path}: top level must be a JSON object")

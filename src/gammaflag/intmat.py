@@ -1,4 +1,4 @@
-"""Exact integer matrix arithmetic: Smith normal form, unimodular inverses.
+"""Exact integer matrix arithmetic: Smith normal form.
 
 Everything here works on tuples of tuples of Python ints.  No floating
 point is used anywhere; unimodular transforms are tracked explicitly so
@@ -15,7 +15,6 @@ __all__ = [
     "identity",
     "mat_vec",
     "snf",
-    "unimodular_inverse",
 ]
 
 
@@ -122,29 +121,3 @@ def snf(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
     )
     return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
 
-
-def unimodular_inverse(a: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of an integer matrix with det = +-1 (exact).
-
-    Fraction-free (Bareiss) Gauss-Jordan on [a | I]: every division is
-    exact, and the elimination ends in [d*I | d*a^-1] with d = +-det(a).
-    """
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        rk = m[k]
-        p = rk[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], rk)]
-        prev = p
-    if prev not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(prev * x for x in row[n:]) for row in m)

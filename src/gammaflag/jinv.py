@@ -115,9 +115,10 @@ def degree1_generators(lattice: CharacterLattice, p: int) -> tuple[int, ...]:
     if dim == 0:
         return ()
     span = SubspaceBasis(p, dim)
-    for i in range(1, lattice.rs.rank + 1):
-        cls = lattice.fp_class(lattice.rs.fundamental_weight(i), p)
-        if span.insert(cls):
+    factors = lattice.quotient.factors
+    for i, cls in enumerate(lattice.omega_classes, 1):
+        # the image of omega_i in (Lambda/T*) tensor F_p
+        if span.insert([c % p for c, d in zip(cls, factors) if d % p == 0]):
             picked.append(i)
             if len(picked) == dim:
                 break

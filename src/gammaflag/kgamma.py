@@ -7,16 +7,19 @@ g_w = [L(rho_w)] indexed by Weyl elements, with
 
 The descent set D(w) is the set of negative coordinates of w^-1(rho), so
 lambda_D is their 0/1 indicator.  W acts trivially on Lambda/Lambda_r,
-so the Brauer class of rho_w is the class of lambda_D, looked up once
-per distinct descent set.  The packed columns w(omega_j) are carried
-down the BFS tree: for w = u s_i only column i changes, to
-u(omega_i - alpha_i), and rho_w is the sum of the columns in D(w).  The
-carry is a window of one length: the keys w^-1(rho) and columns of the
-last walked length.  ``SteinbergTable.step`` takes it to the next length
-through ``WeylGroup.step``, which names each new element's parent in the
-window and its letter i, and stores nothing; whoever walks keeps the
-window.  So a walk never grows the group, and a walk of all of W needs
-memory for its widest length only (3,662 of the 51,840 elements of E6).
+so the Brauer class of rho_w is the class of lambda_D.  One table per
+engine holds all 2^n pairs (D, class of lambda_D), the class summed from
+those of the omega_i and the pair keyed by the sign bits of w^-1(rho),
+so each element's D(w) and class are one lookup.  The packed columns
+w(omega_j) are carried down the BFS tree: for w = u s_i only column i
+changes, to u(omega_i - alpha_i), and rho_w is the sum of the columns in
+D(w).  The carry is a window of one length: the keys w^-1(rho) and
+columns of the last walked length.  ``SteinbergTable.step`` takes it to
+the next length through ``WeylGroup.step``, which names each new
+element's parent in the window and its letter i, and stores nothing;
+whoever walks keeps the window.  So a walk never grows the group, and a
+walk of all of W needs memory for its widest length only (3,662 of the
+51,840 elements of E6).
 
 For a twisted form, only multiples survive restriction: the image of the
 m-th gamma-filtration quotient in CH^m mod p is spanned by
@@ -91,8 +94,16 @@ class SteinbergTable:
             )
         self.group = group
         self.rs = rs = group.rs
-        self.fg = rs.fundamental_group()
-        self._by_signs = {}  # sign bits of w^-1(rho) -> (D(w), lambda_D class)
+        self.fg = fg = rs.fundamental_group()
+        # every D with the class of lambda_D, added up from the omega_i,
+        # keyed by the sign bits of a w^-1(rho) negative exactly at D
+        packer, q = group.packer, fg.quotient
+        lambdas = [((), q.identity())]
+        for i, omega in enumerate(fg.omega_classes):
+            lambdas += [(d + (i,), q.add(cls, omega)) for d, cls in lambdas]
+        self._lambdas = {packer.sign_bits(packer.pack(
+            [-1 if j in d else 1 for j in range(rs.rank)])): (d, cls)
+            for d, cls in lambdas}
         # w = u s_i: w(omega_i) = -u(omega_i) - sum_{j != i} C_ji u(omega_j)
         self._update = [[(j, -row[i]) for j, row in enumerate(rs.cartan)
                          if j != i and row[i]] for i in range(rs.rank)]
@@ -101,7 +112,7 @@ class SteinbergTable:
         """The length after ``window`` (None: before the identity) as
         (window, parents, letters, packed rho_w, classes): per element, its
         parent's position in ``window``, the letter i of w = u s_i (none at
-        the identity), rho_w and the class of lambda_D, memoised per D(w)."""
+        the identity), rho_w and the class of lambda_D."""
         packer, n = self.group.packer, self.rs.rank
         if window is None:
             keys = [packer.pack((1,) * n)]
@@ -120,17 +131,11 @@ class SteinbergTable:
                     x += a * c[k]
                 c[i] = x
                 cols.append(c)
-        by_signs, rhos, classes = self._by_signs, [], []
+        lambdas, rhos, classes = self._lambdas, [], []
         for x, c in zip(keys, cols):
-            signs = packer.sign_bits(x)
-            got = by_signs.get(signs)
-            if got is None:
-                lam = tuple(int(v < 0) for v in packer.unpack(x))
-                got = by_signs[signs] = (
-                    [j for j, v in enumerate(lam) if v],
-                    self.fg.class_of(lam))
-            rhos.append(sum([c[j] for j in got[0]]))
-            classes.append(got[1])
+            d, cls = lambdas[packer.sign_bits(x)]
+            rhos.append(sum([c[j] for j in d]))
+            classes.append(cls)
         return (keys, cols), parents, letters, rhos, classes
 
     def lengths(self):
@@ -192,19 +197,14 @@ class RestrictionImage:
         """V_j in F_p^n: Lambda_r plus every lambda_D whose class has
         binom(i, j) != 0 mod p, mod p.  It holds rho_w mod p for every
         part of size j."""
-        rs, fg, p = self.chow.rs, self.steinberg.fg, self.p
+        rs, p = self.chow.rs, self.p
         n = rs.rank
         room = SubspaceBasis(p, n)
         for i in range(1, n + 1):
             room.insert(rs.simple_root(i))
-        # every 0/1 vector lambda_D, its class added up from the omega_i
-        subsets = [((0,) * n, fg.quotient.identity())]
-        for i, omega in enumerate(fg.omega_classes):
-            subsets += [(lam[:i] + (1,) + lam[i + 1:],
-                         fg.quotient.add(cls, omega)) for lam, cls in subsets]
-        for lam, cls in subsets:
+        for d, cls in self.steinberg._lambdas.values():
             if room.dim < n and self._binoms[cls][j - 1]:
-                room.insert(lam)
+                room.insert(dict.fromkeys(d, 1))
         return room
 
     def _ceiling(self, j: int) -> int:

@@ -309,14 +309,16 @@ class CharacterLattice:
 
     Selected either by the keywords "adjoint" / "simply_connected" or by a
     list of weights whose classes (together with the root lattice) generate
-    T*.  The stored basis is a Z-basis of T* in fundamental-weight
-    coordinates.  ``quotient`` is Lambda/T* and ``omega_classes[i - 1]``
-    the class of omega_i in it; for the adjoint lattice that is the
-    fundamental group Lambda/Lambda_r.
+    T*.  One Smith normal form U*G*V = D of the generator matrix G (columns
+    = generators) gives everything: the stored Z-basis of T*, in
+    fundamental-weight coordinates, is the first n columns of G*V, that is
+    d_i * U^-1 e_i; and a weight w lies in T* exactly when U*w lies in D*Z^n,
+    so its class in ``quotient`` = Lambda/T* is U*w mod D at the invariant
+    factors != 1.  ``omega_classes[i - 1]`` is the class of omega_i; for the
+    adjoint lattice the quotient is the fundamental group Lambda/Lambda_r.
     """
 
-    __slots__ = ("rs", "kind", "basis", "_d", "_u", "_qpositions",
-                 "quotient", "omega_classes")
+    __slots__ = ("rs", "kind", "basis", "_rows", "quotient", "omega_classes")
 
     def __init__(self, rs: RootSystem, spec="adjoint"):
         n = rs.rank
@@ -337,30 +339,22 @@ class CharacterLattice:
             extra = [rs.check_weight(w) for w in spec]
             gens = [rs.simple_root(i) for i in range(1, n + 1)] + extra
             kind = "explicit"
-        basis = _lattice_basis(gens, n)
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "basis", basis)
-        # SNF of the basis matrix (columns = basis vectors) drives both the
-        # membership test and the quotient Lambda/T*.
-        bmat = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-        d, u, _ = intmat.snf(bmat)
+        g = tuple(zip(*gens))
+        d, u, v = intmat.snf(g)
         diag = [d[i][i] for i in range(n)]
         if 0 in diag:
             raise ValueError("character lattice must have full rank")
-        qpos = tuple(i for i in range(n) if diag[i] != 1)
-        object.__setattr__(self, "_d", tuple(diag))
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_qpositions", qpos)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "kind", kind)
+        # column i of G*V is d_i * U^-1 e_i
+        object.__setattr__(self, "basis", tuple(
+            intmat.mat_vec(g, col) for col in list(zip(*v))[:n]))
         object.__setattr__(
-            self, "quotient",
-            FiniteAbelianGroup(tuple(diag[i] for i in qpos)),
-        )
-        object.__setattr__(
-            self, "omega_classes",
-            tuple(self.class_of(rs.fundamental_weight(i))
-                  for i in range(1, n + 1)),
-        )
+            self, "_rows", tuple(u[i] for i in range(n) if diag[i] != 1))
+        object.__setattr__(self, "quotient", FiniteAbelianGroup(
+            tuple(x for x in diag if x != 1)))
+        object.__setattr__(self, "omega_classes", tuple(
+            self.class_of(rs.fundamental_weight(i)) for i in range(1, n + 1)))
 
     def __setattr__(self, *_):
         raise AttributeError("CharacterLattice is immutable")
@@ -370,41 +364,16 @@ class CharacterLattice:
 
     @property
     def index_in_weight_lattice(self) -> int:
-        return math.prod(self._d)
+        return self.quotient.order
 
     def class_of(self, w: Weight) -> tuple[int, ...]:
         """Class of a weight in Lambda/T*."""
-        w = self.rs.check_weight(w)
-        y = intmat.mat_vec(self._u, w)
-        return tuple(y[p] % self._d[p] for p in self._qpositions)
+        y = intmat.mat_vec(self._rows, self.rs.check_weight(w))
+        return tuple(x % d for x, d in zip(y, self.quotient.factors))
 
     def fp_dim(self, p: int) -> int:
         """dim over F_p of (Lambda/T*) tensor F_p."""
-        return sum(1 for i in self._qpositions if self._d[i] % p == 0)
-
-    def fp_class(self, w: Weight, p: int) -> tuple[int, ...]:
-        """Image of a weight in (Lambda/T*) tensor F_p."""
-        w = self.rs.check_weight(w)
-        y = intmat.mat_vec(self._u, w)
-        return tuple(y[i] % p for i in self._qpositions if self._d[i] % p == 0)
-
-
-def _lattice_basis(gens: list[Weight], n: int) -> tuple[Weight, ...]:
-    """Z-basis of the lattice spanned by the given weights.
-
-    From U*G*V = D the lattice span(G) is spanned by d_i * (U^-1 e_i), so a
-    basis is read off the columns of U^-1 scaled by the invariant factors.
-    """
-    g = tuple(tuple(w[i] for w in gens) for i in range(n))  # n x m, columns=gens
-    d, u, _ = intmat.snf(g)
-    uinv = intmat.unimodular_inverse(u)
-    basis = []
-    for i in range(min(n, len(gens))):
-        di = d[i][i]
-        if di == 0:
-            break
-        basis.append(tuple(uinv[r][i] * di for r in range(n)))
-    return tuple(basis)
+        return sum(1 for d in self.quotient.factors if d % p == 0)
 
 
 @lru_cache(maxsize=None)

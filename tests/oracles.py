@@ -462,14 +462,6 @@ def _fraction_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def unimodular_inverse_by_fractions(mat) -> tuple[tuple[int, ...], ...]:
-    """Inverse of an integer matrix over Q, refused unless it is integral."""
-    inv = _fraction_inverse([[Fraction(x) for x in row] for row in mat])
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
 # -- Weyl group cross-checks ---------------------------------------------------
 
 

@@ -111,6 +111,16 @@ def test_validate_catches_nonpositive_and_foreign_entries():
     assert any("outside the group" in s for s in model2.validate())
 
 
+@pytest.mark.parametrize("name, ind", [
+    ("B3", {"0": 1, "1": 2, "01": 4}),
+    ("E6", {"0": 1, "1": 3, "2": 3, "01": 9}),
+])
+def test_two_labels_of_one_class_are_refused(name, ind):
+    with pytest.raises(ValueError) as exc:
+        BrauerModel.from_labels(fg(name), ind, 2)
+    assert str(exc.value) == "labels '1' and '01' both name the class 1"
+
+
 def test_require_valid_raises_with_details():
     g = fg("A2").quotient
     model = BrauerModel(group=g, ind={(0,): 2, (1,): 2, (2,): 2}, p=2)

@@ -545,6 +545,41 @@ def test_unknown_config_key(tmp_path, capsys):
         needle="unknown key 'primes'")
 
 
+def expect_refused_config(capsys, cfg, *argv, needle):
+    code, out, err = run_cli(
+        capsys, *argv, "--config", str(cfg), "--no-banner")
+    assert (code, out) == (2, "")
+    assert needle in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"prime": 3, "prime": 5}', "prime"),
+    ('{"brauer": {"ind": {"0": 1, "1": 2, "1": 4}}}', "1"),
+], ids=["top", "nested"])
+def test_a_config_key_given_twice_is_refused(tmp_path, capsys, text, key):
+    cfg = tmp_path / "twice.json"
+    cfg.write_text(text)
+    needle = f"config {cfg}: key {key!r} given twice"
+    with pytest.raises(cli.UsageError) as exc:
+        cli._read_config_file(str(cfg))
+    assert str(exc.value) == needle
+    expect_refused_config(capsys, cfg, "verify-theorem", "--type", "B3",
+                          "--prime", "2", needle=needle)
+
+
+@pytest.mark.parametrize("dynkin, prime, ind", [
+    ("B3", "2", {"0": 1, "1": 2, "01": 4}),
+    ("E6", "3", {"0": 1, "1": 3, "2": 3, "01": 9}),
+])
+def test_two_labels_of_one_class_are_refused(tmp_path, capsys, dynkin, prime,
+                                             ind):
+    cfg = tmp_path / "labels.json"
+    cfg.write_text(json.dumps({"brauer": {"ind": ind}}))
+    expect_refused_config(
+        capsys, cfg, "verify-theorem", "--type", dynkin, "--prime", prime,
+        needle="labels '1' and '01' both name the class 1")
+
+
 @pytest.mark.parametrize("content,needle", [
     (b'{"type": "A2",\n', "line 2"),
     (b'{"type": "\xff\xfe"}', "'utf-8' codec can't decode byte 0xff"),

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gammaflag import CharacterLattice, intmat, root_system
-from oracles import det_fraction, mat_mul_rows, unimodular_inverse_by_fractions
+from gammaflag import intmat, root_system
+from oracles import det_fraction, mat_mul_rows
 
 matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -103,44 +103,6 @@ def test_cartan_snf_frozen(name, diag):
     d, u, v = intmat.snf(rs.cartan)
     assert tuple(d[i][i] for i in range(rs.rank)) == diag
     assert mat_mul_rows(mat_mul_rows(u, rs.cartan), v) == d
-
-
-@given(matrices)
-def test_unimodular_inverse(a):
-    _, u, _ = intmat.snf(a)  # u is unimodular whatever a is
-    inv = intmat.unimodular_inverse(u)
-    n = len(u)
-    assert mat_mul_rows(u, inv) == intmat.identity(n)
-    assert mat_mul_rows(inv, u) == intmat.identity(n)
-
-
-@given(matrices)
-def test_unimodular_inverse_matches_fraction_oracle(a):
-    _, u, v = intmat.snf(a)
-    for m in (u, v):
-        assert intmat.unimodular_inverse(m) == unimodular_inverse_by_fractions(m)
-
-
-@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
-def test_unimodular_inverse_matches_fraction_oracle_on_lattices(
-        name, monkeypatch):
-    # every matrix rootdata inverts while it builds the lattice bases
-    seen = []
-    inverse = intmat.unimodular_inverse
-    monkeypatch.setattr(intmat, "unimodular_inverse",
-                        lambda m: seen.append(m) or inverse(m))
-    rs = root_system(name)
-    for kind in ("adjoint", "simply_connected"):
-        CharacterLattice(rs, kind)
-    assert len(seen) == 2
-    for m in seen:
-        assert inverse(m) == unimodular_inverse_by_fractions(m)
-
-
-def test_unimodular_inverse_rejects_non_unimodular():
-    for a in (((2, 0), (0, 1)), ((1, 2), (2, 4)), ((0, 0), (0, 0))):
-        with pytest.raises(ValueError):
-            intmat.unimodular_inverse(a)
 
 
 def test_mat_vec():

@@ -115,7 +115,18 @@ def test_the_stream_steps_without_state():
     second = table.step(first[0])
     assert table.step(None) == first
     assert table.step(first[0]) == second
-    assert set(vars(table)) == {"group", "rs", "fg", "_by_signs", "_update"}
+    assert set(vars(table)) == {"group", "rs", "fg", "_lambdas", "_update"}
+
+
+def test_the_stream_reads_classes_off_its_table(monkeypatch):
+    # every class of a walk comes from the table the constructor built
+    table = SteinbergTable(weyl_group(root_system("B3")))
+
+    def refused(self, w):
+        raise AssertionError("class_of called during the walk")
+
+    monkeypatch.setattr(CharacterLattice, "class_of", refused)
+    assert sum(len(rhos) for _, _, rhos, _ in table.lengths()) == 48
 
 
 def test_tits_index_lookup():
@@ -130,16 +141,19 @@ def test_tits_index_lookup():
 
 def test_an_interrupted_walk_resumes_in_full(monkeypatch):
     engine = engine_for("B3", "adjoint", 2, 1, cap=2)
-    class_of, calls = CharacterLattice.class_of, []
+    calls = []
 
-    def interrupted(self, lam):
-        # the walk stops at its third class: partway through length 1
-        calls.append(lam)
-        if len(calls) == 3:
-            raise KeyboardInterrupt
-        return class_of(self, lam)
+    class Interrupted(dict):
+        # the walk looks up each element's lambda_D by its sign bits: it
+        # stops at its third lookup, partway through length 1
+        def __getitem__(self, signs):
+            calls.append(signs)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return super().__getitem__(signs)
 
-    monkeypatch.setattr(CharacterLattice, "class_of", interrupted)
+    table = engine.steinberg
+    monkeypatch.setattr(table, "_lambdas", Interrupted(table._lambdas))
     with pytest.raises(KeyboardInterrupt):
         engine.image(1)
     monkeypatch.undo()

@@ -1,9 +1,11 @@
 """The package surface: lazily resolved public names, immutable records,
 and the modules a command loads at start-up."""
 
+import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,35 @@ from gammaflag import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_definition_is_used():
+    # every function, method and class defined under src/gammaflag (dunders
+    # aside) is named by code under src/, scripts/ or perfbench/: as a Name,
+    # an Attribute, an imported name, or a word of a string constant (a
+    # name wrapped by its string, as perfbench/child.py does)
+    defined, named = {}, set()
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    if top == "src" and not re.fullmatch(r"__\w+__",
+                                                         node.name):
+                        defined.setdefault(
+                            node.name,
+                            f"{path.relative_to(ROOT)}:{node.lineno}")
+                elif isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.update(node.name.split("."))
+                elif isinstance(node, ast.Constant) and isinstance(
+                        node.value, str):
+                    named.update(re.findall(r"\w+", node.value))
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in named) == []
 
 
 @pytest.mark.parametrize("name", gammaflag.__all__)

@@ -1,11 +1,14 @@
 """Root systems, fundamental groups, and character lattices."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gammaflag import CharacterLattice, FiniteAbelianGroup, root_system
+from gammaflag import CharacterLattice, FiniteAbelianGroup, intmat, root_system
 from oracles import (
+    det_fraction,
     fundamental_group_by_cartan_snf,
     lattice_contains,
     pairing,
@@ -217,6 +220,48 @@ def test_class_of_zero_iff_member(w):
     lat = CharacterLattice(root_system("A2"), "adjoint")
     member = lat.class_of(w) == lat.quotient.identity()
     assert member == lattice_contains(lat, w)
+
+
+# sha256 of repr([(type, keyword, basis, quotient.factors, omega_classes)])
+# over SUPPORTED_TYPES, adjoint then simply_connected each, as computed when
+# each lattice took two Smith normal forms
+LATTICE_DIGEST = (
+    "ae93d18fb9a377e4a64232a96a26c6d22336f3da20e237a70942b052a3fbc5e0")
+
+
+def test_every_supported_lattice_keeps_its_basis_and_chart():
+    rows = []
+    for name in SUPPORTED_TYPES:
+        rs = root_system(name)
+        for kind in ("adjoint", "simply_connected"):
+            lat = CharacterLattice(rs, kind)
+            rows.append((name, kind, lat.basis, lat.quotient.factors,
+                         lat.omega_classes))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == LATTICE_DIGEST
+
+
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "B3", "C3", "D4"]), st.data())
+def test_explicit_lattices_agree_with_the_fraction_oracles(name, data):
+    rs = root_system(name)
+    vectors = st.lists(st.integers(-3, 3), min_size=rs.rank,
+                       max_size=rs.rank).map(tuple)
+    extra = data.draw(st.lists(vectors, max_size=3))
+    lat = CharacterLattice(rs, extra)
+    gens = [rs.simple_root(i) for i in range(1, rs.rank + 1)] + extra
+    assert all(lattice_contains(lat, g) for g in gens)
+    assert lat.index_in_weight_lattice == abs(det_fraction(lat.basis))
+    for w in [data.draw(vectors), *gens]:
+        member = lat.class_of(w) == lat.quotient.identity()
+        assert member == lattice_contains(lat, w)
+
+
+def test_each_lattice_takes_one_snf(monkeypatch):
+    snf, calls = intmat.snf, []
+    monkeypatch.setattr(intmat, "snf", lambda a: calls.append(a) or snf(a))
+    rs = root_system("D4")
+    for spec in ("adjoint", "simply_connected", [rs.fundamental_weight(1)]):
+        CharacterLattice(rs, spec)
+    assert len(calls) == 3
 
 
 def test_fp_dims_frozen():

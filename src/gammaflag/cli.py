@@ -226,16 +226,25 @@ def _model(cfg: ScenarioConfig, rs: RootSystem) -> BrauerModel:
     return model.require_valid()
 
 
+def _lattice(cfg: ScenarioConfig, rs: RootSystem) -> CharacterLattice:
+    """The config's lattice; the adjoint one is the root system's own,
+    built once with its fundamental group."""
+    from .rootdata import CharacterLattice
+
+    if cfg.lattice == "adjoint":
+        return rs.fundamental_group()
+    return CharacterLattice(rs, cfg.lattice)
+
+
 def _engine(cfg: ScenarioConfig, degree_cap: int) -> RestrictionImage:
     from .kgamma import RestrictionImage
-    from .rootdata import CharacterLattice, root_system
+    from .rootdata import root_system
     from .schubert import ChowRing
     from .weyl import weyl_group
 
     rs = root_system(cfg.type)
     chow = ChowRing(weyl_group(rs), degree_cap=degree_cap)
-    lattice = CharacterLattice(rs, cfg.lattice)
-    return RestrictionImage(chow, _model(cfg, rs), lattice)
+    return RestrictionImage(chow, _model(cfg, rs), _lattice(cfg, rs))
 
 
 # Each command with its module in gammaflag.commands, whose build(cfg)

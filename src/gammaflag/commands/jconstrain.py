@@ -3,9 +3,9 @@ J-invariant from index data."""
 
 from __future__ import annotations
 
-from ..cli import Report, ScenarioConfig, _model
+from ..cli import Report, ScenarioConfig, _lattice, _model
 from ..jinv import j1_constraints, kac_presentation
-from ..rootdata import CharacterLattice, root_system
+from ..rootdata import root_system
 
 # Frozen classification values for the E6 adjoint family at p = 3, keyed by
 # the common index; jconstrain cross-checks its derived output against them.
@@ -14,7 +14,7 @@ _E6_REFERENCE_J1 = {1: (0,), 3: (1,), 9: (2,), 27: (2,)}
 
 def build(cfg: ScenarioConfig) -> Report:
     rs = root_system(cfg.type)
-    lattice = CharacterLattice(rs, cfg.lattice)
+    lattice = _lattice(cfg, rs)
     model = _model(cfg, rs)
     user_data = (None if cfg.kac is None
                  else {f"{rs.name}:{lattice.kind}:{cfg.prime}": cfg.kac})

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from ..cli import Report, ScenarioConfig
-from ..rootdata import CharacterLattice, root_system
+from ..cli import Report, ScenarioConfig, _lattice
+from ..rootdata import root_system
 
 
 def build(cfg: ScenarioConfig) -> Report:
     rs = root_system(cfg.type)
-    lattice = CharacterLattice(rs, cfg.lattice)
+    lattice = _lattice(cfg, rs)
     fg = rs.fundamental_group()
     g = fg.quotient
     omega_labels = {

@@ -19,40 +19,39 @@ _BUCKETS = 251
 
 class _WeightCount:
     """Counts the distinct packed weights of rank n <= 8 it is given, in
-    16 bytes each instead of a set of ints (about 72).  A packed weight
-    sum_j v_j 2^(16 j) plus the packer's bias sum_j 2^(16 j + 15) has the
-    fields v_j + 2^15 in [0, 2^16), so it is an int in [0, 2^128), kept
-    exactly as its two unsigned 64-bit halves.  The halves go to one of
-    _BUCKETS bucket pairs by the int's residue mod _BUCKETS, and the
-    distinct pairs are counted one bucket at a time, so the set that
-    counts them holds one bucket."""
+    8 bytes each instead of a set of ints (about 64).  A packed weight
+    sum_j v_j 2^(8 j) plus the packer's bias sum_j 2^(8 j + 7) has the
+    fields v_j + 2^7 in [0, 2^8), so it is an int in [0, 2^64), kept
+    exactly as one unsigned 64-bit item.  The items go to one of _BUCKETS
+    buckets by the int's residue mod _BUCKETS, and the distinct items are
+    counted one bucket at a time, so the set that counts them holds one
+    bucket."""
 
     def __init__(self, n: int):
         if not 1 <= n <= 8:
             raise ValueError(f"rank {n} outside 1..8")
-        self._bias = sum(1 << 16 * j + 15 for j in range(n))
-        self._buckets = [(array("Q"), array("Q")) for _ in range(_BUCKETS)]
+        self._bias = int.from_bytes(b"\x80" * n, "little")
+        self._buckets = [array("Q") for _ in range(_BUCKETS)]
 
     def add(self, weights) -> None:
         bias, buckets = self._bias, self._buckets
         for x in weights:
             x += bias
-            hi, lo = buckets[x % _BUCKETS]
-            hi.append(x >> 64)
-            lo.append(x & 0xFFFFFFFFFFFFFFFF)
+            buckets[x % _BUCKETS].append(x)
 
     def __len__(self) -> int:
-        return sum(len(set(zip(hi, lo))) for hi, lo in self._buckets)
+        return sum(len(set(bucket)) for bucket in self._buckets)
 
 
 def _steinberg_elements(table: SteinbergTable,
                         seen: _WeightCount | None = None):
-    """(word, packed rho_w, class) of every element in order.  A word is
-    its letters joined by commas, "" for the identity, built as its
-    parent's word, "," and its letter; one length's words are kept.
-    Each length's weights are added to ``seen``, if given, before any of
-    its elements is yielded."""
+    """(word, rho_w, class) of every element in order, rho_w as its tuple
+    of coordinates.  A word is its letters joined by commas, "" for the
+    identity, built as its parent's word, "," and its letter; one length's
+    words are kept.  Each length's packed weights are added to ``seen``,
+    if given, before any of its elements is yielded."""
     after = [f",{i}" for i in range(table.rs.rank + 1)]
+    unpack_all = table.group.packer.unpack_all
     words = [""]
     for m, (parents, letters, rhos, classes) in enumerate(table.lengths()):
         if seen is not None:
@@ -61,15 +60,14 @@ def _steinberg_elements(table: SteinbergTable,
             words = [str(i) for i in letters]
         elif m:
             words = [words[j] + after[i] for j, i in zip(parents, letters)]
-        yield from zip(words, rhos, classes)
+        yield from zip(words, unpack_all(rhos), classes)
 
 
 def build(cfg: ScenarioConfig) -> Report:
     group = weyl_group(root_system(cfg.type))
     table = SteinbergTable(group)
     name, order, n = group.rs.name, len(group), group.rs.rank
-    unpack, label = group.packer.unpack, functools.cache(
-        table.fg.quotient.label)
+    label = functools.cache(table.fg.quotient.label)
     report = Report({}, (), ())
 
     if cfg.format == "tsv":
@@ -82,7 +80,7 @@ def build(cfg: ScenarioConfig) -> Report:
             yield "word", "rho", "class"
             seen = _WeightCount(n)
             for word, rho, cls in _steinberg_elements(table, seen):
-                yield word or "-", rho_text % unpack(rho), label(cls)
+                yield word or "-", rho_text % rho, label(cls)
             report.failed = len(seen) < order
 
         report.rows = rows()
@@ -102,7 +100,7 @@ def build(cfg: ScenarioConfig) -> Report:
         "distinct": distinct,
         "entries": (
             {"index": k, "word": list(word.encode().translate(digits, b",")),
-             "rho": unpack(rho), "class": label(cls)}
+             "rho": rho, "class": label(cls)}
             for k, (word, rho, cls) in enumerate(_steinberg_elements(table))
         ),
     }
@@ -110,7 +108,7 @@ def build(cfg: ScenarioConfig) -> Report:
     report.lines = itertools.chain(
         [f"type {name}: {order} elements, "
          + ("all weights distinct" if distinct else "WEIGHT COLLISION")],
-        (f"  sigma[{word}]  rho=({rho_text % unpack(rho)})  class {label(cls)}"
+        (f"  sigma[{word}]  rho=({rho_text % rho})  class {label(cls)}"
          for word, rho, cls in _steinberg_elements(table)),
     )
     return report

@@ -13,9 +13,12 @@ those of the omega_i and the pair keyed by the sign bits of w^-1(rho),
 so each element's D(w) and class are one lookup.  The packed columns
 w(omega_j) are carried down the BFS tree: for w = u s_i only column i
 changes, to u(omega_i - alpha_i), and rho_w is the sum of the columns in
-D(w).  The carry is a window of one length: the keys w^-1(rho) and
-columns of the last walked length.  ``SteinbergTable.step`` takes it to
-the next length through ``WeylGroup.step``, which names each new
+D(w).  An element's n columns are one int, each packed column in a block
+of 8 n + 8 bits (8 guard bits over its 8-bit fields), so the column
+update and rho_w are each one product with a constant of the table, read
+off one block.  The carry is a window of one length: the keys w^-1(rho)
+and columns of the last walked length.  ``SteinbergTable.step`` takes it
+to the next length through ``WeylGroup.step``, which names each new
 element's parent in the window and its letter i, and stores nothing;
 whoever walks keeps the window.  So a walk never grows the group, and a
 walk of all of W needs memory for its widest length only (3,662 of the
@@ -97,44 +100,65 @@ class SteinbergTable:
         self.fg = fg = rs.fundamental_group()
         # every D with the class of lambda_D, added up from the omega_i,
         # keyed by the sign bits of a w^-1(rho) negative exactly at D
-        packer, q = group.packer, fg.quotient
+        n, packer, q = rs.rank, group.packer, fg.quotient
         lambdas = [((), q.identity())]
         for i, omega in enumerate(fg.omega_classes):
             lambdas += [(d + (i,), q.add(cls, omega)) for d, cls in lambdas]
+        # The packed columns c_j = w(omega_j) of an element are one int
+        # sum_j c_j X^j, X = 2^width.  Each |c_j| < 2^(8n), and the
+        # products below have coefficients that are sums of columns with
+        # multipliers of total absolute value at most 8 (|D| ones, or a
+        # column of C, whose absolute values sum to at most 5), so 8 guard
+        # bits keep every coefficient in [-X/2, X/2).  The coefficient of
+        # X^(n-1), raised by X/2 and the blocks below it by X^(n-1)/2, is
+        # then one shift and mask away, exactly: in the product with
+        # sum_{j in D} X^(n-1-j) it is rho_w = sum_{j in D} c_j.
+        width = 8 * n + 8
+        top = width * (n - 1)
+        half = 1 << width - 1
+        # that shift, the two raises, the mask of one block, and X/2
+        self._read = (top, (half << top) + (1 << top >> 1), (1 << width) - 1,
+                      half)
         self._lambdas = {packer.sign_bits(packer.pack(
-            [-1 if j in d else 1 for j in range(rs.rank)])): (d, cls)
+            [-1 if j in d else 1 for j in range(n)])): (
+                d, cls, sum(1 << top - width * j for j in d))
             for d, cls in lambdas}
-        # w = u s_i: w(omega_i) = -u(omega_i) - sum_{j != i} C_ji u(omega_j)
-        self._update = [[(j, -row[i]) for j, row in enumerate(rs.cartan)
-                         if j != i and row[i]] for i in range(rs.rank)]
+        # w = u s_i: w(omega_i) = -u(omega_i) - sum_{j != i} C_ji u(omega_j),
+        # so block i gains -sum_j C_ji c_j, the coefficient of X^(n-1) in
+        # the product with -sum_j C_ji X^(n-1-j)
+        self._update = [
+            (sum(-row[i] << top - width * j
+                 for j, row in enumerate(rs.cartan)), width * i)
+            for i in range(n)]
+        # the identity's columns, the omega_j
+        self._omegas = sum(packer.pack(rs.fundamental_weight(j + 1))
+                           << width * j for j in range(n))
 
     def step(self, window):
         """The length after ``window`` (None: before the identity) as
         (window, parents, letters, packed rho_w, classes): per element, its
         parent's position in ``window``, the letter i of w = u s_i (none at
         the identity), rho_w and the class of lambda_D."""
-        packer, n = self.group.packer, self.rs.rank
+        packer = self.group.packer
+        top, bias, block, half = self._read
         if window is None:
-            keys = [packer.pack((1,) * n)]
-            cols = [[packer.pack(self.rs.fundamental_weight(i))
-                     for i in range(1, n + 1)]]
+            keys = [packer.pack((1,) * self.rs.rank)]
+            cols = [self._omegas]
             parents = letters = ()
         else:
             old_keys, old_cols = window
             keys, parents, letters = self.group.step(old_keys)
             update, cols = self._update, []
             for j, letter in zip(parents, letters):
-                c = old_cols[j].copy()
-                i = letter - 1
-                x = -c[i]
-                for k, a in update[i]:
-                    x += a * c[k]
-                c[i] = x
-                cols.append(c)
-        lambdas, rhos, classes = self._lambdas, [], []
+                c = old_cols[j]
+                mult, shift = update[letter - 1]
+                cols.append(
+                    c + ((c * mult + bias >> top & block) - half << shift))
+        lambdas, sign_bits, rhos, classes = (
+            self._lambdas, packer.sign_bits, [], [])
         for x, c in zip(keys, cols):
-            d, cls = lambdas[packer.sign_bits(x)]
-            rhos.append(sum([c[j] for j in d]))
+            _, cls, mult = lambdas[sign_bits(x)]
+            rhos.append((c * mult + bias >> top & block) - half)
             classes.append(cls)
         return (keys, cols), parents, letters, rhos, classes
 
@@ -202,7 +226,7 @@ class RestrictionImage:
         room = SubspaceBasis(p, n)
         for i in range(1, n + 1):
             room.insert(rs.simple_root(i))
-        for d, cls in self.steinberg._lambdas.values():
+        for d, cls, _ in self.steinberg._lambdas.values():
             if room.dim < n and self._binoms[cls][j - 1]:
                 room.insert(dict.fromkeys(d, 1))
         return room
@@ -230,14 +254,14 @@ class RestrictionImage:
         def keys():
             yield from self._keys
             st, known, binoms = self.steinberg, self._keys, self._binoms
-            unpack = st.group.packer.unpack
+            unpack_all = st.group.packer.unpack_all
             while self._scanned <= st.group.longest_length:
                 window, _, _, rhos, classes = st.step(self._window)
                 new = {}
-                for rho, cls in zip(rhos, classes):
+                for rho, cls in zip(unpack_all(rhos), classes):
                     b = binoms[cls]
                     if any(b):
-                        key = (tuple(x % p for x in unpack(rho)), b)
+                        key = (tuple(map(p.__rmod__, rho)), b)
                         if key not in known:
                             new[key] = None
                 # a length counts as scanned once all its keys are known

@@ -16,7 +16,8 @@ s_i(v) is one multiply-subtract on that int.  The BFS step reads the
 ascents of a key off its sign bits and each v_i off its biased field, so
 it unpacks no key.  Each coordinate of a key is plus or minus the height
 of a coroot, so the highest coroot bounds it, and the constructor checks
-that this bound fits a packed field.
+that this bound times the largest |a_ij| fits a signed 8-bit field; over
+every admitted type it is at most 58 (E8: 29 * 2), against 127.
 
 The breadth-first closure under right multiplication by simple
 reflections follows ascents only and fixes a deterministic order: by
@@ -48,17 +49,22 @@ __all__ = ["WeylGroup", "weyl_group", "length_counts", "DEFAULT_SIZE_GUARD"]
 
 DEFAULT_SIZE_GUARD = 10**6
 
+# Weights that Packer.unpack_all unpacks with one struct.unpack: a whole
+# BFS length at once would hold every coordinate of it at the same time.
+_BLOCK = 256
+
 
 class Packer:
-    """pack(v) = sum_j v_j * 2^(16 j): Z-linear, and inverted by unpack
-    while every coordinate lies in [-2^15, 2^15).  Every weight of the Weyl
+    """pack(v) = sum_j v_j * 2^(8 j): Z-linear, and inverted by unpack
+    while every coordinate lies in [-2^7, 2^7).  Every weight of the Weyl
     traversal (a key w^-1(rho), a column w(omega_j), a Steinberg weight
     w(lambda_D)) has coordinates of absolute value at most the height of
-    the highest coroot, 29 for E8."""
+    the highest coroot, 29 for E8, so one signed byte holds each and an
+    E6 key is an int of 48 bits."""
 
     def __init__(self, n: int):
-        self._fmt = struct.Struct(f"<{n}h")
-        self._bias = int.from_bytes(b"\x00\x80" * n, "little")  # bit 15
+        self._fmt = struct.Struct(f"<{n}b")
+        self._bias = int.from_bytes(b"\x80" * n, "little")  # bit 7
 
     def pack(self, v) -> int:
         bias = self._bias
@@ -69,8 +75,20 @@ class Packer:
         return self._fmt.unpack(
             ((x + bias) ^ bias).to_bytes(self._fmt.size, "little"))
 
+    def unpack_all(self, xs):
+        """unpack(x) for each x of the sequence xs, in order, unpacked
+        _BLOCK at a time by one struct.unpack of their bytes."""
+        bias, n = self._bias, self._fmt.size  # one byte per field
+        for start in range(0, len(xs), _BLOCK):
+            block = xs[start:start + _BLOCK]
+            data = b"".join(map(
+                int.to_bytes, map(bias.__xor__, map(bias.__add__, block)),
+                itertools.repeat(n), itertools.repeat("little")))
+            yield from zip(*[iter(struct.unpack(f"<{n * len(block)}b",
+                                                data))] * n)
+
     def sign_bits(self, x: int) -> int:
-        """Bit 15 of field j set exactly when coordinate j of x is >= 0,
+        """Bit 7 of field j set exactly when coordinate j of x is >= 0,
         so two vectors with the same signs give the same int."""
         return (x + self._bias) & self._bias
 
@@ -108,9 +126,9 @@ class WeylGroup:
         # a BFS step v_i * a_ji: the highest coroot height times a_ji
         step = (max(sum(r.coroot_coords) for r in rs.positive_roots)
                 * max(abs(a) for row in rs.cartan for a in row))
-        if step >= 2**15:
+        if step >= 2**7:
             raise ValueError(f"W({rs.name}) needs coordinates up to {step}, "
-                             "past the 16-bit packed field")
+                             "past the 8-bit packed field")
         self.rs = rs
         self.max_length = max_length
         top = len(rs.positive_roots)
@@ -125,8 +143,8 @@ class WeylGroup:
         # the sign bits of a key v -> its ascents, the i with v_i > 0, each
         # as (i, the shift of field i, alpha_i); at most 2^n patterns
         self._ascents = {
-            sum(s << 16 * j + 15 for j, s in enumerate(signs)):
-                tuple((j + 1, 16 * j, alphas[j])
+            sum(s << 8 * j + 7 for j, s in enumerate(signs)):
+                tuple((j + 1, 8 * j, alphas[j])
                       for j, s in enumerate(signs) if s)
             for signs in itertools.product((0, 1), repeat=n)}
         self._root_keys = {r.omega_coords: packer.pack(r.omega_coords)
@@ -145,11 +163,11 @@ class WeylGroup:
         new: dict[int, None] = {}
         parents, letters = array("i"), bytearray()
         # every s_i(v) with v_i > 0 is one length longer; field i of the
-        # biased key x + bias is v_i + 2^15, so no key is unpacked
+        # biased key x + bias is v_i + 2^7, so no key is unpacked
         for pos, x in enumerate(keys):
             b = x + bias
             for i, shift, alpha in ascents[b & bias]:
-                y = x - ((b >> shift & 0xFFFF) - 0x8000) * alpha
+                y = x - ((b >> shift & 0xFF) - 0x80) * alpha
                 if y not in new:
                     new[y] = None
                     parents.append(pos)

@@ -608,6 +608,35 @@ def descent_set_by_roots(group: WeylGroup, k: int) -> frozenset[int]:
     return _descents(rs, word_columns(rs, group.word(k), {}), alphas)
 
 
+def unpacked_steinberg_walk(rs: RootSystem, max_length: int | None = None):
+    """(w^-1(rho), (w(omega_1), ..., w(omega_n)), rho_w) of every element
+    of W up to max_length (all of W by default), as plain tuples of ints
+    with nothing packed, in the order of a BFS from the identity that
+    tries the letters i in increasing order: w s_i is one
+    longer exactly when coordinate i of w^-1(rho) is positive, its key is
+    s_i(w^-1(rho)) and only its column i moves, to w(s_i(omega_i)).  rho_w
+    is w applied to the 0/1 indicator of the negative coordinates of
+    w^-1(rho)."""
+    n = rs.rank
+    top = len(rs.positive_roots) if max_length is None else max_length
+    moved = [reflect(rs, i, rs.fundamental_weight(i))
+             for i in range(1, n + 1)]
+    layer = {(1,) * n: tuple(rs.fundamental_weight(i)
+                             for i in range(1, n + 1))}
+    for m in range(top + 1):
+        nxt = {}
+        for v, cols in layer.items():
+            yield v, cols, columns_act(cols, [int(x < 0) for x in v])
+            for i in range(1, n + 1):
+                if m < top and v[i - 1] > 0:
+                    y = reflect(rs, i, v)
+                    if y not in nxt:
+                        nxt[y] = (cols[:i - 1]
+                                  + (columns_act(cols, moved[i - 1]),)
+                                  + cols[i:])
+        layer = nxt
+
+
 @lru_cache(maxsize=None)  # per group object: about 2 s for all of E6
 def steinberg_by_descent_sets(group: WeylGroup):
     """rho_w and the Brauer class of every element, from the definitions:

@@ -144,13 +144,14 @@ def test_the_e6_listing_streams_in_bounded_memory(traced_e6_listing):
     assert len(group._keys) == 1
 
 
-def test_the_e6_listing_checks_its_weights_in_16_bytes_each(
+def test_the_e6_listing_checks_its_weights_in_8_bytes_each(
         traced_e6_listing):
     code, _, peak, _ = traced_e6_listing
-    # a set of the 51,840 packed weights peaks at about 5.8 MiB; 16 bytes
-    # each, about 3.3 MiB
+    # a set of the 51,840 packed weights peaked at about 5.8 MiB and 16
+    # bytes each at about 3.3 MiB; 8 bytes each, with one int per element
+    # for the walk's columns, about 2.1 MiB
     assert code == 0
-    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_the_e6_weights_spread_over_every_bucket():
@@ -159,7 +160,7 @@ def test_the_e6_weights_spread_over_every_bucket():
     table = SteinbergTable(weyl_group(root_system("E6")))
     for _, _, rhos, _ in table.lengths():
         count.add(rhos)
-    sizes = [len(hi) for hi, _ in count._buckets]
+    sizes = [len(bucket) for bucket in count._buckets]
     assert sum(sizes) == 51840 and min(sizes) > 0
     # twice the mean, 51,840 / 251
     assert max(sizes) <= 413, max(sizes)
@@ -167,8 +168,8 @@ def test_the_e6_weights_spread_over_every_bucket():
 
 # the ends of a packed field, and any field
 EDGE_FIELDS = st.one_of(
-    st.sampled_from([-2**15, -(2**15 - 1), -1, 0, 1, 2**15 - 1]),
-    st.integers(-2**15, 2**15 - 1))
+    st.sampled_from([-2**7, -(2**7 - 1), -1, 0, 1, 2**7 - 1]),
+    st.integers(-2**7, 2**7 - 1))
 
 
 @given(st.integers(1, 8), st.data())
@@ -188,7 +189,7 @@ def test_the_weight_count_is_the_number_of_distinct_weights(n, data):
 
 
 @pytest.mark.parametrize("n", [0, 9])
-def test_the_weight_count_refuses_ranks_past_two_halves(n):
+def test_the_weight_count_refuses_ranks_past_eight_bytes(n):
     with pytest.raises(ValueError, match="outside 1..8"):
         steinberg_cmd._WeightCount(n)
 
@@ -754,6 +755,33 @@ def run_module(*argv, env=None, **kwargs):
     return subprocess.run([sys.executable, "-m", "gammaflag", *argv],
                           capture_output=True, timeout=60,
                           env=env or module_env(), **kwargs)
+
+
+# counts the Smith normal forms that one command takes in a fresh process
+COUNT_SNF = """
+import sys
+from gammaflag import cli, intmat
+calls, snf = [], intmat.snf
+def counted(a):
+    calls.append(a)
+    return snf(a)
+intmat.snf = counted
+code = cli.main(sys.argv[1:] + ["--format", "tsv", "--no-banner"])
+print(code, len(calls), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["restriction-image", "--type", "E6", "--prime", "5", "--degree", "1"],
+    ["jconstrain", "--type", "E6", "--prime", "3", "--index", "3"],
+    ["rootinfo", "--type", "E6"]])
+def test_the_adjoint_lattice_takes_one_smith_normal_form(argv):
+    # the adjoint lattice is the fundamental group's, not a second
+    # CharacterLattice of the same generators
+    proc = subprocess.run([sys.executable, "-c", COUNT_SNF, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=module_env())
+    assert proc.stderr.split() == ["0", "1"], proc.stderr
 
 
 def test_python_dash_m_matches_in_process_output():

@@ -4,6 +4,8 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gammaflag import (
     BrauerModel,
@@ -31,6 +33,7 @@ from oracles import (
     steinberg_by_descent_sets,
     sym_part_span,
     sym_power_span,
+    unpacked_steinberg_walk,
     vector,
     weyl_by_matrices,
 )
@@ -42,9 +45,7 @@ from oracles import (
 def _elements(table):
     """(word, rho_w, class) of every element of the table's stream, each
     word string turned back into its tuple of letters."""
-    unpack = table.group.packer.unpack
-    return [(tuple(map(int, word.split(","))) if word else (), unpack(rho),
-             cls)
+    return [(tuple(map(int, word.split(","))) if word else (), rho, cls)
             for word, rho, cls in _steinberg_elements(table)]
 
 
@@ -109,13 +110,75 @@ def test_steinberg_table_matches_the_descent_set_oracle(name):
     assert len(group._keys) == 1
 
 
+def _blocks(table, c) -> list[int]:
+    """The n packed columns that make up the column int c of an element:
+    its blocks of bits, each read as a signed int."""
+    width = table._read[2].bit_length()
+    half, out = 1 << width - 1, []
+    for _ in range(table.rs.rank):
+        block = (c + half) % (2 * half) - half
+        out.append(block)
+        c = (c - block) >> width
+    assert c == 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "D4"])
+def test_the_packed_columns_read_as_a_list_of_columns(name):
+    # each element's columns are one int, a block of bits per column; its
+    # keys, blocks and rho_w, read off that int, are those of a walk that
+    # keeps a list of unpacked columns
+    rs = root_system(name)
+    table = SteinbergTable(weyl_group(rs))
+    unpack = table.group.packer.unpack
+    got, window = [], None
+    for _ in range(table.group.longest_length + 1):
+        window, _, _, rhos, _ = table.step(window)
+        for x, c, rho in zip(*window, rhos):
+            got.append((unpack(x), tuple(map(unpack, _blocks(table, c))),
+                        unpack(rho)))
+    assert got == list(unpacked_steinberg_walk(rs))
+
+
+# a packed field: its ends, and anything between
+FIELD = st.one_of(st.sampled_from([-2**7, 2**7 - 1]),
+                  st.integers(-2**7, 2**7 - 1))
+
+
+@pytest.mark.parametrize("name", ["A1", "G2", "B3", "D4", "E6"])
+@given(data=st.data())
+def test_the_column_arithmetic_is_exact_at_the_field_ends(name, data):
+    # columns of any fields, not only those of a walk: the update and
+    # rho_w read off the column int are the sums of the packed columns.
+    # The children of the identity take every letter, and the child of an
+    # element one shorter than the longest has every descent.
+    rs = root_system(name)
+    n, group = rs.rank, weyl_group(rs)
+    table, packer = SteinbergTable(group), group.packer
+    width = table._read[2].bit_length()
+    for k in (0, group.elements_of_length(group.longest_length - 1)[0]):
+        fields = data.draw(st.lists(FIELD, min_size=n * n, max_size=n * n))
+        columns = [packer.pack(fields[j:j + n]) for j in range(0, n * n, n)]
+        (keys, ints), _, letters, rhos, _ = table.step((
+            [group._keys[k]],
+            [sum(c << width * j for j, c in enumerate(columns))]))
+        for x, c, rho, i in zip(keys, ints, rhos, letters):
+            want = columns.copy()
+            want[i - 1] = -sum(rs.cartan[j][i - 1] * want[j]
+                               for j in range(n) if j != i - 1) - want[i - 1]
+            assert _blocks(table, c) == want
+            assert rho == sum(col for col, v in zip(want, packer.unpack(x))
+                              if v < 0)
+
+
 def test_the_stream_steps_without_state():
     table = SteinbergTable(weyl_group(root_system("B3")))
     first = table.step(None)
     second = table.step(first[0])
     assert table.step(None) == first
     assert table.step(first[0]) == second
-    assert set(vars(table)) == {"group", "rs", "fg", "_lambdas", "_update"}
+    assert set(vars(table)) == {"group", "rs", "fg", "_lambdas", "_read",
+                                "_update", "_omegas"}
 
 
 def test_the_stream_reads_classes_off_its_table(monkeypatch):

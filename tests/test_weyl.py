@@ -1,6 +1,7 @@
 """Weyl group enumeration: orders, lengths, words, covers and the BFS
 grown on demand."""
 
+import itertools
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gammaflag import root_system, weyl_group
+from gammaflag.rootdata import _RANK_RANGE
 from gammaflag.weyl import Packer, WeylGroup, length_counts
 from oracles import (
     act,
@@ -21,6 +23,7 @@ from oracles import (
     reflect,
     reflection_matrix,
     right_mul,
+    unpacked_steinberg_walk,
     weyl_by_matrices,
 )
 
@@ -225,7 +228,7 @@ def test_inverse_rho_keys_match_the_matrix_enumeration(name, max_length):
         assert g.covers(k) == matrix_covers(rs, index, lengths, mat, k)
 
 
-FIELD = st.integers(-2**15, 2**15 - 1)
+FIELD = st.integers(-2**7, 2**7 - 1)
 
 
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
@@ -241,7 +244,7 @@ def test_packing_round_trips_and_is_linear(case):
             == packer.sign_bits(packer.pack([-int(x < 0) for x in a])))
     for sign in (1, -1):
         c = [x + sign * k * y for x, y in zip(a, b)]
-        if all(-2**15 <= x < 2**15 for x in c):
+        if all(-2**7 <= x < 2**7 for x in c):
             got = packer.pack(a) + sign * k * packer.pack(b)
             assert packer.unpack(got) == tuple(c)
 
@@ -291,9 +294,46 @@ def test_packing_refuses_weights_past_a_field():
     # a stand-in root system whose highest coroot height cannot be packed
     rs = SimpleNamespace(name="X1", weyl_order=1, cartan=((2,),),
                          positive_roots=(SimpleNamespace(
-                             coroot_coords=(2**14,)),))
-    with pytest.raises(ValueError, match="16-bit packed field"):
+                             coroot_coords=(2**6,)),))
+    with pytest.raises(ValueError, match="8-bit packed field"):
         WeylGroup(rs)
+
+
+def coroot_height(rs) -> int:
+    """Height of the highest coroot."""
+    return max(sum(r.coroot_coords) for r in rs.positive_roots)
+
+
+def test_every_admitted_type_fits_an_8_bit_field():
+    # the constructor's bound, highest coroot height times max |a_ij|, is
+    # at most 58 (E8, 29 * 2)
+    for letter, (lo, hi) in _RANK_RANGE.items():
+        for n in range(lo, hi + 1):
+            rs = root_system(f"{letter}{n}")
+            step = coroot_height(rs) * max(
+                abs(a) for row in rs.cartan for a in row)
+            assert step <= 58 < 2**7, rs
+            WeylGroup(rs, max_length=1)  # admitted: no ValueError
+
+
+RANK_LE_6 = [
+    "A1", "A2", "A3", "A4", "A5", "A6",
+    "B2", "B3", "B4", "B5", "B6",
+    "C3", "C4", "C5", "C6",
+    "D4", "D5", "D6",
+    "E6", "F4", "G2",
+]
+
+
+@pytest.mark.parametrize("name,max_length",
+                         [(name, None) for name in RANK_LE_6] + [("E8", 8)])
+def test_every_walked_coordinate_fits_a_field(name, max_length):
+    # every key w^-1(rho), column w(omega_j) and rho_w, unpacked, is at
+    # most the highest coroot height in absolute value, so inside a field
+    rs = root_system(name)
+    top = max(max(map(abs, itertools.chain(key, *cols, rho)))
+              for key, cols, rho in unpacked_steinberg_walk(rs, max_length))
+    assert top <= coroot_height(rs) < 2**7
 
 
 def test_full_enumeration_guard():

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from gammaflag import (
     BrauerModel,
-    CharacterLattice,
     ChowRing,
     RestrictionImage,
     common_index,
@@ -38,8 +37,8 @@ def run(cfg: SweepConfig) -> None:
     p = 3
     t0 = time.perf_counter()
     chow = ChowRing(weyl_group(rs), degree_cap=cfg.degree_cap)
-    lattice = CharacterLattice(rs, "adjoint")
-    fg = rs.fundamental_group()
+    # the adjoint lattice, built once with the fundamental group it carries
+    lattice = fg = rs.fundamental_group()
     pres = kac_presentation(rs, lattice, p)
     gens = degree1_generators(lattice, p)
     gen_names = ", ".join(f"omega_{i}" for i in gens)

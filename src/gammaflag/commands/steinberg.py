@@ -10,7 +10,7 @@ from array import array
 from ..cli import Report, ScenarioConfig
 from ..kgamma import SteinbergTable
 from ..rootdata import root_system
-from ..weyl import weyl_group
+from ..weyl import Packer, weyl_group
 
 # The buckets of _WeightCount, one per residue of a shifted weight: a
 # prime, so that every coordinate moves the residue.
@@ -18,19 +18,19 @@ _BUCKETS = 251
 
 
 class _WeightCount:
-    """Counts the distinct packed weights of rank n <= 8 it is given, in
-    8 bytes each instead of a set of ints (about 64).  A packed weight
-    sum_j v_j 2^(8 j) plus the packer's bias sum_j 2^(8 j + 7) has the
-    fields v_j + 2^7 in [0, 2^8), so it is an int in [0, 2^64), kept
-    exactly as one unsigned 64-bit item.  The items go to one of _BUCKETS
+    """Counts the distinct weights of rank n <= 8 that ``packer`` packed,
+    in 8 bytes each instead of a set of ints (about 64).  A packed weight
+    plus the packer's bias, bit 7 of each of its n bytes, has every field
+    in [0, 2^8), so it is an int in [0, 2^64), kept exactly as one
+    unsigned 64-bit item.  The items go to one of _BUCKETS
     buckets by the int's residue mod _BUCKETS, and the distinct items are
     counted one bucket at a time, so the set that counts them holds one
     bucket."""
 
-    def __init__(self, n: int):
-        if not 1 <= n <= 8:
-            raise ValueError(f"rank {n} outside 1..8")
-        self._bias = int.from_bytes(b"\x80" * n, "little")
+    def __init__(self, packer: Packer):
+        if not 1 <= packer.n <= 8:
+            raise ValueError(f"rank {packer.n} outside 1..8")
+        self._bias = packer.bias
         self._buckets = [array("Q") for _ in range(_BUCKETS)]
 
     def add(self, weights) -> None:
@@ -78,7 +78,7 @@ def build(cfg: ScenarioConfig) -> Report:
             # they are counted for the collision check, decided after the
             # last row
             yield "word", "rho", "class"
-            seen = _WeightCount(n)
+            seen = _WeightCount(group.packer)
             for word, rho, cls in _steinberg_elements(table, seen):
                 yield word or "-", rho_text % rho, label(cls)
             report.failed = len(seen) < order
@@ -87,7 +87,7 @@ def build(cfg: ScenarioConfig) -> Report:
         return report
     # json and pretty state the verdict before any element: a first pass
     # over the weights alone
-    seen = _WeightCount(n)
+    seen = _WeightCount(group.packer)
     for _, _, rhos, _ in table.lengths():
         seen.add(rhos)
     distinct = len(seen) == order

@@ -38,7 +38,13 @@ generator's contribution are multilinear or binomial in exactly that
 data, so by Lucas' theorem the key i_w mod p^2 (equivalently, the reduced
 binomials up to degree p) loses nothing.  Multi-part generators are
 streamed as (single part) x (pivot generator of the lower-degree image),
-an exact span identity.
+an exact span identity.  Each pivot keeps its class, so a generator's
+class is its lower pivot's class times c_1(rho)^j, j Chevalley steps
+with the part's pairings; the single parts of degree m multiply the unit
+class.  A generator whose sorted weights its degree has already fed has
+the same class and is skipped.  The ideal the images generate is one
+``ChowRing.ideal``: the rows of image(m), then the lower pivots' weights
+as monomials.
 
 Before any Chevalley product, the parts of each size j are filtered in
 Sym^j(F_p^n) = F_p[h_1..h_n]_j, where h_i = c_1(L(omega_i)): a part is
@@ -75,7 +81,7 @@ from collections import namedtuple
 
 from .brauer import BrauerModel, is_prime
 from .rootdata import CharacterLattice, Weight
-from .schubert import ChowRing, SubspaceBasis
+from .schubert import ChowRing, SubspaceBasis, _until_full
 
 __all__ = [
     "SteinbergTable",
@@ -170,10 +176,12 @@ class SteinbergTable:
             yield tuple(length)
 
 
-class ImagePiece(namedtuple("ImagePiece", "degree subspace pivots")):
+class ImagePiece(namedtuple("ImagePiece",
+                            "degree subspace pivots classes")):
     """One computed degree: the SubspaceBasis plus the raw generators
     whose insertion grew it, as (scalar, weights) pairs (each raw
-    generator is scalar * product of c_1's)."""
+    generator is scalar * product of c_1's), and in ``classes`` each
+    pivot's product of c_1's mod p, without its scalar."""
 
     __slots__ = ()
 
@@ -297,37 +305,41 @@ class RestrictionImage:
         got = self._images.get(m)
         if got is not None:
             return got
-        p = self.p
-        chow = self.chow
+        p, chow = self.p, self.chow
         sub = SubspaceBasis(p, chow.basis_dim(m))
-        pivots: list[tuple[int, tuple[Weight, ...]]] = []
-
-        lower = {j: self.image(m - j).pivots for j in range(1, m)}
+        # what a part of size j multiplies: the unit class for j = m, else
+        # the pivots of image(m - j) with their classes
+        lower = [(m, ((1, ()),), (chow.single(0),))]
+        for j in range(1, m):
+            piece = self.image(m - j)
+            lower.append((j, piece.pivots, piece.classes))
 
         def generators():
-            # one part of size m
-            for rho_p, b in self._parts(m):
-                yield b, (rho_p,) * m
-            # a part of size j times a generator of the degree-(m-j) image
-            for j, lower_pivots in lower.items():
+            fed = set()
+            for j, pivots, classes in lower:
                 for rho_p, b in self._parts(j):
                     part = (rho_p,) * j
-                    for scalar, wts in lower_pivots:
-                        yield b * scalar, tuple(sorted(wts + part))
+                    pairings = chow._pairings(rho_p, p)
+                    for (scalar, wts), cls in zip(pivots, classes):
+                        weights = tuple(sorted(wts + part))
+                        # the same weights give the same class, which
+                        # cannot grow the span a second time
+                        if weights not in fed:
+                            fed.add(weights)
+                            for _ in part:
+                                cls = chow._times(cls, pairings, p)
+                            yield b * scalar % p, weights, cls
 
-        # a generator is fed without its scalar, a unit mod p: scaling by
-        # a unit changes neither the span nor whether it grows
-        for scalar, weights in _until_full(sub, generators()):
-            scalar %= p
-            if not scalar:
-                continue
-            cls = chow.monomial(weights, p)
-            if cls.is_zero():
-                continue
+        # every scalar is a unit mod p (parts keep b != 0, and p is
+        # prime), so a generator is fed without it: scaling by a unit
+        # changes neither the span nor whether it grows
+        pivots, classes = [], []
+        for scalar, weights, cls in _until_full(sub, generators()):
             if sub.insert(chow.coords(cls)):
                 pivots.append((scalar, weights))
+                classes.append(cls)
 
-        piece = ImagePiece(m, sub, tuple(pivots))
+        piece = ImagePiece(m, sub, tuple(pivots), tuple(classes))
         self._images[m] = piece
         return piece
 
@@ -335,36 +347,15 @@ class RestrictionImage:
 
     def ideal(self, m: int) -> SubspaceBasis:
         """Degree-m piece of the ideal generated by all restriction images:
-        sum over j < m of CH^(m-j) * image(j), plus image(m)."""
+        sum over j < m of CH^(m-j) * image(j), plus image(m).  A pivot's
+        scalar is a unit, so its monomial alone generates as much."""
         got = self._ideals.get(m)
-        if got is not None:
-            return got
-        p = self.p
-        chow = self.chow
-        sub = SubspaceBasis(p, chow.basis_dim(m))
-        top = self.image(m)  # computes every lower image as well
-
-        def vectors():
-            yield from top.subspace.rows()
-            for j in range(1, m):
-                # a pivot's scalar is a unit; each of its weights' coroot
-                # pairings are taken once, not once per u
-                pivots = [wts for _, wts in self.image(j).pivots]
-                pairings = {w: chow._pairings(w, p)
-                            for w in set(itertools.chain(*pivots))}
-                for u in chow.basis(m - j):
-                    su = chow.single(u)
-                    for wts in pivots:
-                        cls = su
-                        for w in wts:
-                            cls = chow._times(cls, pairings[w], p)
-                        if not cls.is_zero():
-                            yield chow.coords(cls)
-
-        for vec in _until_full(sub, vectors()):
-            sub.insert(vec)
-        self._ideals[m] = sub
-        return sub
+        if got is None:
+            rows = self.image(m).subspace.rows()  # every lower image too
+            gens = {j: [wts for _, wts in self.image(j).pivots]
+                    for j in range(1, m)}
+            got = self._ideals[m] = self.chow.ideal(m, self.p, gens, rows)
+        return got
 
 
 def _unit_monomials(n: int, j: int, p: int) -> list[tuple[int, tuple]]:
@@ -379,15 +370,3 @@ def _unit_monomials(n: int, j: int, p: int) -> list[tuple[int, tuple]]:
         if c % p:
             monos.append((c % p, mono))
     return monos
-
-
-def _until_full(sub: SubspaceBasis, items, ceiling: int | None = None):
-    """Yield items until sub reaches the dimension ceiling, by default the
-    whole ambient space.  Every item lies in a subspace of that dimension,
-    so past that point no insertion can grow sub and no item is drawn."""
-    top = sub.ambient if ceiling is None else ceiling
-    if sub.dim < top:
-        for item in items:
-            yield item
-            if sub.dim == top:
-                return

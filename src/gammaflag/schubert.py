@@ -9,7 +9,8 @@ bundle L(lambda) follows the divisor rule
         of <lambda, alpha^vee> * sigma_{u*s_alpha},
 
 which is all the product structure needed here: every ideal computed
-downstream is generated by products of first Chern classes.  Coefficient
+downstream is generated by products of first Chern classes, and one
+routine, ``ChowRing.ideal``, spans each from its generators.  Coefficient
 arithmetic is exact over Z; mod-p reduction happens either per class (the
 p argument) or at the subspace level, never through floats.
 """
@@ -17,7 +18,7 @@ p argument) or at the subspace level, never through floats.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, repeat
 
 from .rootdata import CharacterLattice, RootSystem, Weight
 
@@ -33,9 +34,6 @@ class SchubertClass(namedtuple("SchubertClass", "degree terms")):
 
     def __new__(cls, degree: int, terms: dict[int, int] | None = None):
         return super().__new__(cls, degree, {} if terms is None else terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 class ChowRing:
@@ -61,7 +59,6 @@ class ChowRing:
         # row i: the alpha_i^vee-coordinate of every positive coroot
         self._coroot_rows = tuple(zip(*(
             r.coroot_coords for r in self.rs.positive_roots)))
-        self._monomial_cache: dict = {}
 
     # -- bases -----------------------------------------------------------
 
@@ -134,48 +131,46 @@ class ChowRing:
             out = {k: v % p for k, v in out.items()}
         return SchubertClass(m + 1, {k: v for k, v in out.items() if v})
 
-    def monomial(self, weights, p: int | None = None) -> SchubertClass:
-        """Product of first Chern classes c_1(L(w)) over the given weights.
-
-        The result does not depend on the order of the factors; the cache
-        key sorts them (after mod-p reduction when p is given, which is
-        sound because the product is multilinear in the weights).
-        """
-        ws = [self.rs.check_weight(w) for w in weights]
-        if p:
-            ws = [tuple(x % p for x in w) for w in ws]
-        key = (tuple(sorted(ws)), p)
-        return self._monomial_sorted(key)
-
-    def _monomial_sorted(self, key) -> SchubertClass:
-        got = self._monomial_cache.get(key)
-        if got is not None:
-            return got
-        ws, p = key
-        if not ws:
-            out = self.single(0)
-        else:
-            prefix = self._monomial_sorted((ws[:-1], p))
-            out = self.chevalley(prefix, ws[-1], p)
-        self._monomial_cache[key] = out
-        return out
-
     # -- characteristic map -------------------------------------------------
 
     def char_ideal(self, lattice: CharacterLattice, m: int,
                    p: int) -> "SubspaceBasis":
         """Degree-m piece (mod p) of the ideal generated by the image of the
-        characteristic map: the row space of sigma_u * c_1(L(b)) over basis
+        characteristic map: the span of sigma_u * c_1(L(b)) over basis
         characters b and length-(m-1) elements u."""
         self._check_lattice(lattice)
         if m < 1:
             raise ValueError("ideal degrees start at 1")
+        return self.ideal(m, p, {1: [(b,) for b in lattice.basis]})
+
+    def ideal(self, m: int, p: int, gens, rows=()) -> "SubspaceBasis":
+        """Degree-m piece mod p of the ideal generated by the monomials
+        c_1(L(w_1)) ... c_1(L(w_j)), one for each tuple of j weights in
+        gens[j], plus the degree-m vectors rows.  The rows go in first,
+        then sigma_u times each monomial of gens[j] for every u of length
+        m - j, for j in increasing order; the coroot pairings of each
+        weight are taken once, and nothing is drawn once the span is
+        the whole space."""
         sub = SubspaceBasis(p, self.basis_dim(m))
-        pairings = [self._pairings(b, p) for b in lattice.basis]
-        for u in self.basis(m - 1):
-            su = self.single(u)
-            for coeffs in pairings:
-                sub.insert(self.coords(self._times(su, coeffs, p)))
+
+        def vectors():
+            yield from rows
+            pairings = {}
+            for j in sorted(gens):
+                monos = gens[j]
+                for w in chain(*monos):
+                    if w not in pairings:
+                        pairings[w] = self._pairings(w, p)
+                for u in self.basis(m - j):
+                    su = self.single(u)
+                    for wts in monos:
+                        cls = su
+                        for w in wts:
+                            cls = self._times(cls, pairings[w], p)
+                        yield self.coords(cls)
+
+        for vec in _until_full(sub, vectors()):
+            sub.insert(vec)
         return sub
 
     def _check_lattice(self, lattice: CharacterLattice) -> None:
@@ -274,3 +269,15 @@ class SubspaceBasis:
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(p={self.p}, dim={self.dim}/{self.ambient})"
+
+
+def _until_full(sub: SubspaceBasis, items, ceiling: int | None = None):
+    """Yield items until sub reaches the dimension ceiling, by default the
+    whole ambient space.  Every item lies in a subspace of that dimension,
+    so past that point no insertion can grow sub and no item is drawn."""
+    top = sub.ambient if ceiling is None else ceiling
+    if sub.dim < top:
+        for item in items:
+            yield item
+            if sub.dim == top:
+                return

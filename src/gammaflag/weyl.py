@@ -63,22 +63,23 @@ class Packer:
     E6 key is an int of 48 bits."""
 
     def __init__(self, n: int):
+        self.n = n  # fields, one byte each
         self._fmt = struct.Struct(f"<{n}b")
-        self._bias = int.from_bytes(b"\x80" * n, "little")  # bit 7
+        self.bias = int.from_bytes(b"\x80" * n, "little")  # bit 7 of each
 
     def pack(self, v) -> int:
-        bias = self._bias
+        bias = self.bias
         return (int.from_bytes(self._fmt.pack(*v), "little") ^ bias) - bias
 
     def unpack(self, x: int) -> Weight:
-        bias = self._bias
+        bias = self.bias
         return self._fmt.unpack(
-            ((x + bias) ^ bias).to_bytes(self._fmt.size, "little"))
+            ((x + bias) ^ bias).to_bytes(self.n, "little"))
 
     def unpack_all(self, xs):
         """unpack(x) for each x of the sequence xs, in order, unpacked
         _BLOCK at a time by one struct.unpack of their bytes."""
-        bias, n = self._bias, self._fmt.size  # one byte per field
+        bias, n = self.bias, self.n
         for start in range(0, len(xs), _BLOCK):
             block = xs[start:start + _BLOCK]
             data = b"".join(map(
@@ -90,7 +91,7 @@ class Packer:
     def sign_bits(self, x: int) -> int:
         """Bit 7 of field j set exactly when coordinate j of x is >= 0,
         so two vectors with the same signs give the same int."""
-        return (x + self._bias) & self._bias
+        return (x + self.bias) & self.bias
 
 
 class WeylGroup:
@@ -159,7 +160,7 @@ class WeylGroup:
         """One ascents-only BFS step: from the keys of one whole length, in
         order, the keys of the next length in BFS order, each with its
         parent's position in ``keys`` and its letter i (w = u s_i)."""
-        bias, ascents = self.packer._bias, self._ascents
+        bias, ascents = self.packer.bias, self._ascents
         new: dict[int, None] = {}
         parents, letters = array("i"), bytearray()
         # every s_i(v) with v_i > 0 is one length longer; field i of the

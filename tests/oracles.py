@@ -257,6 +257,12 @@ def extend_by_weights(chow: ChowRing, cls: SchubertClass, weights,
     return cls
 
 
+def monomial(chow: ChowRing, weights, p: int | None = None) -> SchubertClass:
+    """The product of c_1(L(w)) over the weights: the unit class times one
+    ``chevalley`` step per weight, reduced mod p when p is given."""
+    return extend_by_weights(chow, chow.single(0), weights, p)
+
+
 # -- coinvariant-algebra model of the Chow ring -------------------------------
 #
 # Over Q, products of divisor classes satisfy exactly the relations of the
@@ -708,7 +714,7 @@ def restriction_span_bruteforce(chow: ChowRing, model,
         scalar %= p
         if not scalar:
             return
-        cls = chow.monomial(tuple(weights), p)
+        cls = monomial(chow, weights, p)
         vec = tuple(x * scalar % p for x in vector(chow, cls, p))
         span.insert(vec)
 
@@ -756,8 +762,8 @@ def restriction_image_unfiltered(engine, top: int):
             scalar %= p
             if not scalar:
                 return
-            cls = chow.monomial(weights, p)
-            if cls.is_zero():
+            cls = monomial(chow, weights, p)
+            if not cls.terms:
                 return
             vec = tuple(x * scalar % p for x in vector(chow, cls, p))
             if sub.insert(vec):

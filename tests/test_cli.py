@@ -156,8 +156,8 @@ def test_the_e6_listing_checks_its_weights_in_8_bytes_each(
 
 def test_the_e6_weights_spread_over_every_bucket():
     # by the low byte, 21 of 256 buckets filled and one held 10,351
-    count = steinberg_cmd._WeightCount(6)
     table = SteinbergTable(weyl_group(root_system("E6")))
+    count = steinberg_cmd._WeightCount(table.group.packer)
     for _, _, rhos, _ in table.lengths():
         count.add(rhos)
     sizes = [len(bucket) for bucket in count._buckets]
@@ -181,7 +181,7 @@ def test_the_weight_count_is_the_number_of_distinct_weights(n, data):
     if values:
         values += data.draw(st.lists(st.sampled_from(values), max_size=20))
         values = data.draw(st.permutations(values))
-    count = steinberg_cmd._WeightCount(n)
+    count = steinberg_cmd._WeightCount(packer)
     cut = data.draw(st.integers(0, len(values)))  # added as two lengths
     count.add(values[:cut])
     count.add(values[cut:])
@@ -191,7 +191,7 @@ def test_the_weight_count_is_the_number_of_distinct_weights(n, data):
 @pytest.mark.parametrize("n", [0, 9])
 def test_the_weight_count_refuses_ranks_past_eight_bytes(n):
     with pytest.raises(ValueError, match="outside 1..8"):
-        steinberg_cmd._WeightCount(n)
+        steinberg_cmd._WeightCount(Packer(n))
 
 
 def test_weyl_counts_by_length_enumerate_nothing(capsys, monkeypatch):

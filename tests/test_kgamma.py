@@ -27,6 +27,7 @@ from oracles import (
     contains,
     extend_by_weights,
     is_subspace_of,
+    monomial,
     power_coordinates,
     restriction_image_unfiltered,
     restriction_span_bruteforce,
@@ -367,6 +368,28 @@ def test_the_ideal_takes_each_pivot_weight_pairing_once(name, p):
             assert rows == by_rule.rows() == by_pairing.rows()
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_pivot_keeps_its_monomial_and_a_unit_scalar(name, p):
+    # a pivot's class, built from its lower pivot's class, is the chain of
+    # chevalley steps over its weights; its scalar is a unit mod p, also
+    # where uniform indices below p make products of scalars pass p
+    rs = root_system(name)
+    fg = rs.fundamental_group()
+    chow = ChowRing(weyl_group(rs), degree_cap=min(p, 3))
+    lattice = CharacterLattice(rs, "adjoint")
+    uniform = (BrauerModel.uniform(fg, i, p) for i in range(2, p))
+    models = [*_index_models(fg, p), *(u for u in uniform if not u.validate())]
+    for model in models:
+        engine = RestrictionImage(chow, model, lattice)
+        for m in range(1, min(p, 3) + 1):
+            piece = engine.image(m)
+            assert len(piece.classes) == len(piece.pivots)
+            for (scalar, wts), cls in zip(piece.pivots, piece.classes):
+                assert 1 <= scalar < p
+                assert cls == monomial(chow, wts, p)
+
+
 # split: Sym^1 is full at element 9; index 3: Sym^3 is full at element 10
 # and Sym^1 reaches its ceiling, 5 of 6 dimensions, at element 18, while
 # binom(i, 3) vanishes for some classes only
@@ -538,7 +561,7 @@ def test_image_pieces_are_cached_and_consistent():
     assert piece.subspace.dim <= engine.chow.basis_dim(2)
     # every recorded pivot generator really lies in the subspace
     for scalar, wts in piece.pivots:
-        vec = vector(engine.chow, engine.chow.monomial(wts, 3), 3)
+        vec = vector(engine.chow, monomial(engine.chow, wts, 3), 3)
         assert contains(piece.subspace, [scalar * x for x in vec])
 
 

@@ -25,11 +25,19 @@ from gammaflag import (
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# Definitions kept with no caller, each with the reason it stays.
+KEPT_UNUSED = {
+    "deglex_less": "ROADMAP item 2 orders J-invariants by DegLex",
+}
+
+
 def test_every_definition_is_used():
     # every function, method and class defined under src/gammaflag (dunders
     # aside) is named by code under src/, scripts/ or perfbench/: as a Name,
-    # an Attribute, an imported name, or a word of a string constant (a
-    # name wrapped by its string, as perfbench/child.py does)
+    # an Attribute or an imported name, or outside src/ as a word of a
+    # string constant (a name wrapped by its string, as perfbench/child.py
+    # does).  Strings in src/ declare names, as the table in
+    # gammaflag/__init__.py does; they do not use them.
     defined, named = {}, set()
     for top in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -47,11 +55,14 @@ def test_every_definition_is_used():
                     named.add(node.attr)
                 elif isinstance(node, ast.alias):
                     named.update(node.name.split("."))
-                elif isinstance(node, ast.Constant) and isinstance(
-                        node.value, str):
+                elif top != "src" and isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str):
                     named.update(re.findall(r"\w+", node.value))
-    assert sorted(f"{where} {name}" for name, where in defined.items()
-                  if name not in named) == []
+    unused = {name for name in defined if name not in named}
+    assert sorted(f"{defined[name]} {name}"
+                  for name in unused - KEPT_UNUSED.keys()) == []
+    # an entry whose name is used again, or defined no more, is stale
+    assert sorted(KEPT_UNUSED.keys() - unused) == []
 
 
 @pytest.mark.parametrize("name", gammaflag.__all__)

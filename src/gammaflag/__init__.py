@@ -10,13 +10,11 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in [
     ("brauer", "BrauerModel CommonIndexReport common_index vp"),
-    ("formal_bundles", "FormalBundle TruncatedChowPoly "
-     "binomial_gamma_expansion check_gamma1_product_chern "
-     "check_gamma_chern_scaling chern_component gamma1 gamma_of_sum "
-     "total_chern"),
-    ("jinv", "JConstraint KacPresentation TheoremReport deglex_less "
-     "deglex_weight degree1_generators ideal_equality_report "
-     "j1_constraints kac_presentation"),
+    ("formal_bundles", "Poly binomial_gamma_expansion "
+     "check_gamma1_product_chern check_gamma_chern_scaling chern_component "
+     "gamma1 gamma_of_sum total_chern"),
+    ("jinv", "JConstraint KacPresentation TheoremReport degree1_generators "
+     "ideal_equality_report j1_constraints kac_presentation"),
     ("kgamma", "RestrictionImage SteinbergTable"),
     ("rootdata", "CharacterLattice FiniteAbelianGroup RootSystem "
      "build_root_system root_system"),

@@ -1,8 +1,9 @@
 """Formal splitting-principle oracle for gamma operations on line bundles.
 
-Virtual bundles are integer combinations of Laurent monomials in n line
-bundles L_1..L_n, written as exponent vectors; Chern classes land in a
-polynomial ring Z[t_1..t_n] truncated at a total degree, with t_j playing
+One sparse type, ``Poly``, carries both sides.  Without a cap it is a
+virtual bundle: an integer combination of Laurent monomials in n line
+bundles L_1..L_n, written as exponent vectors.  With a cap it is a Chern
+class in Z[t_1..t_n] truncated above that total degree, with t_j playing
 c_1(L_j).  Total Chern classes come from Newton's identities on the power
 sums of the Chern roots.  All arithmetic is exact over Z, so identities are
 checked literally, coefficient by coefficient.
@@ -15,8 +16,7 @@ import operator
 from collections import namedtuple
 
 __all__ = [
-    "FormalBundle",
-    "TruncatedChowPoly",
+    "Poly",
     "gamma1",
     "gamma_of_sum",
     "total_chern",
@@ -28,143 +28,98 @@ __all__ = [
 ]
 
 
-class FormalBundle:
-    """Z-linear combination of line-bundle monomials [L^a], a in Z^n."""
+class Poly:
+    """A sparse {exponent tuple: int} in n variables, no coefficient zero.
 
-    __slots__ = ("n", "terms")
+    With ``cap`` None it is a virtual bundle, a Z-linear combination of
+    line classes [L^a] in Z[Lambda], and exponents may be negative.  With
+    an integer ``cap`` it is a polynomial in Z[t_1..t_n], truncated above
+    total degree ``cap``.  Two Polys mix only when (n, cap) agree.
+    """
 
-    def __init__(self, n: int, terms: dict[tuple[int, ...], int] | None = None):
-        self.n = n
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+    __slots__ = ("n", "terms", "cap")
 
-    @classmethod
-    def zero(cls, n: int) -> "FormalBundle":
-        return cls(n, {})
-
-    @classmethod
-    def one(cls, n: int) -> "FormalBundle":
-        return cls(n, {(0,) * n: 1})
-
-    @classmethod
-    def line(cls, n: int, a) -> "FormalBundle":
-        a = tuple(a)
-        if len(a) != n:
+    def __init__(self, n: int, terms: dict[tuple[int, ...], int] | None = None,
+                 cap: int | None = None):
+        terms = terms or {}
+        if terms and set(map(len, terms)) != {n}:
             raise ValueError("exponent vector has the wrong arity")
-        return cls(n, {a: 1})
-
-    def _check(self, other: "FormalBundle") -> None:
-        if self.n != other.n:
-            raise ValueError("mixed arities")
-
-    def __add__(self, other: "FormalBundle") -> "FormalBundle":
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return FormalBundle(self.n, out)
-
-    def __neg__(self) -> "FormalBundle":
-        return FormalBundle(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "FormalBundle") -> "FormalBundle":
-        return self + (-other)
-
-    def __mul__(self, other: "FormalBundle") -> "FormalBundle":
-        self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for a, x in self.terms.items():
-            for b, y in other.terms.items():
-                k = tuple(p + q for p, q in zip(a, b))
-                out[k] = out.get(k, 0) + x * y
-        return FormalBundle(self.n, out)
-
-    def scaled(self, c: int) -> "FormalBundle":
-        return FormalBundle(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormalBundle)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"FormalBundle(n={self.n}, {self.terms})"
-
-
-class TruncatedChowPoly:
-    """Z[t_1..t_n] truncated above a fixed total degree."""
-
-    __slots__ = ("n", "cap", "terms")
-
-    def __init__(self, n: int, cap: int,
-                 terms: dict[tuple[int, ...], int] | None = None):
         self.n = n
         self.cap = cap
-        self.terms = {
-            k: v for k, v in (terms or {}).items() if v and sum(k) <= cap
-        }
+        self.terms = {k: v for k, v in terms.items()
+                      if v and (cap is None or sum(k) <= cap)}
 
     @classmethod
-    def one(cls, n: int, cap: int) -> "TruncatedChowPoly":
-        return cls(n, cap, {(0,) * n: 1})
+    def one(cls, n: int, cap: int | None = None) -> "Poly":
+        return cls(n, {(0,) * n: 1}, cap)
 
-    def _check(self, other: "TruncatedChowPoly") -> None:
+    @classmethod
+    def line(cls, n: int, a) -> "Poly":
+        return cls(n, {tuple(a): 1})
+
+    def _check(self, other: "Poly") -> None:
         if (self.n, self.cap) != (other.n, other.cap):
             raise ValueError("mixed polynomial rings")
 
-    def __add__(self, other: "TruncatedChowPoly") -> "TruncatedChowPoly":
+    def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
-        return TruncatedChowPoly(self.n, self.cap, out)
+        return Poly(self.n, out, self.cap)
 
-    def __neg__(self) -> "TruncatedChowPoly":
-        return TruncatedChowPoly(
-            self.n, self.cap, {k: -v for k, v in self.terms.items()}
-        )
+    def scaled(self, c: int) -> "Poly":
+        return Poly(self.n, {k: c * v for k, v in self.terms.items()},
+                    self.cap)
 
-    def __sub__(self, other: "TruncatedChowPoly") -> "TruncatedChowPoly":
+    def __neg__(self) -> "Poly":
+        return self.scaled(-1)
+
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: "TruncatedChowPoly") -> "TruncatedChowPoly":
+    def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         cap = self.cap
-        right = [(b, y, sum(b)) for b, y in other.terms.items()]
         out: dict[tuple[int, ...], int] = {}
-        for a, x in self.terms.items():
-            room = cap - sum(a)
-            for b, y, db in right:
-                if db <= room:
+        if cap is None:
+            for a, x in self.terms.items():
+                for b, y in other.terms.items():
                     k = tuple(map(operator.add, a, b))
                     out[k] = out.get(k, 0) + x * y
-        return TruncatedChowPoly(self.n, cap, out)
+        else:
+            right = [(b, y, sum(b)) for b, y in other.terms.items()]
+            for a, x in self.terms.items():
+                room = cap - sum(a)
+                for b, y, db in right:
+                    if db <= room:
+                        k = tuple(map(operator.add, a, b))
+                        out[k] = out.get(k, 0) + x * y
+        return Poly(self.n, out, cap)
 
     def component(self, i: int) -> dict[tuple[int, ...], int]:
         return {k: v for k, v in self.terms.items() if sum(k) == i}
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, TruncatedChowPoly)
+            isinstance(other, Poly)
             and (self.n, self.cap) == (other.n, other.cap)
             and self.terms == other.terms
         )
 
     def __repr__(self) -> str:
-        return f"TruncatedChowPoly(n={self.n}, cap={self.cap}, {self.terms})"
+        return f"Poly({self.n}, {self.terms}, {self.cap})"
 
 
 # -- gamma operations ------------------------------------------------------
 
 
-def gamma1(n: int, a) -> FormalBundle:
+def gamma1(n: int, a) -> Poly:
     """gamma_1 of a line class: 1 - [L^-a]."""
-    a = tuple(a)
-    return FormalBundle.one(n) - FormalBundle.line(n, tuple(-x for x in a))
+    return Poly.one(n) - Poly.line(n, (-x for x in a))
 
 
-def gamma_of_sum(n: int, lines, i: int) -> FormalBundle:
+def gamma_of_sum(n: int, lines, i: int) -> Poly:
     """gamma_i of a sum of line classes: the i-th elementary symmetric
     function of their gamma_1's (zero when i exceeds the number of lines)."""
     if i < 0:
@@ -172,10 +127,10 @@ def gamma_of_sum(n: int, lines, i: int) -> FormalBundle:
     return _elementary(n, lines, i)[i]
 
 
-def _elementary(n: int, lines, top: int) -> list[FormalBundle]:
+def _elementary(n: int, lines, top: int) -> list[Poly]:
     """e_0..e_top of the gamma_1's of the line classes, in one pass (after
     ``count`` lines, every e_k with k > count is still zero)."""
-    e = [FormalBundle.one(n)] + [FormalBundle.zero(n) for _ in range(top)]
+    e = [Poly.one(n)] + [Poly(n) for _ in range(top)]
     for count, a in enumerate(lines, 1):
         item = gamma1(n, a)
         for k in range(min(top, count), 0, -1):
@@ -183,7 +138,7 @@ def _elementary(n: int, lines, top: int) -> list[FormalBundle]:
     return e
 
 
-def total_chern(x: FormalBundle, cap: int) -> TruncatedChowPoly:
+def total_chern(x: Poly, cap: int) -> Poly:
     """Total Chern class of a virtual bundle, truncated above degree ``cap``.
 
     The Chern roots of x = sum_a m_a [L^a] are the linear forms a.t, with
@@ -195,11 +150,11 @@ def total_chern(x: FormalBundle, cap: int) -> TruncatedChowPoly:
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
+    if x.cap is not None:
+        raise ValueError("total_chern takes a virtual bundle, with no cap")
     n = x.n
     p = [{} for _ in range(cap + 1)]  # p[k]: k-th power sum, homogeneous
     for a, m in x.terms.items():
-        if len(a) != n:
-            raise ValueError("exponent vector has the wrong arity")
         root = [j for j, c in enumerate(a) if c]
         power = {(0,) * n: m}  # m (a.t)^k
         for pk in p[1:]:
@@ -211,14 +166,14 @@ def total_chern(x: FormalBundle, cap: int) -> TruncatedChowPoly:
             power = nxt
             for e, v in power.items():
                 pk[e] = pk.get(e, 0) + v
-    return _newton([TruncatedChowPoly(n, cap, pk) for pk in p])
+    return _newton([Poly(n, pk, cap) for pk in p])
 
 
-def _newton(p: list[TruncatedChowPoly]) -> TruncatedChowPoly:
+def _newton(p: list[Poly]) -> Poly:
     """c_0 + ... + c_cap from power sums p[1..cap]; a division by i that
     leaves a remainder (never for an integral bundle) raises ArithmeticError."""
     n, cap = p[0].n, p[0].cap
-    c = [TruncatedChowPoly.one(n, cap)]
+    c = [Poly.one(n, cap)]
     for i in range(1, cap + 1):
         acc = {}
         for k in range(1, i + 1):
@@ -230,11 +185,11 @@ def _newton(p: list[TruncatedChowPoly]) -> TruncatedChowPoly:
             terms[e], r = divmod(v, i)
             if r:
                 raise ArithmeticError(f"inexact Newton step {i} at {e}")
-        c.append(TruncatedChowPoly(n, cap, terms))
+        c.append(Poly(n, terms, cap))
     return sum(c[1:], c[0])
 
 
-def chern_component(x: FormalBundle, i: int) -> dict[tuple[int, ...], int]:
+def chern_component(x: Poly, i: int) -> dict[tuple[int, ...], int]:
     return total_chern(x, i).component(i)
 
 
@@ -251,7 +206,7 @@ def check_gamma1_product_chern(i: int, n: int | None = None) -> CheckOutcome:
     n = i if n is None else n
     if n < i:
         raise ValueError("need at least i line bundles")
-    x = FormalBundle.one(n)
+    x = Poly.one(n)
     for j in range(1, i + 1):
         x = x * gamma1(n, tuple(1 if k == j - 1 else 0 for k in range(n)))
     lhs = chern_component(x, i)
@@ -276,7 +231,7 @@ def check_gamma_chern_scaling(n: int, lines, i: int) -> CheckOutcome:
     lines = [tuple(a) for a in lines]
     g = gamma_of_sum(n, lines, i)
     lhs = chern_component(g, i)
-    x = sum((FormalBundle.line(n, a) for a in lines), FormalBundle.zero(n))
+    x = sum((Poly.line(n, a) for a in lines), Poly(n))
     sign = (-1) ** (i - 1) * math.factorial(i - 1)
     rhs = {k: sign * v for k, v in chern_component(x, i).items()}
     ok = lhs == rhs
@@ -297,7 +252,7 @@ def binomial_gamma_expansion(mult: int) -> list[int]:
     if mult < 0:
         raise ValueError("multiplicity must be >= 0")
     g1 = gamma1(1, (1,))
-    g1_k = FormalBundle.one(1)  # gamma_1(L)^k
+    g1_k = Poly.one(1)  # gamma_1(L)^k
     out = []
     for k, e_k in enumerate(_elementary(1, [(1,)] * mult, mult)):
         b = math.comb(mult, k)

@@ -24,8 +24,6 @@ __all__ = [
     "KacPresentation",
     "kac_presentation",
     "degree1_generators",
-    "deglex_weight",
-    "deglex_less",
     "JConstraint",
     "j1_constraints",
     "TheoremDegree",
@@ -123,29 +121,6 @@ def degree1_generators(lattice: CharacterLattice, p: int) -> tuple[int, ...]:
             if len(picked) == dim:
                 break
     return tuple(picked)
-
-
-# -- DegLex order on exponent tuples ----------------------------------------
-
-
-def deglex_weight(pres: KacPresentation, m) -> int:
-    m = tuple(m)
-    if len(m) != pres.rank:
-        raise ValueError("tuple length does not match the presentation rank")
-    return sum(d * x for d, x in zip(pres.degrees, m))
-
-
-def deglex_less(pres: KacPresentation, m, n) -> bool:
-    """Strict DegLex: smaller weighted degree wins; ties compare the entry
-    at the greatest position where the tuples differ (strictly)."""
-    m, n = tuple(m), tuple(n)
-    wm, wn = deglex_weight(pres, m), deglex_weight(pres, n)
-    if wm != wn:
-        return wm < wn
-    for i in range(pres.rank - 1, -1, -1):
-        if m[i] != n[i]:
-            return m[i] < n[i]
-    return False
 
 
 # -- constraints on the degree-1 exponents -----------------------------------

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 
 from gammaflag import intmat
-from gammaflag.formal_bundles import FormalBundle, TruncatedChowPoly
+from gammaflag.formal_bundles import Poly, gamma_of_sum, total_chern
 from gammaflag.rootdata import RootSystem
 from gammaflag.schubert import ChowRing, SchubertClass
 from gammaflag.weyl import WeylGroup
@@ -735,6 +735,43 @@ def restriction_span_bruteforce(chow: ChowRing, model,
     return span
 
 
+def gamma_filtration_span(chow: ChowRing, model, m: int) -> DenseSubspace:
+    """Span of c_m(prod_k gamma_{a_k}(i_k [L(rho_k)])) mod p over every set
+    of distinct Steinberg pairs (rho_k, i_k) and every choice of parts
+    a_k >= 1 with sum a_k = m: the degree-m image piece read off the
+    definition of the gamma-filtration, not off the engine's generator
+    formula.  Each product is built in the formal ring with
+    ``gamma_of_sum``, its c_m with ``total_chern``, and t^e is sent to the
+    product of c_1(L(omega_j))^(e_j) by ``monomial``.  rho_w and its class
+    come from ``steinberg_by_descent_sets``."""
+    p, n = model.p, chow.rs.rank
+    pairs = sorted({(rho, model.ind[cls]) for rho, cls
+                    in zip(*steinberg_by_descent_sets(chow.group))})
+    width = chow.basis_dim(m)
+    span = DenseSubspace(p, width)
+
+    def monomial_vector(e: tuple[int, ...]) -> tuple[int, ...]:
+        weights = [tuple(int(k == j) for k in range(n))
+                   for j in range(n) for _ in range(e[j])]
+        return vector(chow, monomial(chow, weights, p), p)
+
+    def rec(start: int, left: int, x: Poly) -> None:
+        if left == 0:
+            out = [0] * width
+            for e, c in total_chern(x, m).component(m).items():
+                for col, v in enumerate(monomial_vector(e)):
+                    out[col] += c * v
+            span.insert([v % p for v in out])
+            return
+        for k in range(start, len(pairs)):
+            rho, i = pairs[k]
+            for a in range(1, left + 1):
+                rec(k + 1, left - a, x * gamma_of_sum(n, [rho] * i, a))
+
+    rec(0, m, Poly.one(n))
+    return span
+
+
 def restriction_image_unfiltered(engine, top: int):
     """Image pieces and ideals in degrees 1..top, fed as the engine fed
     them before generators were filtered in Sym^j: every deduplicated
@@ -848,20 +885,20 @@ def sym_power_span(rows: tuple[tuple[int, ...], ...], n: int, j: int, p: int,
 # -- total Chern classes as products of one factor per line ------------------
 
 
-def truncated_power(f: TruncatedChowPoly, m: int) -> TruncatedChowPoly:
+def truncated_power(f: Poly, m: int) -> Poly:
     """f^m for m >= 0, as m truncated products."""
     if m < 0:
         raise ValueError("negative power: invert first")
-    out = TruncatedChowPoly.one(f.n, f.cap)
+    out = Poly.one(f.n, f.cap)
     for _ in range(m):
         out = out * f
     return out
 
 
-def inverse_of_one_plus(f: TruncatedChowPoly) -> TruncatedChowPoly:
+def inverse_of_one_plus(f: Poly) -> Poly:
     """Inverse of f = 1 + u, u of positive degree, by the geometric series
     1 - u + u^2 - ... truncated at the cap."""
-    one = TruncatedChowPoly.one(f.n, f.cap)
+    one = Poly.one(f.n, f.cap)
     u = f - one
     if u.terms.get((0,) * f.n):
         raise ValueError("expected constant term exactly 1")
@@ -872,15 +909,15 @@ def inverse_of_one_plus(f: TruncatedChowPoly) -> TruncatedChowPoly:
     return out
 
 
-def total_chern_by_products(x: FormalBundle, cap: int) -> TruncatedChowPoly:
+def total_chern_by_products(x: Poly, cap: int) -> Poly:
     """c(x) as the product over the terms m [L^a] of x of (1 + a.t)^m, a
     negative m going through the inverse of 1 + a.t."""
     n = x.n
-    out = TruncatedChowPoly.one(n, cap)
+    out = Poly.one(n, cap)
     for a, m in sorted(x.terms.items()):
         linear = {tuple(int(k == j) for k in range(n)): c
                   for j, c in enumerate(a) if c}  # a.t
-        base = TruncatedChowPoly(n, cap, {(0,) * n: 1, **linear})
+        base = Poly(n, {(0,) * n: 1, **linear}, cap)
         if m < 0:
             base, m = inverse_of_one_plus(base), -m
         out = out * truncated_power(base, m)

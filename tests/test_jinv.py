@@ -1,15 +1,11 @@
 """Truncated-polynomial presentations and exponent constraints."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gammaflag import (
     BrauerModel,
     CharacterLattice,
     KacPresentation,
-    deglex_less,
-    deglex_weight,
     degree1_generators,
     ideal_equality_report,
     j1_constraints,
@@ -80,40 +76,6 @@ def test_degree1_generators_frozen():
         == ()
     a3 = root_system("A3")
     assert degree1_generators(CharacterLattice(a3, "adjoint"), 2) == (1,)
-
-
-# -- DegLex --------------------------------------------------------------------
-
-PRES = KacPresentation(degrees=(1, 4), exponents=(3, 3))
-tuples = st.lists(st.integers(0, 3), min_size=2, max_size=2).map(tuple)
-
-
-def test_deglex_anchor():
-    # weighted degree dominates: 4 copies of the degree-1 generator
-    # stay below one copy of the degree-4 generator only via the tiebreak
-    assert deglex_weight(PRES, (4, 0)) == deglex_weight(PRES, (0, 1)) == 4
-    assert deglex_less(PRES, (4, 0), (0, 1))
-    assert not deglex_less(PRES, (0, 1), (4, 0))
-    assert deglex_less(PRES, (2, 0), (0, 1))
-
-
-@given(tuples, tuples)
-def test_deglex_is_a_strict_total_order(m, n):
-    lt = deglex_less(PRES, m, n)
-    gt = deglex_less(PRES, n, m)
-    assert not (lt and gt)
-    assert (m == n) == (not lt and not gt)
-
-
-@given(tuples, tuples, tuples)
-def test_deglex_is_transitive(a, b, c):
-    if deglex_less(PRES, a, b) and deglex_less(PRES, b, c):
-        assert deglex_less(PRES, a, c)
-
-
-def test_deglex_rejects_wrong_arity():
-    with pytest.raises(ValueError):
-        deglex_weight(PRES, (1, 2, 3))
 
 
 # -- degree-1 exponent constraints ----------------------------------------------

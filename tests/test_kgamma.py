@@ -26,6 +26,7 @@ from oracles import (
     chevalley_by_pairing,
     contains,
     extend_by_weights,
+    gamma_filtration_span,
     is_subspace_of,
     monomial,
     power_coordinates,
@@ -275,6 +276,17 @@ def test_image_matches_bruteforce_span(name, p, ind_exp):
     for m in range(1, min(p, 3) + 1):
         expected = restriction_span_bruteforce(
             engine.chow, engine.model, m)
+        assert engine.image(m).subspace.rows() == expected.rows()
+
+
+@pytest.mark.parametrize("name,p,index", [
+    ("A1", 2, 1), ("A1", 2, 2), ("A2", 3, 1), ("A2", 3, 3), ("B2", 2, 2),
+    ("B2", 2, 4), ("A3", 2, 2), ("G2", 2, 1), ("G2", 3, 1)])
+def test_image_is_the_gamma_filtration_span(name, p, index):
+    # c_m of products of gamma_a(i_w [L(rho_w)]), built in the formal ring
+    engine = engine_for(name, "adjoint", p, index)
+    for m in range(1, p + 1):
+        expected = gamma_filtration_span(engine.chow, engine.model, m)
         assert engine.image(m).subspace.rows() == expected.rows()
 
 

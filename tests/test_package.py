@@ -25,12 +25,6 @@ from gammaflag import (
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# Definitions kept with no caller, each with the reason it stays.
-KEPT_UNUSED = {
-    "deglex_less": "ROADMAP item 2 orders J-invariants by DegLex",
-}
-
-
 def test_every_definition_is_used():
     # every function, method and class defined under src/gammaflag (dunders
     # aside) is named by code under src/, scripts/ or perfbench/: as a Name,
@@ -59,10 +53,7 @@ def test_every_definition_is_used():
                         isinstance(node.value, str):
                     named.update(re.findall(r"\w+", node.value))
     unused = {name for name in defined if name not in named}
-    assert sorted(f"{defined[name]} {name}"
-                  for name in unused - KEPT_UNUSED.keys()) == []
-    # an entry whose name is used again, or defined no more, is stale
-    assert sorted(KEPT_UNUSED.keys() - unused) == []
+    assert sorted(f"{defined[name]} {name}" for name in unused) == []
 
 
 @pytest.mark.parametrize("name", gammaflag.__all__)
@@ -141,6 +132,9 @@ LOADS = {
     ("jconstrain", "--type", "E6", "--prime", "3", "--index", "9"):
         {"commands.jconstrain", "jinv", "rootdata", "intmat", "schubert"},
     ("rootinfo", "--type", "E6"): {"commands.rootinfo", "rootdata", "intmat"},
+    ("weyl", "--type", "A2"): {"commands.weyl", "rootdata", "intmat", "weyl"},
+    ("chow", "--type", "A2"):
+        {"commands.chow", "rootdata", "intmat", "weyl", "schubert"},
     ("oracle", "--verify", "binomial"):
         {"commands.oracle", "formal_bundles"},
 }

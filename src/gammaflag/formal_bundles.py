@@ -80,22 +80,12 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        cap = self.cap
         out: dict[tuple[int, ...], int] = {}
-        if cap is None:
-            for a, x in self.terms.items():
-                for b, y in other.terms.items():
-                    k = tuple(map(operator.add, a, b))
-                    out[k] = out.get(k, 0) + x * y
-        else:
-            right = [(b, y, sum(b)) for b, y in other.terms.items()]
-            for a, x in self.terms.items():
-                room = cap - sum(a)
-                for b, y, db in right:
-                    if db <= room:
-                        k = tuple(map(operator.add, a, b))
-                        out[k] = out.get(k, 0) + x * y
-        return Poly(self.n, out, cap)
+        for a, x in self.terms.items():
+            for b, y in other.terms.items():
+                k = tuple(map(operator.add, a, b))
+                out[k] = out.get(k, 0) + x * y
+        return Poly(self.n, out, self.cap)
 
     def component(self, i: int) -> dict[tuple[int, ...], int]:
         return {k: v for k, v in self.terms.items() if sum(k) == i}

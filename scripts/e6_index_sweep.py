@@ -39,7 +39,7 @@ def run(cfg: SweepConfig) -> None:
     chow = ChowRing(weyl_group(rs), degree_cap=cfg.degree_cap)
     # the adjoint lattice, built once with the fundamental group it carries
     lattice = fg = rs.fundamental_group()
-    pres = kac_presentation(rs, lattice, p)
+    pres = kac_presentation(lattice, p)
     gens = degree1_generators(lattice, p)
     gen_names = ", ".join(f"omega_{i}" for i in gens)
     print(f"E6 adjoint, p = {p}, degree-1 generators: {gen_names}")
@@ -51,11 +51,11 @@ def run(cfg: SweepConfig) -> None:
     for d in range(cfg.max_d + 1):
         index = p**d
         model = BrauerModel.uniform(fg, index, p)
-        found = common_index(model, fg, gens)
+        found = common_index(model, gens)
         _, constraints = j1_constraints(model, lattice, pres)
         j1 = "/".join(str(v) for v in constraints[0].admissible)
         engine = RestrictionImage(chow, model, lattice)
-        outcome = ideal_equality_report(engine, max_degree=cfg.degree_cap)
+        outcome = ideal_equality_report(engine)
         cells = [str(index), str(found.value), j1]
         for entry in outcome.degrees:
             if not entry.applicable:

@@ -37,62 +37,61 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
-class BrauerModel(namedtuple("BrauerModel", "group ind p")):
-    """Index assignment on a finite abelian group, at a chosen prime:
-    ``ind`` maps each element of ``group`` to its index."""
+def _axiom_violations(fg: CharacterLattice, ind: dict) -> list[str]:
+    """Every axiom the index map breaks (empty: none)."""
+    if fg.kind != "adjoint":
+        return [f"index data lives on the fundamental group (the adjoint "
+                f"lattice), not on the {fg.kind} lattice"]
+    problems = []
+    g = fg.quotient
+    elements = g.elements()
+    missing = [e for e in elements if e not in ind]
+    if missing:
+        problems.append(
+            "missing index values for elements: "
+            + ", ".join(g.label(e) for e in missing)
+        )
+        return problems
+    extra = [e for e in ind if e not in set(elements)]
+    if extra:
+        problems.append(f"index map has entries outside the group: {extra}")
+    if any(v < 1 for v in ind.values()):
+        problems.append("indices must be positive integers")
+        return problems
+    if ind[g.identity()] != 1:
+        problems.append(f"ind(identity) = {ind[g.identity()]}, expected 1")
+    for e in elements:
+        if ind[e] != ind[g.neg(e)]:
+            problems.append(
+                f"ind({g.label(e)}) != ind(-{g.label(e)}) "
+                f"({ind[e]} vs {ind[g.neg(e)]})"
+            )
+    for a, b in itertools.product(elements, repeat=2):
+        s = g.add(a, b)
+        if (ind[a] * ind[b]) % ind[s] != 0:
+            problems.append(
+                f"ind({g.label(s)}) = {ind[s]} does not divide "
+                f"ind({g.label(a)}) * ind({g.label(b)}) = {ind[a] * ind[b]}"
+            )
+    return problems
+
+
+class BrauerModel(namedtuple("BrauerModel", "fg ind p")):
+    """Index data at a prime: ``ind`` maps each element of the fundamental
+    group ``fg.quotient`` to its index, where ``fg`` is the adjoint
+    lattice of the root system ``fg.rs``.  The constructor refuses a p
+    that is not prime and index data that breaks an axiom, so a model
+    that exists is valid."""
 
     __slots__ = ()
 
-    def validate(self) -> list[str]:
-        """All axiom violations (empty list = valid)."""
-        problems = []
-        g = self.group
-        elements = g.elements()
-        missing = [e for e in elements if e not in self.ind]
-        if missing:
-            problems.append(
-                "missing index values for elements: "
-                + ", ".join(g.label(e) for e in missing)
-            )
-            return problems
-        extra = [e for e in self.ind if e not in set(elements)]
-        if extra:
-            problems.append(f"index map has entries outside the group: {extra}")
-        if any(v < 1 for v in self.ind.values()):
-            problems.append("indices must be positive integers")
-            return problems
-        if self.ind[g.identity()] != 1:
-            problems.append(
-                f"ind(identity) = {self.ind[g.identity()]}, expected 1"
-            )
-        for e in elements:
-            if self.ind[e] != self.ind[g.neg(e)]:
-                problems.append(
-                    f"ind({g.label(e)}) != ind(-{g.label(e)}) "
-                    f"({self.ind[e]} vs {self.ind[g.neg(e)]})"
-                )
-        for a, b in itertools.product(elements, repeat=2):
-            s = g.add(a, b)
-            if (self.ind[a] * self.ind[b]) % self.ind[s] != 0:
-                problems.append(
-                    f"ind({g.label(s)}) = {self.ind[s]} does not divide "
-                    f"ind({g.label(a)}) * ind({g.label(b)}) = "
-                    f"{self.ind[a] * self.ind[b]}"
-                )
-        return problems
-
-    def require_valid(self) -> "BrauerModel":
-        problems = self.validate()
+    def __new__(cls, fg: CharacterLattice, ind: dict, p: int):
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        problems = _axiom_violations(fg, ind)
         if problems:
             raise ValueError("invalid index model: " + "; ".join(problems))
-        return self
-
-    def check_group(self, fg: CharacterLattice) -> None:
-        if self.group.factors != fg.quotient.factors:
-            raise ValueError(
-                f"index model group {self.group.factors} does not match the "
-                f"fundamental group {fg.quotient.factors} of the root system"
-            )
+        return super().__new__(cls, fg, ind, p)
 
     def max_valuation(self) -> int:
         return max(vp(v, self.p) for v in self.ind.values())
@@ -103,7 +102,7 @@ class BrauerModel(namedtuple("BrauerModel", "group ind p")):
         any positive value)."""
         g = fg.quotient
         ind = {e: (1 if e == g.identity() else index) for e in g.elements()}
-        return cls(group=g, ind=ind, p=p)
+        return cls(fg, ind, p)
 
     @classmethod
     def split(cls, fg: CharacterLattice, p: int) -> "BrauerModel":
@@ -120,7 +119,7 @@ class BrauerModel(namedtuple("BrauerModel", "group ind p")):
                 raise ValueError(f"labels {labels[e]!r} and {label!r} both "
                                  f"name the class {g.label(e)}")
             ind[e] = int(value)
-        return cls(group=g, ind=ind, p=p)
+        return cls(fg, ind, p)
 
 
 class CommonIndexReport(namedtuple(
@@ -135,19 +134,19 @@ class CommonIndexReport(namedtuple(
     __slots__ = ()
 
 
-def common_index(model: BrauerModel, fg: CharacterLattice,
-                 generators) -> CommonIndexReport:
-    """Common index over the degree-1 generators omega_{i_1}..omega_{i_s}.
+def common_index(model: BrauerModel, generators) -> CommonIndexReport:
+    """Common index over the degree-1 generators omega_{i_1}..omega_{i_s}
+    of the model's root system.
 
     Runs over exponent tuples (a_1..a_s) with residues modulo the group
     exponent and at least one a_l coprime to p, taking the gcd of
     ind(sum a_l * class(omega_{i_l})).  With no generators the quantity is
     undefined and the report says so (downstream statements are vacuous).
     """
-    model.check_group(fg)
     gens = tuple(generators)
     if not gens:
         return CommonIndexReport(False, None, None, gens, None)
+    fg = model.fg
     g = fg.quotient
     classes = [fg.omega_classes[i - 1] for i in gens]
     e = g.exponent

@@ -220,10 +220,9 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
 def _model(cfg: ScenarioConfig, rs: RootSystem) -> BrauerModel:
     fg = rs.fundamental_group()
     if cfg.brauer is not None:
-        model = BrauerModel.from_labels(fg, cfg.brauer, cfg.prime)
-    else:  # no index given: split, index 1 everywhere
-        model = BrauerModel.uniform(fg, cfg.index or 1, cfg.prime)
-    return model.require_valid()
+        return BrauerModel.from_labels(fg, cfg.brauer, cfg.prime)
+    # no index given: split, index 1 everywhere
+    return BrauerModel.uniform(fg, cfg.index or 1, cfg.prime)
 
 
 def _lattice(cfg: ScenarioConfig, rs: RootSystem) -> CharacterLattice:

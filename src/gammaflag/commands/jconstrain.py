@@ -4,11 +4,12 @@ J-invariant from index data."""
 from __future__ import annotations
 
 from ..cli import Report, ScenarioConfig, _lattice, _model
-from ..jinv import j1_constraints, kac_presentation
+from ..jinv import KacPresentation, j1_constraints, kac_presentation
 from ..rootdata import root_system
 
 # Frozen classification values for the E6 adjoint family at p = 3, keyed by
-# the common index; jconstrain cross-checks its derived output against them.
+# the common index; jconstrain cross-checks its derived output against them
+# for E6 adjoint at p = 3, whatever presentation the config gives.
 _E6_REFERENCE_J1 = {1: (0,), 3: (1,), 9: (2,), 27: (2,)}
 
 
@@ -16,9 +17,8 @@ def build(cfg: ScenarioConfig) -> Report:
     rs = root_system(cfg.type)
     lattice = _lattice(cfg, rs)
     model = _model(cfg, rs)
-    user_data = (None if cfg.kac is None
-                 else {f"{rs.name}:{lattice.kind}:{cfg.prime}": cfg.kac})
-    pres = kac_presentation(rs, lattice, cfg.prime, user_data)
+    pres = (kac_presentation(lattice, cfg.prime) if cfg.kac is None
+            else KacPresentation(**cfg.kac))
     report, constraints = j1_constraints(model, lattice, pres)
     s = pres.degree_one_count()
     higher = [

@@ -8,9 +8,9 @@ from ..jinv import ideal_equality_report
 
 
 def build(cfg: ScenarioConfig) -> Report:
-    cap = cfg.max_degree if cfg.max_degree is not None else cfg.prime
-    engine = _engine(cfg, degree_cap=min(cap, cfg.prime))
-    report = ideal_equality_report(engine, max_degree=cap)
+    # parse_config has refused a cap above p
+    engine = _engine(cfg, degree_cap=cfg.max_degree or cfg.prime)
+    report = ideal_equality_report(engine)
     name, kind = engine.chow.rs.name, engine.lattice.kind
     payload = {
         "type": name,

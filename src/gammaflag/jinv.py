@@ -9,7 +9,8 @@ index of the matching fundamental weight and lower bounds from the
 common-index criterion.
 
 The bundled presentation table deliberately contains a single entry (E6,
-adjoint lattice, p = 3); anything else must be supplied as user data.
+adjoint lattice, p = 3); for anything else the caller builds a
+``KacPresentation`` (on the command line, the config key "kac").
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .brauer import BrauerModel, CommonIndexReport, common_index, vp
-from .rootdata import CharacterLattice, RootSystem
+from .rootdata import CharacterLattice
 from .schubert import SubspaceBasis
 
 __all__ = [
@@ -37,7 +38,8 @@ class KacPresentation(namedtuple("KacPresentation", "degrees exponents")):
 
     __slots__ = ()
 
-    def __new__(cls, degrees: tuple[int, ...], exponents: tuple[int, ...]):
+    def __new__(cls, degrees, exponents):
+        degrees, exponents = tuple(degrees), tuple(exponents)
         if len(degrees) != len(exponents):
             raise ValueError("degrees and exponents must have equal length")
         if any(d < 1 for d in degrees) or any(k < 1 for k in exponents):
@@ -55,51 +57,25 @@ class KacPresentation(namedtuple("KacPresentation", "degrees exponents")):
 
 
 # The one presentation quotable from bundled sources.  Everything else is
-# user data by design: silent extrapolation would be worse than an error.
+# given by the caller by design: silent extrapolation would be worse than
+# an error.
 _BUNDLED: dict[tuple[str, str, int], KacPresentation] = {
     ("E6", "adjoint", 3): KacPresentation(degrees=(1, 4), exponents=(2, 1)),
 }
 
 
-def kac_presentation(rs: RootSystem, lattice: CharacterLattice, p: int,
-                     user_data: dict | None = None) -> KacPresentation:
-    """Look up the presentation for (root system, lattice, prime).
-
-    ``user_data`` maps "<type>:<lattice-kind>:<p>" to dicts with keys
-    "degrees" and "exponents"; it is consulted before the bundled table so
-    callers can extend or override.
-    """
-    key = (rs.name, lattice.kind, p)
-    if user_data:
-        tag = f"{rs.name}:{lattice.kind}:{p}"
-        entry = user_data.get(tag)
-        if entry is not None:
-            pres = KacPresentation(
-                degrees=tuple(entry["degrees"]),
-                exponents=tuple(entry["exponents"]),
-            )
-            _check_presentation(pres, lattice, p)
-            return pres
-    pres = _BUNDLED.get(key)
+def kac_presentation(lattice: CharacterLattice, p: int) -> KacPresentation:
+    """The bundled presentation for (the lattice's root system, its kind,
+    p); ``j1_constraints`` checks it against the lattice."""
+    name, kind = lattice.rs.name, lattice.kind
+    pres = _BUNDLED.get((name, kind, p))
     if pres is None:
         raise LookupError(
-            f"no bundled presentation for {rs.name}/{lattice.kind}/p={p}; "
-            "supply one as user data (keys 'degrees' and 'exponents' under "
-            f"'{rs.name}:{lattice.kind}:{p}')"
+            f"no bundled presentation for {name}/{kind}/p={p}; give one "
+            'under the config key "kac" as {"degrees": [...], '
+            '"exponents": [...]}'
         )
-    _check_presentation(pres, lattice, p)
     return pres
-
-
-def _check_presentation(pres: KacPresentation, lattice: CharacterLattice,
-                        p: int) -> None:
-    want = lattice.fp_dim(p)
-    got = pres.degree_one_count()
-    if got != want:
-        raise ValueError(
-            f"presentation has {got} degree-1 generators but the character "
-            f"lattice quotient has F_{p}-dimension {want}"
-        )
 
 
 def degree1_generators(lattice: CharacterLattice, p: int) -> tuple[int, ...]:
@@ -138,23 +114,22 @@ def j1_constraints(model: BrauerModel, lattice: CharacterLattice,
                    pres: KacPresentation) -> tuple[
                        CommonIndexReport, tuple[JConstraint, ...]]:
     """Admissible values for each degree-1 exponent of the J-invariant."""
-    model.require_valid()
     p = model.p
-    fg = lattice.rs.fundamental_group()
-    model.check_group(fg)
+    if model.fg.rs != lattice.rs:
+        raise ValueError("index model belongs to a different root system")
     gens = degree1_generators(lattice, p)
     s = pres.degree_one_count()
     if len(gens) != s:
         raise ValueError(
-            f"presentation expects {s} degree-1 generators, lattice gives "
-            f"{len(gens)}"
+            f"presentation has {s} degree-1 generators but the character "
+            f"lattice quotient has F_{p}-dimension {len(gens)}"
         )
-    report = common_index(model, fg, gens)
+    report = common_index(model, gens)
     coarse_cap = model.max_valuation()
     out = []
     for slot, omega_i in enumerate(gens, start=1):
         k = pres.exponents[slot - 1]
-        iw = model.ind[fg.omega_classes[omega_i - 1]]
+        iw = model.ind[model.fg.omega_classes[omega_i - 1]]
         upper_sharp = min(k, vp(iw, p))
         upper_coarse = min(k, coarse_cap)
         admissible = set(range(0, upper_sharp + 1))
@@ -224,25 +199,21 @@ class TheoremReport(namedtuple("TheoremReport", "prime common degrees")):
         return tuple(d.m for d in self.degrees if d.applicable and not d.equal)
 
 
-def ideal_equality_report(engine: RestrictionImage,
-                          max_degree: int | None = None) -> TheoremReport:
+def ideal_equality_report(engine: RestrictionImage) -> TheoremReport:
     """Compare the characteristic-map ideal with the twisted-restriction
     ideal, degree by degree, where the common-index premise applies.
 
-    Degrees run from 1 to min(p, Chow cap, max_degree).  Degree 1 needs
-    common-index valuation > 0; degrees 2..p need valuation > 1.
+    Degrees run from 1 to the engine's ``max_degree``, min(p, Chow cap).
+    Degree 1 needs common-index valuation > 0; degrees 2..p need
+    valuation > 1.
     """
     chow: ChowRing = engine.chow
     lattice: CharacterLattice = engine.lattice
     p = engine.p
-    fg = lattice.rs.fundamental_group()
-    gens = degree1_generators(lattice, p)
-    report = common_index(engine.model, fg, gens)
-    top = engine.max_degree if max_degree is None else min(max_degree,
-                                                           engine.max_degree)
+    report = common_index(engine.model, degree1_generators(lattice, p))
     v = report.valuation if report.defined else None
     entries = []
-    for m in range(1, top + 1):
+    for m in range(1, engine.max_degree + 1):
         applicable = v is not None and (v > 0 if m == 1 else v > 1)
         if not applicable:
             entries.append(TheoremDegree(m, False, None, None, None))

@@ -79,7 +79,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .brauer import BrauerModel, is_prime
+from .brauer import BrauerModel
 from .rootdata import CharacterLattice, Weight
 from .schubert import ChowRing, SubspaceBasis, _until_full
 
@@ -197,12 +197,10 @@ class RestrictionImage:
     def __init__(self, chow: ChowRing, model: BrauerModel,
                  lattice: CharacterLattice):
         steinberg = SteinbergTable(chow.group)
-        model.require_valid()
-        model.check_group(steinberg.fg)
         chow._check_lattice(lattice)
+        if model.fg.rs != chow.rs:
+            raise ValueError("index model belongs to a different root system")
         p = model.p
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
         self.chow = chow
         self.steinberg = steinberg
         self.model = model
@@ -352,9 +350,10 @@ class RestrictionImage:
         got = self._ideals.get(m)
         if got is None:
             rows = self.image(m).subspace.rows()  # every lower image too
-            gens = {j: [wts for _, wts in self.image(j).pivots]
-                    for j in range(1, m)}
-            got = self._ideals[m] = self.chow.ideal(m, self.p, gens, rows)
+            monomials = [wts for j in range(1, m)
+                         for _, wts in self.image(j).pivots]
+            got = self._ideals[m] = self.chow.ideal(m, self.p, monomials,
+                                                    rows)
         return got
 
 

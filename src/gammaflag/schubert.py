@@ -141,23 +141,26 @@ class ChowRing:
         self._check_lattice(lattice)
         if m < 1:
             raise ValueError("ideal degrees start at 1")
-        return self.ideal(m, p, {1: [(b,) for b in lattice.basis]})
+        return self.ideal(m, p, [(b,) for b in lattice.basis])
 
-    def ideal(self, m: int, p: int, gens, rows=()) -> "SubspaceBasis":
+    def ideal(self, m: int, p: int, monomials, rows=()) -> "SubspaceBasis":
         """Degree-m piece mod p of the ideal generated by the monomials
         c_1(L(w_1)) ... c_1(L(w_j)), one for each tuple of j weights in
-        gens[j], plus the degree-m vectors rows.  The rows go in first,
-        then sigma_u times each monomial of gens[j] for every u of length
-        m - j, for j in increasing order; the coroot pairings of each
-        weight are taken once, and nothing is drawn once the span is
-        the whole space."""
+        monomials, plus the degree-m vectors rows.  The rows go in first,
+        then sigma_u times each monomial of j weights for every u of
+        length m - j, for j in increasing order and the monomials of one
+        j in their given order; the coroot pairings of each weight are
+        taken once, and nothing is drawn once the span is the whole
+        space."""
         sub = SubspaceBasis(p, self.basis_dim(m))
+        by_degree: dict[int, list] = {}
+        for wts in monomials:
+            by_degree.setdefault(len(wts), []).append(wts)
 
         def vectors():
             yield from rows
             pairings = {}
-            for j in sorted(gens):
-                monos = gens[j]
+            for j, monos in sorted(by_degree.items()):
                 for w in chain(*monos):
                     if w not in pairings:
                         pairings[w] = self._pairings(w, p)

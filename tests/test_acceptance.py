@@ -244,7 +244,7 @@ def test_twisted_ideal_equality(report):
     model = BrauerModel.uniform(rs.fundamental_group(), 9, 3)
     lattice = CharacterLattice(rs, "adjoint")
     engine = RestrictionImage(chow, model, lattice)
-    outcome = ideal_equality_report(engine, max_degree=3)
+    outcome = ideal_equality_report(engine)
     e6_elapsed = time.perf_counter() - t0
     by_m = {d.m: d for d in outcome.degrees}
     for m in (1, 2, 3):
@@ -261,7 +261,7 @@ def test_twisted_ideal_equality(report):
         BrauerModel.uniform(rs1.fundamental_group(), 2, 2),
         CharacterLattice(rs1, "adjoint"),
     )
-    outcome1 = ideal_equality_report(engine1, max_degree=1)
+    outcome1 = ideal_equality_report(engine1)
     pgl2_elapsed = time.perf_counter() - t1
     m1 = outcome1.degrees[0]
     if not (m1.applicable and m1.equal
@@ -283,7 +283,7 @@ def test_degree_one_exponent_table(report):
     only range-checked as {0, 1} from its presentation bound k_2 = 1."""
     rs = root_system("E6")
     lattice = CharacterLattice(rs, "adjoint")
-    pres = kac_presentation(rs, lattice, 3)
+    pres = kac_presentation(lattice, 3)
     expected = {1: (0,), 3: (1,), 9: (2,), 27: (2,)}
     failures = []
     for index, admissible in expected.items():
@@ -311,7 +311,7 @@ def test_common_index_powers_of_three(report):
     failures = []
     for d in range(4):
         model = BrauerModel.uniform(fg, 3**d, 3)
-        found = common_index(model, fg, gens)
+        found = common_index(model, gens)
         if not found.defined or found.value != 3**d \
                 or found.valuation != d:
             failures.append((d, found))

@@ -347,7 +347,7 @@ USAGE_ERRORS = {
     'verify-theorem --type A2 --prime 2 --max-degree 3':
         'error: degree cap 3 exceeds p = 2; ideal comparisons need degree <= p\n',
     'jconstrain --type A2 --prime 3 --index 3':
-        "error: no bundled presentation for A2/adjoint/p=3; supply one as user data (keys 'degrees' and 'exponents' under 'A2:adjoint:3')\n",
+        'error: no bundled presentation for A2/adjoint/p=3; give one under the config key "kac" as {"degrees": [...], "exponents": [...]}\n',
     'restriction-image --config invalid_model.json':
         'error: invalid index model: ind(1) != ind(-1) (3 vs 9); ind(2) != ind(-2) (9 vs 3)\n',
     'verify-theorem --config invalid_model.json':

@@ -5,12 +5,15 @@ import pytest
 from gammaflag import (
     BrauerModel,
     CharacterLattice,
+    ChowRing,
     KacPresentation,
+    RestrictionImage,
     degree1_generators,
     ideal_equality_report,
     j1_constraints,
     kac_presentation,
     root_system,
+    weyl_group,
 )
 from kgamma_helpers import engine_for
 
@@ -33,40 +36,48 @@ def test_presentation_validation():
 def test_bundled_presentation_hit():
     rs = root_system("E6")
     lat = CharacterLattice(rs, "adjoint")
-    pres = kac_presentation(rs, lat, 3)
+    pres = kac_presentation(lat, 3)
     assert pres.degrees == (1, 4)
     assert pres.exponents == (2, 1)
     assert pres.rank == 2
     assert pres.degree_one_count() == 1
 
 
-def test_missing_presentation_names_the_user_data_key():
-    rs = root_system("B2")
-    lat = CharacterLattice(rs, "adjoint")
+def test_missing_presentation_names_the_kac_config_key():
+    lat = CharacterLattice(root_system("B2"), "adjoint")
     with pytest.raises(LookupError) as exc:
-        kac_presentation(rs, lat, 2)
-    msg = str(exc.value)
-    assert "B2:adjoint:2" in msg
-    assert "degrees" in msg and "exponents" in msg
+        kac_presentation(lat, 2)
+    assert str(exc.value) == (
+        "no bundled presentation for B2/adjoint/p=2; give one under the "
+        'config key "kac" as {"degrees": [...], "exponents": [...]}')
 
 
-def test_user_data_override_and_shape_check():
+def test_a_presentation_of_the_wrong_degree_one_count_is_refused():
     rs = root_system("B2")
     lat = CharacterLattice(rs, "adjoint")
-    data = {"B2:adjoint:2": {"degrees": [1, 2], "exponents": [1, 1]}}
-    pres = kac_presentation(rs, lat, 2, user_data=data)
-    assert pres.degrees == (1, 2)
-    bad = {"B2:adjoint:2": {"degrees": [1, 1], "exponents": [1, 1]}}
+    model = BrauerModel.uniform(rs.fundamental_group(), 2, 2)
+    _, constraints = j1_constraints(
+        model, lat, KacPresentation(degrees=[1, 2], exponents=[1, 1]))
+    assert [c.omega_index for c in constraints] == [2]
+    bad = KacPresentation(degrees=(1, 1), exponents=(1, 1))
     with pytest.raises(ValueError) as exc:
-        kac_presentation(rs, lat, 2, user_data=bad)
-    assert "degree-1 generators" in str(exc.value)
+        j1_constraints(model, lat, bad)
+    assert str(exc.value) == (
+        "presentation has 2 degree-1 generators but the character lattice "
+        "quotient has F_2-dimension 1")
 
 
-def test_user_data_takes_precedence_over_bundled():
-    rs = root_system("E6")
-    lat = CharacterLattice(rs, "adjoint")
-    data = {"E6:adjoint:3": {"degrees": [1, 4], "exponents": [5, 1]}}
-    assert kac_presentation(rs, lat, 3, user_data=data).exponents == (5, 1)
+def test_a_model_of_another_root_system_is_refused():
+    # B2 and A1 both have fundamental group Z/2, so the classes fit
+    a1 = root_system("A1")
+    lat = CharacterLattice(a1, "adjoint")
+    model = BrauerModel.uniform(root_system("B2").fundamental_group(), 2, 2)
+    chow = ChowRing(weyl_group(a1), degree_cap=1)
+    message = "index model belongs to a different root system"
+    with pytest.raises(ValueError, match=message):
+        RestrictionImage(chow, model, lat)
+    with pytest.raises(ValueError, match=message):
+        j1_constraints(model, lat, KacPresentation((1,), (1,)))
 
 
 def test_degree1_generators_frozen():
@@ -85,7 +96,7 @@ def e6_constraints(index):
     rs = root_system("E6")
     lat = CharacterLattice(rs, "adjoint")
     model = BrauerModel.uniform(rs.fundamental_group(), index, 3)
-    pres = kac_presentation(rs, lat, 3)
+    pres = kac_presentation(lat, 3)
     return j1_constraints(model, lat, pres)
 
 
@@ -124,7 +135,6 @@ def test_inconsistent_model_raises():
     fg = rs.fundamental_group()
     model = BrauerModel.from_labels(
         fg, {"0,0": 1, "1,0": 2, "0,1": 2, "1,1": 1}, 2)
-    assert model.validate() == []
     lat = CharacterLattice(rs, [rs.fundamental_weight(1)])
     assert degree1_generators(lat, 2) == (3,)
     pres = KacPresentation(degrees=(1,), exponents=(2,))
@@ -171,14 +181,14 @@ def test_a2_index3_only_degree_one_applies():
 
 def test_e6_split_report_is_vacuous():
     engine = engine_for("E6", "adjoint", 3, 1, cap=2)
-    report = ideal_equality_report(engine, max_degree=2)
+    report = ideal_equality_report(engine)
     assert report.vacuous
     assert report.verified  # nothing applicable, nothing failed
     assert all(d.dim_char is None for d in report.degrees)
 
 
-def test_max_degree_caps_the_report():
-    engine = engine_for("A2", "adjoint", 3, 9, cap=3)
-    report = ideal_equality_report(engine, max_degree=2)
+def test_the_engine_degree_cap_caps_the_report():
+    engine = engine_for("A2", "adjoint", 3, 9, cap=2)
+    report = ideal_equality_report(engine)
     assert [d.m for d in report.degrees] == [1, 2]
     assert report.verified

@@ -294,7 +294,7 @@ def test_image_matches_bruteforce_on_nonuniform_model():
     rs = root_system("A3")
     fg = rs.fundamental_group()
     model = BrauerModel.from_labels(
-        fg, {"0": 1, "1": 4, "2": 2, "3": 4}, 2).require_valid()
+        fg, {"0": 1, "1": 4, "2": 2, "3": 4}, 2)
     chow = ChowRing(weyl_group(rs), degree_cap=2)
     engine = RestrictionImage(chow, model, CharacterLattice(rs, "adjoint"))
     for m in (1, 2):
@@ -311,9 +311,10 @@ def _index_models(fg, p):
     labels = [g.label(e) for e in g.elements()]
     values = sorted({1, 2, p, p * p})
     for choice in itertools.product(values, repeat=len(labels)):
-        model = BrauerModel.from_labels(fg, dict(zip(labels, choice)), p)
-        if not model.validate():
-            yield model
+        try:
+            yield BrauerModel.from_labels(fg, dict(zip(labels, choice)), p)
+        except ValueError:  # the choice breaks an axiom
+            pass
 
 
 def _pieces(engine, top):
@@ -391,7 +392,7 @@ def test_each_pivot_keeps_its_monomial_and_a_unit_scalar(name, p):
     chow = ChowRing(weyl_group(rs), degree_cap=min(p, 3))
     lattice = CharacterLattice(rs, "adjoint")
     uniform = (BrauerModel.uniform(fg, i, p) for i in range(2, p))
-    models = [*_index_models(fg, p), *(u for u in uniform if not u.validate())]
+    models = [*_index_models(fg, p), *uniform]
     for model in models:
         engine = RestrictionImage(chow, model, lattice)
         for m in range(1, min(p, 3) + 1):
@@ -559,7 +560,7 @@ def test_e6_at_p997_reports_within_budget():
     budget = 20.0
     t0 = time.perf_counter()
     engine = engine_for("E6", "adjoint", 997, 997)
-    report = ideal_equality_report(engine, max_degree=997)
+    report = ideal_equality_report(engine)
     elapsed = time.perf_counter() - t0
     assert report.vacuous
     assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget}s budget"
@@ -598,16 +599,6 @@ def test_ideal_is_multiplicatively_stable():
             for i in range(1, rs.rank + 1):
                 prod = chow.chevalley(cls, rs.fundamental_weight(i), 3)
                 assert contains(target, vector(chow, prod, 3))
-
-
-def test_engine_rejects_mismatched_pieces():
-    rs = root_system("A2")
-    chow = ChowRing(weyl_group(rs), degree_cap=2)
-    with pytest.raises(ValueError) as exc:
-        RestrictionImage(chow,
-                         BrauerModel.uniform(rs.fundamental_group(), 3, 4),
-                         CharacterLattice(rs, "adjoint"))
-    assert "not prime" in str(exc.value)
 
 
 def test_engine_over_a_truncated_group_is_refused():

@@ -75,7 +75,7 @@ def _records():
         "PositiveRoot": (rs.positive_roots[0], "alpha_coords"),
         "FiniteAbelianGroup": (fg.quotient, "factors"),
         "BrauerModel": (model, "ind"),
-        "CommonIndexReport": (common_index(model, fg, (1,)), "value"),
+        "CommonIndexReport": (common_index(model, (1,)), "value"),
         "KacPresentation": (KacPresentation((1, 4), (2, 1)), "degrees"),
         "SchubertClass": (SchubertClass(2), "terms"),
         "ScenarioConfig": (cli.ScenarioConfig("weyl"), "command"),

@@ -235,6 +235,20 @@ def test_char_ideal_takes_each_pairing_row_once(name):
                 assert ideal.rows() == by_rule.rows() == by_pairing.rows()
 
 
+def dense_ideal(ring, m, p, monomials, rows=()):
+    """The oracle's span of rows and every sigma_u * monomial."""
+    dense = DenseSubspace(p, ring.basis_dim(m))
+    for row in rows:
+        dense.insert(row)
+    for wts in monomials:
+        for u in ring.basis(m - len(wts)):
+            cls = ring.single(u)
+            for w in wts:
+                cls = chevalley_by_pairing(ring, cls, w, p)
+            dense.insert(vector(ring, cls, p))
+    return dense
+
+
 @given(st.sampled_from(["A2", "B2", "G2", "A3", "B3", "C3", "D4"]),
        st.data())
 def test_ideal_is_the_span_of_sigma_u_times_each_generator(name, data):
@@ -246,24 +260,26 @@ def test_ideal_is_the_span_of_sigma_u_times_each_generator(name, data):
     m = data.draw(st.integers(1, 3))
     weight = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
     pool = data.draw(st.lists(weight, min_size=1, max_size=3))
-    gens = {}
-    for j in data.draw(st.lists(st.integers(1, m), max_size=5)):
-        gens.setdefault(j, []).append(tuple(data.draw(st.lists(
-            st.sampled_from(pool), min_size=j, max_size=j))))
+    monomials = [tuple(data.draw(st.lists(st.sampled_from(pool), min_size=j,
+                                          max_size=j)))
+                 for j in data.draw(st.lists(st.integers(1, m), max_size=5))]
     dim = ring.basis_dim(m)
     rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=dim,
                                        max_size=dim), max_size=2))
-    dense = DenseSubspace(p, dim)
-    for row in rows:
-        dense.insert(row)
-    for j, monos in gens.items():
-        for u in ring.basis(m - j):
-            for wts in monos:
-                cls = ring.single(u)
-                for w in wts:
-                    cls = chevalley_by_pairing(ring, cls, w, p)
-                dense.insert(vector(ring, cls, p))
-    assert ring.ideal(m, p, gens, rows).rows() == dense.rows()
+    assert ring.ideal(m, p, monomials, rows).rows() == dense_ideal(
+        ring, m, p, monomials, rows).rows()
+
+
+def test_the_lattice_basis_and_one_more_degree_one_monomial_span_together():
+    # all of degree 1 in one list: each monomial counts, none replaces
+    # another of its degree
+    ring = chow("A2", cap=2)
+    lattice = CharacterLattice(ring.rs, "adjoint")
+    monomials = [(b,) for b in lattice.basis] + [((1, 0),)]
+    got = ring.ideal(1, 3, monomials)
+    assert got.rows() == dense_ideal(ring, 1, 3, monomials).rows()
+    assert ring.char_ideal(lattice, 1, 3).dim == 1
+    assert got.dim == 2
 
 
 # -- algebraic laws -----------------------------------------------------------

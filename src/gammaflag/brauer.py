@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from collections import namedtuple
 
 __all__ = ["BrauerModel", "CommonIndexReport", "common_index", "is_prime", "vp"]
@@ -79,19 +80,24 @@ def _axiom_violations(fg: CharacterLattice, ind: dict) -> list[str]:
 class BrauerModel(namedtuple("BrauerModel", "fg ind p")):
     """Index data at a prime: ``ind`` maps each element of the fundamental
     group ``fg.quotient`` to its index, where ``fg`` is the adjoint
-    lattice of the root system ``fg.rs``.  The constructor refuses a p
-    that is not prime and index data that breaks an axiom, so a model
-    that exists is valid."""
+    lattice of the root system ``fg.rs``.  The constructor (``_replace``
+    too) refuses a p that is not prime and index data that breaks an
+    axiom, and keeps ``ind`` read-only, so a model is always valid."""
 
     __slots__ = ()
 
     def __new__(cls, fg: CharacterLattice, ind: dict, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
+        ind = types.MappingProxyType(dict(ind))
         problems = _axiom_violations(fg, ind)
         if problems:
             raise ValueError("invalid index model: " + "; ".join(problems))
         return super().__new__(cls, fg, ind, p)
+
+    @classmethod
+    def _make(cls, iterable) -> "BrauerModel":
+        return cls(*iterable)
 
     def max_valuation(self) -> int:
         return max(vp(v, self.p) for v in self.ind.values())

@@ -243,7 +243,7 @@ def _engine(cfg: ScenarioConfig, degree_cap: int) -> RestrictionImage:
 
     rs = root_system(cfg.type)
     chow = ChowRing(weyl_group(rs), degree_cap=degree_cap)
-    return RestrictionImage(chow, _model(cfg, rs), _lattice(cfg, rs))
+    return RestrictionImage(chow, _model(cfg, rs))
 
 
 # Each command with its module in gammaflag.commands, whose build(cfg)

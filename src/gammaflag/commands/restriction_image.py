@@ -3,16 +3,17 @@ twisted restriction map in one degree."""
 
 from __future__ import annotations
 
-from ..cli import Report, ScenarioConfig, _engine
+from ..cli import Report, ScenarioConfig, _engine, _lattice
 
 
 def build(cfg: ScenarioConfig) -> Report:
     degree = cfg.degree if cfg.degree is not None else 1
     engine = _engine(cfg, degree_cap=degree)
+    rs = engine.chow.rs
+    name, kind = rs.name, _lattice(cfg, rs).kind
     piece = engine.image(degree)
     ideal = engine.ideal(degree)
     ambient = engine.chow.basis_dim(degree)
-    name, kind = engine.chow.rs.name, engine.lattice.kind
     payload = {
         "type": name,
         "lattice": kind,

@@ -3,15 +3,16 @@ degree by degree."""
 
 from __future__ import annotations
 
-from ..cli import Report, ScenarioConfig, _engine
+from ..cli import Report, ScenarioConfig, _engine, _lattice
 from ..jinv import ideal_equality_report
 
 
 def build(cfg: ScenarioConfig) -> Report:
     # parse_config has refused a cap above p
     engine = _engine(cfg, degree_cap=cfg.max_degree or cfg.prime)
-    report = ideal_equality_report(engine)
-    name, kind = engine.chow.rs.name, engine.lattice.kind
+    lattice = _lattice(cfg, engine.chow.rs)
+    report = ideal_equality_report(engine, lattice)
+    name, kind = lattice.rs.name, lattice.kind
     payload = {
         "type": name,
         "lattice": kind,

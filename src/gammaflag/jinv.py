@@ -48,10 +48,6 @@ class KacPresentation(namedtuple("KacPresentation", "degrees exponents")):
             raise ValueError("degrees must be non-decreasing")
         return super().__new__(cls, degrees, exponents)
 
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
-
     def degree_one_count(self) -> int:
         return sum(1 for d in self.degrees if d == 1)
 
@@ -199,16 +195,19 @@ class TheoremReport(namedtuple("TheoremReport", "prime common degrees")):
         return tuple(d.m for d in self.degrees if d.applicable and not d.equal)
 
 
-def ideal_equality_report(engine: RestrictionImage) -> TheoremReport:
-    """Compare the characteristic-map ideal with the twisted-restriction
-    ideal, degree by degree, where the common-index premise applies.
+def ideal_equality_report(engine: RestrictionImage,
+                          lattice: CharacterLattice) -> TheoremReport:
+    """Compare the characteristic ideal of ``lattice`` with the engine's
+    twisted ideal, degree by degree, where the common-index premise
+    applies.  A lattice of another root system is refused first, also
+    where no degree applies.
 
     Degrees run from 1 to the engine's ``max_degree``, min(p, Chow cap).
     Degree 1 needs common-index valuation > 0; degrees 2..p need
     valuation > 1.
     """
     chow: ChowRing = engine.chow
-    lattice: CharacterLattice = engine.lattice
+    chow._check_lattice(lattice)
     p = engine.p
     report = common_index(engine.model, degree1_generators(lattice, p))
     v = report.valuation if report.defined else None

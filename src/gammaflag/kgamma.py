@@ -80,7 +80,7 @@ import math
 from collections import namedtuple
 
 from .brauer import BrauerModel
-from .rootdata import CharacterLattice, Weight
+from .rootdata import Weight
 from .schubert import ChowRing, SubspaceBasis, _until_full
 
 __all__ = [
@@ -190,21 +190,18 @@ class RestrictionImage:
     """Degree-by-degree mod-p image of restriction from a twisted form.
 
     Also assembles the ideal generated by all lower-degree images, the
-    object the index hypothesis constrains.  The Steinberg table is the
-    engine's own, over the Chow ring's group, which must be full.
+    object the index hypothesis constrains.  Both read only the model's
+    indices and p, never a character lattice.  The Steinberg table is
+    the engine's own, over the Chow ring's group, which must be full.
     """
 
-    def __init__(self, chow: ChowRing, model: BrauerModel,
-                 lattice: CharacterLattice):
-        steinberg = SteinbergTable(chow.group)
-        chow._check_lattice(lattice)
+    def __init__(self, chow: ChowRing, model: BrauerModel):
+        self.steinberg = SteinbergTable(chow.group)
         if model.fg.rs != chow.rs:
             raise ValueError("index model belongs to a different root system")
         p = model.p
         self.chow = chow
-        self.steinberg = steinberg
         self.model = model
-        self.lattice = lattice
         self.p = p
         self.max_degree = min(chow.degree_cap, p)
         # exact binomials of the true index mod p, one tuple per class

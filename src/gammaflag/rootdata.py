@@ -278,10 +278,6 @@ class FiniteAbelianGroup:
     def scale(self, k: int, a: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((k * x) % d for x, d in zip(a, self.factors))
 
-    def element_order(self, a: tuple[int, ...]) -> int:
-        return math.lcm(*(d // math.gcd(d, x) for x, d in zip(a, self.factors))) \
-            if self.factors else 1
-
     def label(self, a: tuple[int, ...]) -> str:
         return ",".join(str(x) for x in a) if a else "0"
 

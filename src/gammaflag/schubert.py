@@ -43,7 +43,7 @@ class ChowRing:
     always qualifies; a truncated one must have max_length >= degree_cap).
     """
 
-    def __init__(self, group: WeylGroup, degree_cap: int = 4):
+    def __init__(self, group: WeylGroup, degree_cap: int):
         if degree_cap < 1:
             raise ValueError("degree_cap must be >= 1")
         if not group.is_full and (group.max_length or 0) < degree_cap:

@@ -2,7 +2,6 @@
 
 from gammaflag import (
     BrauerModel,
-    CharacterLattice,
     ChowRing,
     RestrictionImage,
     root_system,
@@ -10,11 +9,10 @@ from gammaflag import (
 )
 
 
-def engine_for(name: str, lattice_kind, p: int, index: int,
+def engine_for(name: str, p: int, index: int,
                cap: int | None = None) -> RestrictionImage:
     """Uniform-index engine over the full flag variety of the given type."""
     rs = root_system(name)
     chow = ChowRing(weyl_group(rs), degree_cap=cap if cap is not None else p)
-    model = BrauerModel.uniform(rs.fundamental_group(), index, p)
-    lattice = CharacterLattice(rs, lattice_kind)
-    return RestrictionImage(chow, model, lattice)
+    return RestrictionImage(chow, BrauerModel.uniform(
+        rs.fundamental_group(), index, p))

@@ -435,6 +435,14 @@ def quotient_group_structure(cols) -> tuple[int, tuple[int, ...]]:
     return len(seen), tuple(orders)
 
 
+def element_order(group, a: tuple[int, ...]) -> int:
+    """The least k >= 1 with k * a = 0 in the finite abelian group."""
+    k = 1
+    while group.scale(k, a) != group.identity():
+        k += 1
+    return k
+
+
 def fundamental_group_by_cartan_snf(rs: RootSystem):
     """Lambda/Lambda_r from the Smith normal form U * C * V = D of the
     Cartan matrix C, whose columns are the simple roots.

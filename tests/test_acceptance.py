@@ -241,10 +241,9 @@ def test_twisted_ideal_equality(report):
     rs = root_system("E6")
     group = WeylGroup(rs)  # fresh: the budget covers the whole pipeline
     chow = ChowRing(group, degree_cap=3)
-    model = BrauerModel.uniform(rs.fundamental_group(), 9, 3)
-    lattice = CharacterLattice(rs, "adjoint")
-    engine = RestrictionImage(chow, model, lattice)
-    outcome = ideal_equality_report(engine)
+    fg = rs.fundamental_group()  # the adjoint lattice, for both sides
+    engine = RestrictionImage(chow, BrauerModel.uniform(fg, 9, 3))
+    outcome = ideal_equality_report(engine, fg)
     e6_elapsed = time.perf_counter() - t0
     by_m = {d.m: d for d in outcome.degrees}
     for m in (1, 2, 3):
@@ -256,12 +255,10 @@ def test_twisted_ideal_equality(report):
 
     t1 = time.perf_counter()
     rs1 = root_system("A1")
-    engine1 = RestrictionImage(
-        ChowRing(WeylGroup(rs1), degree_cap=1),
-        BrauerModel.uniform(rs1.fundamental_group(), 2, 2),
-        CharacterLattice(rs1, "adjoint"),
-    )
-    outcome1 = ideal_equality_report(engine1)
+    fg1 = rs1.fundamental_group()
+    engine1 = RestrictionImage(ChowRing(WeylGroup(rs1), degree_cap=1),
+                               BrauerModel.uniform(fg1, 2, 2))
+    outcome1 = ideal_equality_report(engine1, fg1)
     pgl2_elapsed = time.perf_counter() - t1
     m1 = outcome1.degrees[0]
     if not (m1.applicable and m1.equal

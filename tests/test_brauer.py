@@ -132,6 +132,27 @@ def test_a_non_prime_modulus_is_refused_when_the_model_is_made(name, index):
         BrauerModel.uniform(fg(name), index, 4)
 
 
+def test_a_model_stays_valid_for_as_long_as_it_exists():
+    # _make, which _replace calls, goes through the constructor's checks
+    f = fg("A3")
+    with pytest.raises(ValueError, match="^modulus 9 is not prime$"):
+        BrauerModel._make([f, {}, 9])
+    with pytest.raises(ValueError, match="^invalid index model: "):
+        BrauerModel._make([f, {}, 3])
+    model = BrauerModel.split(f, 3)
+    with pytest.raises(ValueError, match="^modulus 4 is not prime$"):
+        model._replace(p=4)
+    assert model._replace(p=2).p == 2
+    # ind(1 + 1) = 3 would not divide ind(1) * ind(1) = 1
+    with pytest.raises(TypeError):
+        model.ind[(2,)] = 3
+    # the model keeps a copy of the map it was given
+    ind = dict(model.ind)
+    copy = BrauerModel(f, ind, 3)
+    ind[(2,)] = 3
+    assert copy.ind[(2,)] == 1
+
+
 def test_tits_index_of_weight():
     # a weight's Tits index is the model's index at the weight's class
     f = fg("A2")

@@ -39,7 +39,6 @@ def test_bundled_presentation_hit():
     pres = kac_presentation(lat, 3)
     assert pres.degrees == (1, 4)
     assert pres.exponents == (2, 1)
-    assert pres.rank == 2
     assert pres.degree_one_count() == 1
 
 
@@ -75,7 +74,7 @@ def test_a_model_of_another_root_system_is_refused():
     chow = ChowRing(weyl_group(a1), degree_cap=1)
     message = "index model belongs to a different root system"
     with pytest.raises(ValueError, match=message):
-        RestrictionImage(chow, model, lat)
+        RestrictionImage(chow, model)
     with pytest.raises(ValueError, match=message):
         j1_constraints(model, lat, KacPresentation((1,), (1,)))
 
@@ -158,8 +157,8 @@ def test_constraints_respect_presentation_exponent_cap():
 
 
 def test_pgl2_report():
-    engine = engine_for("A1", "adjoint", 2, 2)
-    report = ideal_equality_report(engine)
+    engine = engine_for("A1", 2, 2)
+    report = ideal_equality_report(engine, engine.model.fg)
     assert report.prime == 2
     assert not report.vacuous
     assert report.verified
@@ -170,8 +169,8 @@ def test_pgl2_report():
 
 
 def test_a2_index3_only_degree_one_applies():
-    engine = engine_for("A2", "adjoint", 3, 3, cap=3)
-    report = ideal_equality_report(engine)
+    engine = engine_for("A2", 3, 3, cap=3)
+    report = ideal_equality_report(engine, engine.model.fg)
     by_m = {d.m: d for d in report.degrees}
     assert by_m[1].applicable and by_m[1].equal
     assert not by_m[2].applicable  # valuation 1 is not > 1
@@ -180,15 +179,15 @@ def test_a2_index3_only_degree_one_applies():
 
 
 def test_e6_split_report_is_vacuous():
-    engine = engine_for("E6", "adjoint", 3, 1, cap=2)
-    report = ideal_equality_report(engine)
+    engine = engine_for("E6", 3, 1, cap=2)
+    report = ideal_equality_report(engine, engine.model.fg)
     assert report.vacuous
     assert report.verified  # nothing applicable, nothing failed
     assert all(d.dim_char is None for d in report.degrees)
 
 
 def test_the_engine_degree_cap_caps_the_report():
-    engine = engine_for("A2", "adjoint", 3, 9, cap=2)
-    report = ideal_equality_report(engine)
+    engine = engine_for("A2", 3, 9, cap=2)
+    report = ideal_equality_report(engine, engine.model.fg)
     assert [d.m for d in report.degrees] == [1, 2]
     assert report.verified

@@ -205,7 +205,7 @@ def test_tits_index_lookup():
 
 
 def test_an_interrupted_walk_resumes_in_full(monkeypatch):
-    engine = engine_for("B3", "adjoint", 2, 1, cap=2)
+    engine = engine_for("B3", 2, 1, cap=2)
     calls = []
 
     class Interrupted(dict):
@@ -227,7 +227,7 @@ def test_an_interrupted_walk_resumes_in_full(monkeypatch):
     assert engine._scanned == 1
     assert len(engine._window[0]) == 1
     assert _pieces(engine, 2) == _pieces(
-        engine_for("B3", "adjoint", 2, 1, cap=2), 2)
+        engine_for("B3", 2, 1, cap=2), 2)
 
 
 def test_table_requires_full_enumeration():
@@ -241,7 +241,7 @@ def test_table_requires_full_enumeration():
 
 
 def test_degree_beyond_p_is_refused():
-    engine = engine_for("A2", "adjoint", 2, 2, cap=3)
+    engine = engine_for("A2", 2, 2, cap=3)
     with pytest.raises(ValueError) as exc:
         engine.image(3)
     assert "unit mod 2" in str(exc.value)
@@ -250,9 +250,9 @@ def test_degree_beyond_p_is_refused():
 
 
 def test_split_pgl2_image_is_zero_but_twisted_is_not():
-    split = engine_for("A1", "adjoint", 2, 1)
+    split = engine_for("A1", 2, 1)
     assert split.image(1).subspace.dim == 1
-    twisted = engine_for("A1", "adjoint", 2, 2)
+    twisted = engine_for("A1", 2, 2)
     assert twisted.image(1).subspace.dim == 0
     assert twisted.ideal(1).dim == 0
 
@@ -262,7 +262,7 @@ def test_split_pgl2_image_is_zero_but_twisted_is_not():
 def test_split_ideal_is_the_characteristic_ideal(name, p):
     # with all indices 1 the image reaches every weight-lattice divisor,
     # so the ideal is the characteristic ideal of the full weight lattice
-    engine = engine_for(name, "adjoint", p, 1, cap=3)
+    engine = engine_for(name, p, 1, cap=3)
     sc = CharacterLattice(root_system(name), "simply_connected")
     for m in range(1, min(p, 3) + 1):
         assert engine.ideal(m) == engine.chow.char_ideal(sc, m, p)
@@ -272,7 +272,7 @@ def test_split_ideal_is_the_characteristic_ideal(name, p):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("ind_exp", [0, 1, 2])
 def test_image_matches_bruteforce_span(name, p, ind_exp):
-    engine = engine_for(name, "adjoint", p, p**ind_exp, cap=3)
+    engine = engine_for(name, p, p**ind_exp, cap=3)
     for m in range(1, min(p, 3) + 1):
         expected = restriction_span_bruteforce(
             engine.chow, engine.model, m)
@@ -284,7 +284,7 @@ def test_image_matches_bruteforce_span(name, p, ind_exp):
     ("B2", 2, 4), ("A3", 2, 2), ("G2", 2, 1), ("G2", 3, 1)])
 def test_image_is_the_gamma_filtration_span(name, p, index):
     # c_m of products of gamma_a(i_w [L(rho_w)]), built in the formal ring
-    engine = engine_for(name, "adjoint", p, index)
+    engine = engine_for(name, p, index)
     for m in range(1, p + 1):
         expected = gamma_filtration_span(engine.chow, engine.model, m)
         assert engine.image(m).subspace.rows() == expected.rows()
@@ -296,7 +296,7 @@ def test_image_matches_bruteforce_on_nonuniform_model():
     model = BrauerModel.from_labels(
         fg, {"0": 1, "1": 4, "2": 2, "3": 4}, 2)
     chow = ChowRing(weyl_group(rs), degree_cap=2)
-    engine = RestrictionImage(chow, model, CharacterLattice(rs, "adjoint"))
+    engine = RestrictionImage(chow, model)
     for m in (1, 2):
         expected = restriction_span_bruteforce(chow, model, m)
         assert engine.image(m).subspace.rows() == expected.rows()
@@ -342,11 +342,10 @@ def test_filtered_generators_match_the_unfiltered_stream(name, p):
     rs = root_system(name)
     group = weyl_group(rs)
     chow = ChowRing(group, degree_cap=min(p, 3))
-    lattice = CharacterLattice(rs, "adjoint")
     models = list(_index_models(rs.fundamental_group(), p))
     assert models
     for model in models:
-        engine = RestrictionImage(chow, model, lattice)
+        engine = RestrictionImage(chow, model)
         _assert_matches_unfiltered(engine, min(p, 3))
 
 
@@ -358,9 +357,8 @@ def test_the_ideal_takes_each_pivot_weight_pairing_once(name, p):
     rs = root_system(name)
     group = weyl_group(rs)
     chow = ChowRing(group, degree_cap=min(p, 3))
-    lattice = CharacterLattice(rs, "adjoint")
     for model in _index_models(rs.fundamental_group(), p):
-        engine = RestrictionImage(chow, model, lattice)
+        engine = RestrictionImage(chow, model)
         for m in range(1, min(p, 3) + 1):
             by_rule, by_pairing = (
                 SubspaceBasis(p, chow.basis_dim(m)) for _ in range(2))
@@ -390,11 +388,10 @@ def test_each_pivot_keeps_its_monomial_and_a_unit_scalar(name, p):
     rs = root_system(name)
     fg = rs.fundamental_group()
     chow = ChowRing(weyl_group(rs), degree_cap=min(p, 3))
-    lattice = CharacterLattice(rs, "adjoint")
     uniform = (BrauerModel.uniform(fg, i, p) for i in range(2, p))
     models = [*_index_models(fg, p), *uniform]
     for model in models:
-        engine = RestrictionImage(chow, model, lattice)
+        engine = RestrictionImage(chow, model)
         for m in range(1, min(p, 3) + 1):
             piece = engine.image(m)
             assert len(piece.classes) == len(piece.pivots)
@@ -409,7 +406,7 @@ def test_each_pivot_keeps_its_monomial_and_a_unit_scalar(name, p):
 @pytest.mark.parametrize("index,cap", [(9, 2), (1, 1), (3, 3)])
 def test_filtered_generators_match_the_unfiltered_stream_on_e6(index, cap):
     _assert_matches_unfiltered(
-        engine_for("E6", "adjoint", 3, index, cap=cap), cap)
+        engine_for("E6", 3, index, cap=cap), cap)
 
 
 def _assert_sound_ceilings(engine, parts):
@@ -448,16 +445,15 @@ def test_each_sym_pass_stops_at_a_sound_ceiling(name, p):
     table = SteinbergTable(group)
     parts = _full_walk_parts(table, p)
     chow = ChowRing(group, degree_cap=min(p, 3))
-    lattice = CharacterLattice(rs, "adjoint")
     for model in _index_models(table.fg, p):
-        _assert_sound_ceilings(RestrictionImage(chow, model, lattice), parts)
+        _assert_sound_ceilings(RestrictionImage(chow, model), parts)
 
 
 def test_each_sym_pass_stops_at_a_sound_ceiling_on_e6():
     table = SteinbergTable(weyl_group(root_system("E6")))
     parts = _full_walk_parts(table, 3)
     for index in (1, 3, 9, 27):
-        engine = engine_for("E6", "adjoint", 3, index, cap=3)
+        engine = engine_for("E6", 3, index, cap=3)
         _assert_sound_ceilings(engine, parts)
 
 
@@ -471,8 +467,7 @@ def _fresh_e6_engine(p, index, degree) -> RestrictionImage:
     rs = root_system("E6")
     return RestrictionImage(
         ChowRing(WeylGroup(rs), degree_cap=degree),
-        BrauerModel.uniform(rs.fundamental_group(), index, p),
-        CharacterLattice(rs, "adjoint"))
+        BrauerModel.uniform(rs.fundamental_group(), index, p))
 
 
 @pytest.mark.parametrize("p,index,degree", [(5, 25, 2), (5, 1, 1), (3, 1, 1)])
@@ -515,8 +510,7 @@ def test_the_walk_stops_only_at_the_sym_ceiling(name, p, labels, degree,
     g = fg.quotient
     model = BrauerModel.from_labels(
         fg, {g.label(e): i for e, i in zip(g.elements(), labels)}, p)
-    engine = RestrictionImage(ChowRing(group, degree_cap=degree), model,
-                              CharacterLattice(rs, "adjoint"))
+    engine = RestrictionImage(ChowRing(group, degree_cap=degree), model)
     assert len(engine._parts(degree)) == kept
     assert engine._ceiling(degree) == ceiling
     assert _walked(engine) == walked
@@ -529,11 +523,9 @@ def test_the_walk_stops_only_at_the_sym_ceiling(name, p, labels, degree,
 def test_engines_on_one_chow_ring_equal_fresh_ones(first):
     rs = root_system("E6")
     fg = rs.fundamental_group()
-    lattice = CharacterLattice(rs, "adjoint")
 
     def engine(chow, index):
-        return RestrictionImage(chow, BrauerModel.uniform(fg, index, 3),
-                                lattice)
+        return RestrictionImage(chow, BrauerModel.uniform(fg, index, 3))
 
     # the second engine is built on the ring the first has computed in;
     # each walks the Steinberg stream from a table of its own
@@ -547,7 +539,7 @@ def test_engines_on_one_chow_ring_equal_fresh_ones(first):
 def test_e6_at_p5_fills_every_degree_through_five():
     # 5 is not a torsion prime of E6, so CH*(G/B) mod 5 is generated by
     # CH^1; image(1) is all of CH^1 and image(m) contains image(1)^m
-    engine = engine_for("E6", "adjoint", 5, 25)
+    engine = engine_for("E6", 5, 25)
     for m, dim in enumerate((6, 20, 50, 105, 195), start=1):
         assert engine.chow.basis_dim(m) == dim
         assert engine.image(m).subspace.dim == dim
@@ -559,15 +551,15 @@ def test_e6_at_p997_reports_within_budget():
     # once per Weyl element they would be 51,840 tuples of 997 here
     budget = 20.0
     t0 = time.perf_counter()
-    engine = engine_for("E6", "adjoint", 997, 997)
-    report = ideal_equality_report(engine)
+    engine = engine_for("E6", 997, 997)
+    report = ideal_equality_report(engine, engine.model.fg)
     elapsed = time.perf_counter() - t0
     assert report.vacuous
     assert elapsed < budget, f"{elapsed:.1f}s exceeds the {budget}s budget"
 
 
 def test_image_pieces_are_cached_and_consistent():
-    engine = engine_for("A2", "adjoint", 3, 3, cap=3)
+    engine = engine_for("A2", 3, 3, cap=3)
     piece = engine.image(2)
     assert engine.image(2) is piece
     assert piece.degree == 2
@@ -579,13 +571,13 @@ def test_image_pieces_are_cached_and_consistent():
 
 
 def test_image_is_contained_in_the_ideal():
-    engine = engine_for("B2", "adjoint", 2, 2, cap=2)
+    engine = engine_for("B2", 2, 2, cap=2)
     for m in (1, 2):
         assert is_subspace_of(engine.image(m).subspace, engine.ideal(m))
 
 
 def test_ideal_is_multiplicatively_stable():
-    engine = engine_for("A3", "adjoint", 3, 3, cap=3)
+    engine = engine_for("A3", 3, 3, cap=3)
     chow = engine.chow
     rs = chow.rs
     for m in (2, 3):
@@ -608,4 +600,4 @@ def test_engine_over_a_truncated_group_is_refused():
     chow = ChowRing(weyl_group(rs, max_length=2), degree_cap=2)
     model = BrauerModel.uniform(rs.fundamental_group(), 3, 3)
     with pytest.raises(ValueError, match="full Weyl enumeration"):
-        RestrictionImage(chow, model, CharacterLattice(rs, "adjoint"))
+        RestrictionImage(chow, model)

@@ -20,6 +20,7 @@ from gammaflag import (
     RestrictionImage,
     SchubertClass,
     SubspaceBasis,
+    ideal_equality_report,
     root_system,
     weyl_group,
 )
@@ -104,10 +105,13 @@ def test_a_lattice_of_another_root_system_is_refused():
     with pytest.raises(ValueError,
                        match="lattice belongs to a different root system"):
         ring.char_ideal(lattice, 2, 3)
-    model = BrauerModel.uniform(ring.rs.fundamental_group(), 1, 3)
-    with pytest.raises(ValueError,
-                       match="lattice belongs to a different root system"):
-        RestrictionImage(ring, model, lattice)
+    # the report refuses it before the premise picks degrees: the split
+    # model applies in no degree, so char_ideal alone would never see it
+    fg = ring.rs.fundamental_group()
+    for model in (BrauerModel.split(fg, 3), BrauerModel.uniform(fg, 2, 2)):
+        with pytest.raises(ValueError,
+                           match="lattice belongs to a different root system"):
+            ideal_equality_report(RestrictionImage(ring, model), lattice)
     ring.char_ideal(CharacterLattice(ring.rs, "adjoint"), 2, 3)
 
 

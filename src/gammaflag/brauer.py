@@ -56,7 +56,7 @@ def _axiom_violations(fg: CharacterLattice, ind: dict) -> list[str]:
     extra = [e for e in ind if e not in set(elements)]
     if extra:
         problems.append(f"index map has entries outside the group: {extra}")
-    if any(v < 1 for v in ind.values()):
+    if any(type(v) is not int or v < 1 for v in ind.values()):
         problems.append("indices must be positive integers")
         return problems
     if ind[g.identity()] != 1:

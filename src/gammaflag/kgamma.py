@@ -32,31 +32,29 @@ m-th gamma-filtration quotient in CH^m mod p is spanned by
     a_1 + ... + a_k = m,
 
 where i_w is the index attached to the class of rho_w (the leading
-(m-1)! factor is a unit mod p for m <= p and is dropped).  Generators are
-deduplicated on (c_1(g_w) mod p, binomials mod p): both factors of a
-generator's contribution are multilinear or binomial in exactly that
-data, so by Lucas' theorem the key i_w mod p^2 (equivalently, the reduced
-binomials up to degree p) loses nothing.  Multi-part generators are
-streamed as (single part) x (pivot generator of the lower-degree image),
-an exact span identity.  Each pivot keeps its class, so a generator's
-class is its lower pivot's class times c_1(rho)^j, j Chevalley steps
-with the part's pairings; the single parts of degree m multiply the unit
-class.  A generator whose sorted weights its degree has already fed has
-the same class and is skipped.  The ideal the images generate is one
-``ChowRing.ideal``: the rows of image(m), then the lower pivots' weights
-as monomials.
+(m-1)! factor is a unit mod p for m <= p and is dropped).  Multi-part
+generators are streamed as (single part) x (pivot generator of the
+lower-degree image), an exact span identity.  Each pivot keeps its
+class, so a generator's class is its lower pivot's class times
+c_1(rho)^j, j Chevalley steps with the part's pairings; the single parts
+of degree m multiply the unit class.  A generator whose sorted weights
+its degree has already fed has the same class and is skipped.  The ideal
+the images generate is one ``ChowRing.ideal``: the rows of image(m),
+then the lower pivots' weights as monomials.
 
 Before any Chevalley product, the parts of each size j are filtered in
 Sym^j(F_p^n) = F_p[h_1..h_n]_j, where h_i = c_1(L(omega_i)): a part is
-the polynomial binom(i_w, j) * (rho_w . h)^j, and one pass in key order
-keeps only the parts that grow the span of those before them.  A dropped
-part is an F_p-combination of earlier kept ones; since F_p[h] -> CH* mod p
-is a ring homomorphism, so is its product with any lower pivot, and its
-generators could never have grown the image.  Feed order is unchanged,
-so pivots and RREF rows are exactly those of the unfiltered stream.  At
-j = p the Frobenius kills every mixed multinomial coefficient mod p; that
-is right, because the Chow products are taken mod p as well.  The image
-and the ideal stop once their subspace is the whole ambient space.
+the polynomial binom(i_w, j) * (rho_w . h)^j, and one pass in element
+order keeps only the parts that grow the span of those before them.  It
+tests each distinct (rho_w mod p, binom(i_w, j) mod p) once: equal pairs
+are the same polynomial.  A dropped part is an F_p-combination of
+earlier kept ones; since F_p[h] -> CH* mod p is a ring homomorphism, so
+is its product with any lower pivot, and its generators could never have
+grown the image.  Feed order is unchanged, so pivots and RREF rows are
+exactly those of the unfiltered stream.  At j = p the Frobenius kills
+every mixed multinomial coefficient mod p; that is right, because the
+Chow products are taken mod p as well.  The image and the ideal stop
+once their subspace is the whole ambient space.
 
 Each pass stops at a ceiling that can lie below all of Sym^j.  rho_w
 lies in lambda_D + Lambda_r, so every part of size j has rho_w mod p in
@@ -67,10 +65,12 @@ taken mod p, and its polynomial lies in the span of (v . h)^j over V_j:
 Sym^j(V_j), of dimension binom(d + j - 1, j) with d = dim V_j, when j! is a
 unit (polarization), and V_j itself in the pure powers h_i^p at j = p,
 where v_i^p = v_i.  When p divides |Lambda/Lambda_r| the root lattice mod
-p is a proper subspace, so V_j can be too.  Each engine walks the
-Steinberg stream on demand, one whole BFS length at a time as the passes
-read keys, from a table and a window of its own; it stops short of W
-once every pass reaches its ceiling or has all-zero binomials.
+p is a proper subspace, so V_j can be too.  Each pass walks a Steinberg
+stream of its own, one whole BFS length at a time, and stops short of W
+once it reaches its ceiling; a pass whose binomials are all zero walks
+nothing.  The engine keeps only finished results, so a pass that an
+exception interrupts leaves nothing behind and the next call walks
+again from the identity.
 """
 
 from __future__ import annotations
@@ -176,8 +176,7 @@ class SteinbergTable:
             yield tuple(length)
 
 
-class ImagePiece(namedtuple("ImagePiece",
-                            "degree subspace pivots classes")):
+class ImagePiece(namedtuple("ImagePiece", "subspace pivots classes")):
     """One computed degree: the SubspaceBasis plus the raw generators
     whose insertion grew it, as (scalar, weights) pairs (each raw
     generator is scalar * product of c_1's), and in ``classes`` each
@@ -192,7 +191,9 @@ class RestrictionImage:
     Also assembles the ideal generated by all lower-degree images, the
     object the index hypothesis constrains.  Both read only the model's
     indices and p, never a character lattice.  The Steinberg table is
-    the engine's own, over the Chow ring's group, which must be full.
+    the engine's own, over the Chow ring's group, which must be full;
+    each Sym^j pass walks a stream of it.  The engine holds finished
+    results only: the kept parts, images and ideals by degree.
     """
 
     def __init__(self, chow: ChowRing, model: BrauerModel):
@@ -210,12 +211,6 @@ class RestrictionImage:
                        for j in range(1, self.max_degree + 1))
             for cls, i_w in model.ind.items()
         }
-        # distinct (c_1(g_w) mod p, binom(i_w, 1..D) mod p) in element
-        # order, from the first _scanned BFS lengths, the last of which is
-        # the Steinberg window _window
-        self._keys: dict[tuple[Weight, tuple[int, ...]], None] = {}
-        self._scanned = 0
-        self._window = None
         self._kept: dict[int, list[tuple[Weight, int]]] = {}
         self._images: dict[int, ImagePiece] = {}
         self._ideals: dict[int, SubspaceBasis] = {}
@@ -242,42 +237,35 @@ class RestrictionImage:
         return d if j == self.p else math.comb(d + j - 1, j)
 
     def _parts(self, j: int) -> list[tuple[Weight, int]]:
-        """Parts (rho_p, binom(i_w, j) mod p), in key order, whose
+        """Parts (rho_p, binom(i_w, j) mod p), in element order, whose
         polynomial b * (rho_p . h)^j grows the span they have in
-        Sym^j(F_p^n); the pass stops once that span reaches its
-        ceiling."""
+        Sym^j(F_p^n); the pass walks a Steinberg stream of its own and
+        stops once that span reaches its ceiling."""
         got = self._kept.get(j)
         if got is not None:
             return got
-        p = self.p
+        p, binoms = self.p, self._binoms
         monos = _unit_monomials(self.chow.rs.rank, j, p)
         span = SubspaceBasis(p, len(monos))
         kept = []
 
-        def keys():
-            yield from self._keys
-            st, known, binoms = self.steinberg, self._keys, self._binoms
-            unpack_all = st.group.packer.unpack_all
-            while self._scanned <= st.group.longest_length:
-                window, _, _, rhos, classes = st.step(self._window)
-                new = {}
+        def parts():
+            # equal (rho_p, b) are the same polynomial: test each once
+            seen = set()
+            unpack_all = self.steinberg.group.packer.unpack_all
+            for _, _, rhos, classes in self.steinberg.lengths():
                 for rho, cls in zip(unpack_all(rhos), classes):
-                    b = binoms[cls]
-                    if any(b):
-                        key = (tuple(map(p.__rmod__, rho)), b)
-                        if key not in known:
-                            new[key] = None
-                # a length counts as scanned once all its keys are known
-                known.update(new)
-                self._window = window
-                self._scanned += 1
-                yield from new
+                    b = binoms[cls][j - 1]
+                    if b:
+                        part = (tuple(map(p.__rmod__, rho)), b)
+                        if part not in seen:
+                            seen.add(part)
+                            yield part
 
         # when binom(i, j) = 0 mod p for every class, every part is zero
-        if any(b[j - 1] for b in self._binoms.values()):
-            for rho_p, binoms in _until_full(span, keys(), self._ceiling(j)):
-                b = binoms[j - 1]
-                if b and span.insert([
+        if any(b[j - 1] for b in binoms.values()):
+            for rho_p, b in _until_full(span, parts(), self._ceiling(j)):
+                if span.insert([
                     b * c * math.prod(rho_p[i] for i in mono) % p
                     for c, mono in monos
                 ]):
@@ -334,7 +322,7 @@ class RestrictionImage:
                 pivots.append((scalar, weights))
                 classes.append(cls)
 
-        piece = ImagePiece(m, sub, tuple(pivots), tuple(classes))
+        piece = ImagePiece(sub, tuple(pivots), tuple(classes))
         self._images[m] = piece
         return piece
 

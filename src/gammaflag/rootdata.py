@@ -319,9 +319,7 @@ class CharacterLattice:
     def __init__(self, rs: RootSystem, spec="adjoint"):
         n = rs.rank
         if isinstance(spec, str):
-            kind = spec.lower()
-            if kind in ("sc", "simply-connected"):
-                kind = "simply_connected"
+            kind = spec
             if kind == "adjoint":
                 gens = [rs.simple_root(i) for i in range(1, n + 1)]
             elif kind == "simply_connected":

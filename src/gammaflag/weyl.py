@@ -109,6 +109,10 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystem, max_length: int | None = None):
         guard = DEFAULT_SIZE_GUARD
+        if max_length is not None and (type(max_length) is not int
+                                       or max_length < 0):
+            raise ValueError("max_length must be None or an integer >= 0, "
+                             f"not {max_length!r}")
         if max_length is None:
             if rs.weyl_order > guard:
                 raise ValueError(
@@ -154,7 +158,6 @@ class WeylGroup:
         self._index = {self._keys[0]: 0}
         self._parent = array("i", [-1])
         self._letters = bytearray(1)  # w_k = w_parent s_letter
-        self._offsets = [0, 1]  # the enumerated part of _starts
 
     def step(self, keys: list[int]) -> tuple[list[int], array, bytearray]:
         """One ascents-only BFS step: from the keys of one whole length, in
@@ -177,18 +180,23 @@ class WeylGroup:
 
     def grow(self, m: int) -> None:
         """Enumerate every length up to m (at most longest_length).  Each
-        length is staged and committed only when complete, so an exception
-        leaves nothing half-built and the next call resumes."""
-        m = min(m, self.longest_length)
-        offsets, keys = self._offsets, self._keys
-        while len(offsets) - 2 < m:
-            start, base = offsets[-2], offsets[-1]
+        length must have as many elements as the length counts give, and
+        counts as grown once ``_keys`` holds it, which it does last; the
+        other tables are written from the length's start, so an exception
+        leaves no length half-grown and the next call resumes."""
+        keys, starts = self._keys, self._starts
+        for n in range(starts.index(len(keys)),
+                       min(m, self.longest_length) + 1):
+            start, base, end = starts[n - 1:n + 2]
             new, parents, letters = self.step(keys[start:base])
-            self._index.update(zip(new, range(base, base + len(new))))
+            if len(new) != end - base:
+                raise RuntimeError(
+                    f"the BFS step gave {len(new)} elements of length {n} "
+                    f"in W({self.rs.name}), not {end - base}")
+            self._index.update(zip(new, range(base, end)))
+            self._parent[base:] = array("i", [start + j for j in parents])
+            self._letters[base:] = letters
             keys += new
-            self._parent.extend(start + j for j in parents)
-            self._letters += letters
-            offsets.append(len(keys))
 
     def _grown_to(self, k: int) -> int:
         """k, once element k is enumerated."""
@@ -267,8 +275,10 @@ def length_counts(degrees) -> list[int]:
     return poly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def weyl_group(rs: RootSystem, max_length: int | None = None) -> WeylGroup:
     """One group per root system and bound, shared by every caller, so
-    what one query enumerates the next need not enumerate again."""
+    what one query enumerates the next need not enumerate again.  The
+    cache keys on the bound's type too, so True or 1.0 never finds the
+    group of 1 and is refused like any bad bound."""
     return WeylGroup(rs, max_length=max_length)

@@ -107,6 +107,14 @@ def test_model_refuses_nonpositive_and_foreign_entries():
         fg("A2"), {(0,): 1, (1,): 3, (2,): 3, (7,): 2})
 
 
+@pytest.mark.parametrize("index", [True, "3", 3.0])
+def test_an_index_that_is_not_an_int_is_refused(index):
+    with pytest.raises(ValueError) as exc:
+        BrauerModel.uniform(fg("A2"), index, 3)
+    assert str(exc.value) == (
+        "invalid index model: indices must be positive integers")
+
+
 def test_model_lives_on_the_fundamental_group():
     # the simply connected lattice's quotient is trivial, so its one
     # class would pass every axiom

@@ -784,6 +784,17 @@ def test_the_adjoint_lattice_takes_one_smith_normal_form(argv):
     assert proc.stderr.split() == ["0", "1"], proc.stderr
 
 
+@pytest.mark.parametrize("lattice", ["sc", "ADJOINT"])
+def test_a_lattice_keyword_is_spelled_one_way(capsys, lattice):
+    code, out, err = run_cli(
+        capsys, "verify-theorem", "--type", "B3", "--prime", "2", "--index",
+        "2", "--lattice", lattice, "--no-banner")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: unknown lattice keyword {lattice!r}: expected 'adjoint', "
+        "'simply_connected', or a list of weight vectors\n")
+
+
 def test_python_dash_m_matches_in_process_output():
     proc = run_module("steinberg", "--type", "A2", "--format", "tsv",
                       "--no-banner", text=True)

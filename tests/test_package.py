@@ -30,31 +30,70 @@ def test_every_definition_is_used():
     # and namedtuple's _make, which Python's _replace calls, aside) is
     # named by code under src/, scripts/ or perfbench/: as a Name,
     # an Attribute or an imported name, or outside src/ as a word of a
-    # string constant (a name wrapped by its string, as perfbench/child.py
-    # does).  Strings in src/ declare names, as the table in
-    # gammaflag/__init__.py does; they do not use them.
+    # string constant
     defined, named = {}, set()
-    for top in ("src", "scripts", "perfbench"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    if top == "src" and not re.fullmatch(
-                            r"__\w+__|_make", node.name):
-                        defined.setdefault(
-                            node.name,
-                            f"{path.relative_to(ROOT)}:{node.lineno}")
-                elif isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    named.update(node.name.split("."))
-                elif top != "src" and isinstance(node, ast.Constant) and \
-                        isinstance(node.value, str):
-                    named.update(re.findall(r"\w+", node.value))
+    for top, path, node in _nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if top == "src" and not re.fullmatch(r"__\w+__|_make",
+                                                 node.name):
+                defined.setdefault(node.name, f"{path}:{node.lineno}")
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+        else:
+            named.update(_words(top, node))
     unused = {name for name in defined if name not in named}
     assert sorted(f"{defined[name]} {name}" for name in unused) == []
+
+
+def test_every_stored_attribute_is_read():
+    # every attribute a method under src/gammaflag stores on self, by
+    # assignment or by object.__setattr__(self, "name", ...), is read by
+    # code under src/, scripts/ or perfbench/: as an attribute load, or
+    # outside src/ as a word of a string constant
+    stored, read = {}, set()
+    for top, path, node in _nodes():
+        name = None
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                name = node.attr
+        elif isinstance(node, ast.Call) and \
+                ast.unparse(node.func) == "object.__setattr__" and \
+                ast.unparse(node.args[0]) == "self":
+            name = node.args[1].value
+        else:
+            read.update(_words(top, node))
+        if top == "src" and name is not None:
+            stored.setdefault(name, f"{path}:{node.lineno}")
+    assert stored  # the walk found the attributes
+    unread = {name for name in stored if name not in read}
+    assert sorted(f"{stored[name]} {name}" for name in unread) == []
+
+
+def _nodes():
+    """(top directory, path from the root, node) for every node of the
+    syntax trees of the code under src/, scripts/ and perfbench/."""
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_bytes(), str(path))
+            for node in ast.walk(tree):
+                yield top, path.relative_to(ROOT), node
+
+
+def _words(top, node) -> list[str]:
+    """The words of a string constant outside src/ (a name wrapped by its
+    string, as perfbench/child.py does).  Strings in src/ declare names,
+    as the table in gammaflag/__init__.py does; they do not use them."""
+    if top != "src" and isinstance(node, ast.Constant) and \
+            isinstance(node.value, str):
+        return re.findall(r"\w+", node.value)
+    return []
 
 
 @pytest.mark.parametrize("name", gammaflag.__all__)
@@ -157,3 +196,15 @@ def test_the_readme_library_example_prints_true():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue() == "True\n"
+
+
+def test_the_readme_transcripts_match_the_cli(capsys):
+    # every "$ gammaflag ..." block of README.md, replayed through
+    # cli.main: the block's other lines are its stdout, byte for byte
+    readme = (ROOT / "README.md").read_text()
+    transcripts = re.findall(r"^```sh\n\$ gammaflag ([^\n]*)\n(.*?)^```$",
+                             readme, re.M | re.S)
+    assert transcripts
+    for line, want in transcripts:
+        assert cli.main(line.split()) == 0, line
+        assert capsys.readouterr().out == want, line

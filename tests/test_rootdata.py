@@ -275,7 +275,12 @@ def test_fp_dims_frozen():
 
 
 def test_lattice_keyword_aliases_and_errors():
+    # exactly the two keywords are accepted, spelled as --help spells them
     rs = root_system("A2")
-    assert CharacterLattice(rs, "sc").kind == "simply_connected"
-    with pytest.raises(ValueError):
-        CharacterLattice(rs, "maximal")
+    for spec in ("sc", "simply-connected", "ADJOINT", "Simply_Connected",
+                 "maximal"):
+        with pytest.raises(ValueError) as exc:
+            CharacterLattice(rs, spec)
+        assert str(exc.value) == (
+            f"unknown lattice keyword {spec!r}: expected 'adjoint', "
+            "'simply_connected', or a list of weight vectors")

@@ -214,7 +214,7 @@ def test_inverse_rho_keys_match_the_matrix_enumeration(name, max_length):
     for k in (-1, len(g)):
         with pytest.raises(IndexError):
             g.word(k)
-    assert g._offsets == [0, 1]  # an index out of range grows nothing
+    assert len(g._keys) == 1  # an index out of range grows nothing
     words, lengths, index = weyl_by_matrices(rs, max_length)
     assert [g.word(k) for k in range(len(g))] == words
     assert [g.length(k) for k in range(len(g))] == lengths
@@ -400,9 +400,9 @@ def test_a_group_read_in_any_order_matches_the_grown_one(case, data):
             "right_mul", "word", "elements_of_length", "covers"]))
         if op == "elements_of_length":
             m = data.draw(st.integers(-1, grown.longest_length + 1))
-            before = list(g._offsets)
+            before = len(g._keys)
             assert g.range_of_length(m) == grown.elements_of_length(m)
-            assert g._offsets == before  # read off the length counts
+            assert len(g._keys) == before  # read off the length counts
             got = g.elements_of_length(m)
             assert got == grown.elements_of_length(m)
             assert list(got) == [k for k, x in enumerate(lengths) if x == m]
@@ -425,8 +425,7 @@ def test_a_group_read_in_any_order_matches_the_grown_one(case, data):
         assert got == want
     # whatever was read, only whole lengths were enumerated, as the grown
     # group enumerates them
-    assert g._offsets == grown._offsets[:len(g._offsets)]
-    assert len(g._keys) == g._offsets[-1]
+    assert len(g._keys) in g._starts
     assert g._keys == grown._keys[:len(g._keys)]
     assert g._letters == grown._letters[:len(g._keys)]
     assert list(g._parent) == list(grown._parent[:len(g._keys)])
@@ -454,7 +453,7 @@ def test_an_interrupted_bfs_keeps_only_whole_lengths(monkeypatch):
     fresh = WeylGroup(rs)
     fresh.grow(2)
     assert len(calls) == 5
-    assert g._offsets == fresh._offsets == [0, 1, 5, 14]
+    assert len(g._keys) == len(fresh._keys) == 14  # lengths 0, 1 and 2
     assert g._index == fresh._index
     assert (g._keys, g._letters) == (fresh._keys, fresh._letters)
     assert list(g._parent) == list(fresh._parent)
@@ -464,4 +463,40 @@ def test_an_interrupted_bfs_keeps_only_whole_lengths(monkeypatch):
         group.grow(group.longest_length)
     assert (g._keys, g._letters, list(g._parent)) == (
         fresh._keys, fresh._letters, list(fresh._parent))
-    assert g._offsets == fresh._offsets
+    assert len(g._keys) == len(g)
+
+
+def test_a_bfs_step_of_the_wrong_size_is_refused_and_kept_nowhere(
+        monkeypatch):
+    rs = root_system("B3")
+    g = WeylGroup(rs)
+    g.grow(1)
+    step = g.step
+
+    def short(keys):
+        new, parents, letters = step(keys)
+        return new[:-1], parents[:-1], letters[:-1]
+
+    monkeypatch.setattr(g, "step", short)
+    with pytest.raises(RuntimeError) as exc:
+        g.grow(2)
+    assert str(exc.value) == (
+        "the BFS step gave 4 elements of length 2 in W(B3), not 5")
+    monkeypatch.undo()
+    fresh = WeylGroup(rs)
+    fresh.grow(1)
+    assert (g._keys, g._index, g._letters, list(g._parent)) == (
+        fresh._keys, fresh._index, fresh._letters, list(fresh._parent))
+    g.grow(3)
+    assert g.word(len(g._keys) - 1) == fresh.word(len(g._keys) - 1)
+
+
+@pytest.mark.parametrize("max_length", [-1, True, 1.0, 1.5, "2"])
+def test_a_bad_max_length_is_refused(max_length):
+    rs = root_system("A2")
+    weyl_group(rs, 1)  # True and 1.0 are equal to 1 as cache keys
+    for make in (WeylGroup, weyl_group):
+        with pytest.raises(ValueError) as exc:
+            make(rs, max_length)
+        assert str(exc.value) == ("max_length must be None or an integer "
+                                  f">= 0, not {max_length!r}")
